@@ -2,9 +2,10 @@
 
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
 they are orthonormal under Haar quadrature at the documented level.  An
-operator is assembled column by column: the image of a domain basis element
-is evaluated through the quantization sum and projected onto the codomain
-basis by quadrature.
+operator is assembled label by label: the images of the d_xi^2 domain basis
+elements of a label are the entries of sqrt(d_xi) xi(x) sigma(x, xi), which
+one batched product evaluates on the grid and one matrix product projects
+onto the codomain basis by quadrature.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -27,15 +28,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dual import IrrepLabel, enumerate_dual, labels_for_band
-from .fourier import FourierCoefficients
+from . import __version__
+from .dual import (IrrepLabel, enumerate_dual, labels_for_band,
+                   rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
                      haar_quadrature, min_level_for_band)
-from .symbols import MatrixSymbol, quantize_on_rule
+from .symbols import MatrixSymbol
 from .symbols import frozen_symbol_product  # noqa: F401  (part of this module's API)
-from .dual import rep_matrices_on_rule
 
 HIT_ROW_TOL = 1e-9
+# part of every cache key; bump when the stored matrix for a key may change
+CACHE_FORMAT = 2
 
 
 class AliasingError(ValueError):
@@ -103,12 +106,11 @@ class PeterWeylBasis:
                     rows[base + i * xi.dim + j] = scale * reps[:, i, j]
         return rows
 
-    def coefficients_of_entry(self, pos: int) -> FourierCoefficients:
-        """Exact Fourier coefficients of the pos-th basis function."""
-        xi, i, j = self.entries[pos]
-        m = np.zeros((xi.dim, xi.dim), dtype=complex)
-        m[j, i] = 1.0 / math.sqrt(xi.dim)
-        return FourierCoefficients({xi: m}, xi.weight)
+    def positions(self, labels) -> np.ndarray:
+        """Positions of the entries whose label is in ``labels``, in order."""
+        keep = set(labels)
+        return np.array([pos for pos, (xi, _, _) in enumerate(self.entries)
+                         if xi in keep], dtype=int)
 
 
 def basis_for_band(group: GroupSpec, band: int) -> PeterWeylBasis:
@@ -166,11 +168,13 @@ def assemble(sigma: MatrixSymbol,
              check_aliasing: bool = True) -> GalerkinOperator:
     """Galerkin matrix of the quantized symbol between two bases.
 
-    Invariant symbols are assembled exactly block by block; otherwise each
-    domain column is quantized on the grid and projected by quadrature.
-    The grid defaults to the automatically chosen resolving level.  When a
-    column's image leaks out of the codomain band beyond ``HIT_ROW_TOL``
-    (relative), an AliasingError reports the required band.
+    Invariant symbols are assembled exactly block by block; otherwise the
+    columns of each domain label are evaluated together on the grid and
+    projected by quadrature.  The grid defaults to the automatically chosen
+    resolving level.  When a column's image leaks out of the codomain band
+    (its quadrature energy exceeds its captured energy by more than 1e-12 +
+    1e-8 of the energy), an AliasingError names the first such column and
+    the required band.
     """
     group = sigma.group
     dom = _as_basis(group, dom)
@@ -209,24 +213,36 @@ def assemble(sigma: MatrixSymbol,
     cod_rows = cod.values_on_rule(grid)          # (cod.size, n_nodes)
     proj = cod_rows.conj() * grid.weights        # row r: integral against b_r
     mat = np.empty((cod.size, dom.size), dtype=complex)
-    required_band = dom.band + w
-    for pos in range(dom.size):
-        fhat = dom.coefficients_of_entry(pos)
-        col_vals = quantize_on_rule(sigma, fhat, grid)
-        col = proj @ col_vals
-        mat[:, pos] = col
+    for xi in dom.labels:
+        d = xi.dim
+        # column (xi, i, j) is the image of sqrt(d) xi_ij, i.e. the entry
+        # sqrt(d) (xi(x) sigma(x, xi))[i, j] of the quantization sum
+        vals = math.sqrt(d) * (rep_matrices_on_rule(xi, grid)
+                               @ sigma.evaluate_on_rule(grid, xi))
+        vals = vals.reshape(grid.n_nodes, d * d)
+        cols = proj @ vals
+        off = dom.offsets[xi]
+        mat[:, off:off + d * d] = cols
         if check_aliasing:
-            total = float(np.sum(grid.weights * np.abs(col_vals) ** 2))
-            captured = float(np.sum(np.abs(col) ** 2))
-            leak = total - captured
-            if leak > 1e-12 + 1e-8 * total:
-                raise AliasingError(
-                    f"column {pos} leaks outside the codomain band "
-                    f"(leak {leak:.3e}); need codomain band >= {required_band}",
-                    required_band)
+            _check_leak(grid.weights @ np.abs(vals) ** 2,
+                        np.sum(np.abs(cols) ** 2, axis=0),
+                        np.arange(off, off + d * d), dom.band + w)
     meta = {"level": grid.level, "invariant_fast_path": False,
             "symbol": sigma.describe}
     return GalerkinOperator(dom, cod, mat, meta)
+
+
+def _check_leak(total: np.ndarray, captured: np.ndarray, positions,
+                required_band: int):
+    """AliasingError naming the first column whose energy leaks out."""
+    leak = total - captured
+    bad = np.flatnonzero(leak > 1e-12 + 1e-8 * total)
+    if bad.size:
+        k = bad[0]
+        raise AliasingError(
+            f"column {positions[k]} leaks outside the codomain band "
+            f"(leak {leak[k]:.3e}); need codomain band >= {required_band}",
+            required_band)
 
 
 def adjoint(g: GalerkinOperator) -> GalerkinOperator:
@@ -284,10 +300,9 @@ class OperatorCache:
 def assemble_cached(sigma: MatrixSymbol,
                     dom: Union[PeterWeylBasis, int, float, Sequence],
                     cod: Union[PeterWeylBasis, int, float, Sequence],
-                    grid: Optional[QuadratureRule] = None,
                     cache: Optional[OperatorCache] = None,
                     check_aliasing: bool = True) -> GalerkinOperator:
-    """assemble() with an optional read-through operator cache."""
+    """assemble() on its own grid with an optional read-through cache."""
     group = sigma.group
     dom = _as_basis(group, dom)
     cod = _as_basis(group, cod)
@@ -295,8 +310,6 @@ def assemble_cached(sigma: MatrixSymbol,
         w = int(math.ceil(sigma.x_bandwidth))
         if sigma.is_invariant and w == 0:
             level = None
-        elif grid is not None:
-            level = grid.level
         else:
             level = assembly_level(group, dom.band, cod.band, w)
         key = cache_key_for(sigma.describe, dom, cod, level)
@@ -305,30 +318,40 @@ def assemble_cached(sigma: MatrixSymbol,
             return GalerkinOperator(dom, cod, matrix,
                                     {"level": level, "symbol": sigma.describe,
                                      "cached": True})
-    g = assemble(sigma, dom, cod, grid, check_aliasing)
+    g = assemble(sigma, dom, cod, check_aliasing=check_aliasing)
     if cache is not None:
         cache.store(g)
     return g
 
 
+def _wide_operator(sigma: MatrixSymbol, dom: PeterWeylBasis, w: int,
+                   cache: Optional[OperatorCache]) -> GalerkinOperator:
+    """The operator from band dom.band + w to band dom.band + 2w."""
+    group = sigma.group
+    return assemble_cached(sigma, basis_for_band(group, dom.band + w),
+                           basis_for_band(group, dom.band + 2 * w), cache=cache)
+
+
 def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
                           tol: float = HIT_ROW_TOL,
-                          cache: Optional[OperatorCache] = None) -> list:
+                          cache: Optional[OperatorCache] = None,
+                          wide: Optional[GalerkinOperator] = None) -> list:
     """Codomain label set preserving the operator's finite-rank index.
 
     Labels hit by the domain are kept, together with the domain labels
     themselves; labels that are reachable only from modes *outside* the
     domain band (truncation artifacts, detected by extending the domain by
-    the symbol's x-bandwidth) are dropped.  For x-independent symbols the
-    codomain equals the domain.
+    the symbol's x-bandwidth w) are dropped.  For x-independent symbols the
+    codomain equals the domain.  ``wide`` is the operator from band
+    dom.band + w to dom.band + 2w; it is assembled through ``cache`` when
+    not given.
     """
-    group = sigma.group
     w = int(math.ceil(sigma.x_bandwidth))
     if w == 0:
         return list(dom.labels)
-    dom_plus = basis_for_band(group, dom.band + w)
-    cod_wide = basis_for_band(group, dom.band + 2 * w)
-    wide = assemble_cached(sigma, dom_plus, cod_wide, cache=cache)
+    if wide is None:
+        wide = _wide_operator(sigma, dom, w, cache)
+    cod_wide = wide.codomain
     scale = float(np.abs(wide.matrix).max()) or 1.0
 
     def hit_labels(col_positions):
@@ -341,24 +364,38 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
                 hits.add(xi)
         return hits
 
-    dom_cols = [pos for pos, (xi, i, j) in enumerate(dom_plus.entries)
-                if xi in dom.offsets]
-    hit = hit_labels(dom_cols)
-    hit_plus = hit_labels(list(range(dom_plus.size)))
+    hit = hit_labels(wide.domain.positions(dom.labels))
+    hit_plus = hit_labels(np.arange(wide.domain.size))
     artifacts = hit_plus - hit
     keep = (set(dom.labels) | hit) - artifacts
     return sorted(keep, key=IrrepLabel.sort_key)
 
 
 def index_truncation(sigma: MatrixSymbol, band: int,
-                     grid: Optional[QuadratureRule] = None,
                      cache: Optional[OperatorCache] = None) -> GalerkinOperator:
-    """Rectangular truncation of the operator used by the index sweeps."""
-    dom = basis_for_band(sigma.group, band)
-    cod_labels = index_codomain_labels(sigma, dom, cache=cache)
-    return assemble_cached(sigma, dom,
-                           PeterWeylBasis(sigma.group, tuple(cod_labels)),
-                           grid, cache=cache)
+    """Rectangular truncation of the operator used by the index sweeps.
+
+    For x-dependent symbols the matrix is a row/column slice of the wide
+    operator that codomain selection assembles, so a cutoff costs one
+    assembly and one cache entry.  The slice records the quadrature level
+    that assembling it on its own would use, and its codomain is checked
+    for aliasing against the energies of the wide matrix's columns.
+    """
+    group = sigma.group
+    dom = basis_for_band(group, band)
+    w = int(math.ceil(sigma.x_bandwidth))
+    if w == 0:
+        return assemble_cached(sigma, dom, dom, cache=cache)
+    wide = _wide_operator(sigma, dom, w, cache)
+    cod = PeterWeylBasis(group, tuple(
+        index_codomain_labels(sigma, dom, cache=cache, wide=wide)))
+    columns = wide.matrix[:, wide.domain.positions(dom.labels)]
+    mat = columns[wide.codomain.positions(cod.labels)]
+    _check_leak(np.sum(np.abs(columns) ** 2, axis=0),
+                np.sum(np.abs(mat) ** 2, axis=0), range(dom.size), band + w)
+    meta = {"level": assembly_level(group, dom.band, cod.band, w),
+            "invariant_fast_path": False, "symbol": sigma.describe}
+    return GalerkinOperator(dom, cod, mat, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +407,18 @@ _MAGIC = b"LGIX"
 def _lookup_header(domain_desc: dict, codomain_desc: dict, level,
                    symbol_desc) -> dict:
     return {"domain": domain_desc, "codomain": codomain_desc,
-            "level": level, "symbol": symbol_desc}
+            "level": level, "symbol": symbol_desc,
+            "version": __version__, "format": CACHE_FORMAT}
 
 
 def cache_key_for(sigma_desc, dom: PeterWeylBasis, cod: PeterWeylBasis,
                   level: Optional[int]) -> str:
-    """Content hash of the lookup header; computable before assembly."""
+    """Content hash of the lookup header; computable before assembly.
+
+    The header covers the bases, the quadrature level, the symbol's
+    description (which carries a digest of any tabulated values), the tool
+    version and ``CACHE_FORMAT``.
+    """
     header = _lookup_header(dom.describe(), cod.describe(), level, sigma_desc)
     return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
 
@@ -384,8 +427,9 @@ def operator_cache_blob(g: GalerkinOperator) -> tuple:
     """(header_json_bytes, payload_bytes, key) for a Galerkin operator.
 
     The stored header holds the lookup fields (group/basis descriptors,
-    quadrature level, symbol description), the matrix shape and the payload
-    hash; the cache key is the content hash of the lookup fields alone.
+    quadrature level, symbol description, tool version, cache format), the
+    matrix shape and the payload hash; the cache key is the content hash of
+    the lookup fields alone.
     Payload: little-endian float64 pairs (re, im) in column-major order.
     """
     flat = np.asfortranarray(g.matrix).ravel(order="F")
@@ -393,10 +437,10 @@ def operator_cache_blob(g: GalerkinOperator) -> tuple:
     interleaved[0::2] = np.real(flat)
     interleaved[1::2] = np.imag(flat)
     payload = interleaved.astype("<f8").tobytes()
+    level, symbol = g.meta.get("level"), g.meta.get("symbol")
+    key = cache_key_for(symbol, g.domain, g.codomain, level)
     header = _lookup_header(g.domain.describe(), g.codomain.describe(),
-                            g.meta.get("level"), g.meta.get("symbol"))
-    key = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
-    header = dict(header)
+                            level, symbol)
     header["shape"] = list(g.matrix.shape)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     header_bytes = json.dumps(header, sort_keys=True).encode()
@@ -423,22 +467,28 @@ def save_operator(g: GalerkinOperator, directory: str) -> str:
 def read_cache_entry(path: str, verify_payload: bool = True) -> tuple:
     """(header dict, matrix or None) from a cache file.
 
-    Raises ValueError on a corrupt entry (bad magic, truncation or payload
-    hash mismatch).
+    Raises ValueError on a corrupt entry: bad magic, a file too short for
+    its header, an undecodable header or one missing the shape or payload
+    hash, a truncated payload or a payload hash mismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic")
+    if len(blob) < 8:
+        raise ValueError(f"{path}: truncated header length")
     (hlen,) = struct.unpack("<I", blob[4:8])
-    header_bytes = blob[8:8 + hlen]
-    header = json.loads(header_bytes)
+    if len(blob) < 8 + hlen:
+        raise ValueError(f"{path}: truncated header")
+    try:
+        header = json.loads(blob[8:8 + hlen])
+        rows, cols = (int(v) for v in header["shape"])
+        expected = header["payload_sha256"]
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{path}: unreadable header ({exc!r})") from exc
     payload = blob[8 + hlen:]
-    if verify_payload:
-        digest = hashlib.sha256(payload).hexdigest()
-        if digest != header.get("payload_sha256"):
-            raise ValueError(f"{path}: payload hash mismatch")
-    rows, cols = header["shape"]
+    if verify_payload and hashlib.sha256(payload).hexdigest() != expected:
+        raise ValueError(f"{path}: payload hash mismatch")
     if len(payload) != rows * cols * 16:
         raise ValueError(f"{path}: truncated payload")
     interleaved = np.frombuffer(payload, dtype="<f8")

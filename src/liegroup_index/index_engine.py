@@ -160,12 +160,10 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
 # order reduction and traces
 
 
-def order_reduce(sigma: MatrixSymbol, band: int,
-                 grid: Optional[QuadratureRule] = None,
-                 cache=None) -> GalerkinOperator:
+def order_reduce(sigma: MatrixSymbol, band: int, cache=None) -> GalerkinOperator:
     """Finite-rank realization of the order-zero operator Lambda_{-m} A."""
     m = sigma.order
-    a = index_truncation(sigma, band, grid, cache=cache)
+    a = index_truncation(sigma, band, cache=cache)
     lam = assemble(lambda_multiplier(sigma.group, -m), a.codomain, a.codomain)
     return compose(lam, a)
 

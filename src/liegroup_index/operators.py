@@ -170,7 +170,6 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
     sym = table_symbol(group, entries, order)
     desc = {"op": "multiplier", "table": sorted(str(l.label) for l in entries),
             "order": order}
-    sym.describe = desc
     return BuiltinOperator(group, sym, conjugate_transpose_symbol(sym), order, desc)
 
 

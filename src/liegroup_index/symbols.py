@@ -20,6 +20,7 @@ on the torus this reduces to the exact shift rule
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -89,7 +90,6 @@ class MatrixSymbol:
         return self.evaluate(_PROBE_POINTS.setdefault(self.group, _probe(self.group)), xi)
 
     def fingerprint(self) -> str:
-        import hashlib
         return hashlib.sha256(
             json.dumps(self.describe, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -147,8 +147,14 @@ def table_symbol(group: GroupSpec, table: dict, order: float = 0.0) -> MatrixSym
         except KeyError:
             raise BandHeadroomError(f"label {xi} not in symbol table")
 
+    digest = hashlib.sha256()
+    for xi in sorted(table, key=IrrepLabel.sort_key):
+        digest.update(repr(xi.label).encode())
+        digest.update(np.ascontiguousarray(table[xi], dtype="<c16").tobytes())
+    # the values digest keeps tables with equal labels apart in cache keys
     describe = {"kind": "table",
-                "labels": sorted(str(xi.label) for xi in table)}
+                "labels": sorted(str(xi.label) for xi in table),
+                "values_sha256": digest.hexdigest()}
     return invariant_symbol(group, fn, order, describe, max_band=max_band)
 
 

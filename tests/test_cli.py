@@ -196,6 +196,49 @@ def test_cache_lifecycle(tmp_path, capsys):
     assert "0 entries" in capsys.readouterr().out.split("\n")[-2]
 
 
+@pytest.mark.parametrize("keep", [6, 8 + 10])
+def test_cache_verify_truncated_entry(tmp_path, capsys, keep):
+    # 6 bytes: inside the header length; 18 bytes: partway through the header
+    cache_dir = tmp_path / "cache"
+    cfg = write_config(tmp_path, "cfg.json",
+                       dict(winding_config(cutoffs=(4, 8)),
+                            cache_dir=str(cache_dir)))
+    main(["index", "--config", cfg, "--out", str(tmp_path / "out")])
+    entries = sorted(cache_dir.glob("*.lgidx"))
+    entries[0].write_bytes(entries[0].read_bytes()[:keep])
+    capsys.readouterr()
+    assert main(["cache", "--dir", str(cache_dir), "--action", "verify"]) == 2
+    out = capsys.readouterr().out
+    assert f"CORRUPT {entries[0].name}" in out
+    assert f"{len(entries)} entries, 1 corrupt" in out
+    assert main(["cache", "--dir", str(cache_dir), "--action", "list"]) == 0
+    assert "UNREADABLE" in capsys.readouterr().out
+
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "out2")]) == 0
+    manifest = json.loads((tmp_path / "out2" / "manifest.json").read_text())
+    assert manifest["cache"] == {"hits": len(entries) - 1, "misses": 1}
+
+
+def test_cache_keeps_tables_with_equal_labels_apart(tmp_path):
+    # same labels, different matrices: the second table is singular at two
+    # labels, so its truncations have ker = coker = 2
+    cache_dir = str(tmp_path / "cache")
+
+    def table_config(zero_labels):
+        table = [{"label": [l], "re": 0.0 if l in zero_labels else 1.0}
+                 for l in range(-2, 3)]
+        return {"group": {"kind": "torus", "n": 1},
+                "operator": {"op": "multiplier", "table": table},
+                "cutoffs": [1, 2], "gammas": [1.0], "cache_dir": cache_dir}
+
+    for name, zeros, dims in (("a", (), 0), ("b", (0, 1), 2)):
+        cfg = write_config(tmp_path, f"{name}.json", table_config(zeros))
+        assert main(["index", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        report = json.loads((tmp_path / name / "report.json").read_text())
+        assert {(row["ker_dim"], row["coker_dim"]) for row in report["rows"]} == {
+            (dims, dims)}
+
+
 def test_cache_env_override(tmp_path, monkeypatch):
     env_dir = tmp_path / "envcache"
     env_dir.mkdir()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -255,3 +257,106 @@ def test_operator_cache_hit_miss(t1, tmp_path):
     m2 = li.index_truncation(li.winding_symbol(t1, 1), 4, cache=cache)
     assert cache.misses == misses and cache.hits > 0
     np.testing.assert_allclose(m1.matrix, m2.matrix)
+
+
+def column_by_column(sigma, dom, cod, grid):
+    """Reference assembly: each column from quantize_on_rule and projection."""
+    proj = cod.values_on_rule(grid).conj() * grid.weights
+    cols = []
+    for xi, i, j in dom.entries:
+        coef = np.zeros((xi.dim, xi.dim), dtype=complex)
+        coef[j, i] = 1.0 / np.sqrt(xi.dim)
+        fhat = li.FourierCoefficients({xi: coef}, xi.weight)
+        cols.append(proj @ li.quantize_on_rule(sigma, fhat, grid))
+    return np.stack(cols, axis=1)
+
+
+def t2_pointwise():
+    t2 = li.torus(2)
+    fn, batch, w = li.torus_function(
+        t2, {(0, 0): 2.0, (1, 0): 0.3 - 0.2j, (0, -1): 0.4j})
+    return li.pointwise_symbol(t2, fn, w, {"k": "t2"}, batch)
+
+
+def su2_pointwise():
+    fn, batch, w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.35 + 0.1j),
+                                    (1, 1, 0, -0.2j)])
+    return li.pointwise_symbol(li.SU2, fn, w, {"k": "su2"}, batch)
+
+
+def per_node_only(sigma):
+    """The same symbol without its batch evaluator."""
+    return li.MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth, False,
+                           {"k": "per-node"}, sigma._eval, None)
+
+
+@pytest.mark.parametrize("make, dom_band", [
+    (t2_pointwise, 2), (su2_pointwise, 3),
+    (lambda: per_node_only(su2_pointwise()), 2)])
+def test_assemble_matches_column_by_column(make, dom_band):
+    sigma = make()
+    dom = li.basis_for_band(sigma.group, dom_band)
+    cod = li.basis_for_band(sigma.group, dom_band + sigma.x_bandwidth)
+    g = li.assemble(sigma, dom, cod)
+    grid = li.haar_quadrature(sigma.group, g.meta["level"])
+    ref = column_by_column(sigma, dom, cod, grid)
+    assert np.abs(g.matrix - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make, band", [
+    (lambda: li.winding_symbol(li.torus(1), 2), 6),
+    (t2_pointwise, 3), (su2_pointwise, 4)])
+def test_index_truncation_is_slice_of_fresh_assembly(make, band):
+    sigma = make()
+    trunc = li.index_truncation(sigma, band)
+    w = sigma.x_bandwidth
+    assert trunc.meta["level"] == li.galerkin.assembly_level(
+        sigma.group, trunc.domain.band, trunc.codomain.band, w)
+    fresh = li.assemble(sigma, trunc.domain, trunc.codomain)
+    assert fresh.meta["level"] == trunc.meta["level"]
+    assert np.abs(trunc.matrix - fresh.matrix).max() <= 1e-13
+
+
+def test_assemble_aliasing_names_first_column_su2():
+    # (t1[0,0] * t1[i,j]) has a trivial-label part only for (i, j) = (1, 1),
+    # which sits at position 1 + 3 of the band-1 basis
+    fn, batch, w = li.su2_function([(1, 0, 0, 1.0)])
+    sigma = li.pointwise_symbol(li.SU2, fn, w, {"k": "t1"}, batch)
+    dom = li.basis_for_band(li.SU2, 1)
+    cod = li.PeterWeylBasis(li.SU2, (li.su2_label(1), li.su2_label(2)))
+    with pytest.raises(li.AliasingError) as err:
+        li.assemble(sigma, dom, cod)
+    assert "column 4 leaks" in str(err.value)
+    assert err.value.required_band == 2
+
+
+def _truncate_to_6_bytes(blob):
+    return blob[:6]
+
+
+def _truncate_inside_header(blob):
+    return blob[:8 + 10]
+
+
+def _drop_shape_field(blob):
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:8 + hlen])
+    del header["shape"]
+    text = json.dumps(header).encode()
+    return blob[:4] + len(text).to_bytes(4, "little") + text + blob[8 + hlen:]
+
+
+@pytest.mark.parametrize("damage", [_truncate_to_6_bytes, _truncate_inside_header,
+                                    _drop_shape_field])
+def test_damaged_cache_entry_is_a_miss(t1, tmp_path, damage):
+    cache = li.OperatorCache(str(tmp_path))
+    sym = li.winding_symbol(t1, 1)
+    first = li.index_truncation(sym, 4, cache=cache)
+    (path,) = tmp_path.glob("*.lgidx")
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError):
+        li.read_cache_entry(str(path))
+    misses = cache.misses
+    again = li.index_truncation(sym, 4, cache=cache)
+    assert cache.misses == misses + 1 and cache.hits == 0
+    np.testing.assert_array_equal(again.matrix, first.matrix)
