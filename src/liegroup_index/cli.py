@@ -35,7 +35,7 @@ from .dual import enumerate_dual, labels_for_band, rep_matrices_on_rule
 from .fourier import (SampledFunction, fourier_forward, fourier_inverse_on_rule,
                       l2_norm, plancherel_norm)
 from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
-                       read_cache_entry)
+                       gram_matrix, read_cache_entry)
 from .groups import (GroupSpec, haar_quadrature, min_level_for_band, torus)
 from .index_engine import stabilization_sweep, trace_via_symbol
 from .operators import BuiltinOperator, ConfigError, parse_operator
@@ -156,7 +156,6 @@ def validate_index_config(cfg: dict) -> dict:
         "gammas": [float(g) for g in gammas],
         "rel_tol": rel_tol,
         "reduce_order": bool(cfg.get("reduce_order", False)),
-        "quadrature_level": level,
     }
 
 
@@ -258,10 +257,8 @@ def _check_rows_schur(group: GroupSpec, band: int, level) -> list:
     if group.kind == "su3":
         raise ConfigError("config.group", "schur check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
-    rule = haar_quadrature(group, level)
     basis = basis_for_band(group, band)
-    rows_mat = basis.values_on_rule(rule)
-    gram = (rows_mat * rule.weights) @ rows_mat.conj().T
+    gram = gram_matrix(basis, haar_quadrature(group, level))
     err = float(np.abs(gram - np.eye(basis.size)).max())
     return [{"name": f"schur_band_{band}_level_{level}", "error": err,
              "tolerance": 1e-8}]

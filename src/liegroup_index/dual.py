@@ -21,7 +21,6 @@ Laplacian oracle in the tests.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -176,16 +175,6 @@ def weight(xi: IrrepLabel) -> float:
     return xi.weight
 
 
-def dual_to_csv(labels: Sequence[IrrepLabel]) -> str:
-    """CSV columns: label, dim, casimir, weight."""
-    buf = io.StringIO()
-    buf.write("label,dim,casimir,weight\n")
-    for lab in labels:
-        tag = " ".join(str(v) for v in lab.label)
-        buf.write(f"{tag},{lab.dim},{lab.casimir:.16e},{lab.weight:.16e}\n")
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # representation matrices
 
@@ -250,12 +239,12 @@ def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
     Results are memoized on the rule object (read-mostly dict; concurrent
     duplicate computation is benign).
     """
+    if xi.group != rule.group:
+        raise GroupMismatchError("label and rule belong to different groups")
     cache = rule._node_cache.setdefault("_reps", {})
     hit = cache.get(xi.label)
     if hit is not None:
         return hit
-    if xi.group != rule.group:
-        raise GroupMismatchError("label and rule belong to different groups")
     if xi.group.kind == "torus":
         phases = 2.0 * math.pi * (rule.charts @ np.asarray(xi.label, dtype=float))
         mats = np.exp(1j * phases)[:, None, None]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dual import IrrepLabel, rep_matrices_on_rule, rep_matrix
+from .dual import IrrepLabel, rep_matrices_on_rule
 from .groups import GroupMismatchError, GroupPoint, QuadratureRule
 
 
@@ -83,13 +83,6 @@ def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCo
         entries[xi] = np.einsum("k,kij->ji", wf, reps.conj())
         cutoff = max(cutoff, xi.weight)
     return FourierCoefficients(entries, cutoff)
-
-
-def fourier_inverse(c: FourierCoefficients, x: GroupPoint) -> complex:
-    total = 0.0 + 0.0j
-    for xi in c.labels():
-        total += xi.dim * np.trace(rep_matrix(xi, x) @ c.entries[xi])
-    return total
 
 
 def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.ndarray:

@@ -34,7 +34,6 @@ from .dual import (IrrepLabel, enumerate_dual, labels_for_band,
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
                      haar_quadrature, min_level_for_band)
 from .symbols import MatrixSymbol
-from .symbols import frozen_symbol_product  # noqa: F401  (part of this module's API)
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change

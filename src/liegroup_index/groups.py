@@ -19,7 +19,6 @@ rescaling (the per-axis Gauss rules are exact for the angular densities).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -222,15 +221,18 @@ def group_inv(a: GroupPoint) -> GroupPoint:
 class QuadratureRule:
     """Nodes and weights for the normalized Haar measure.
 
-    ``charts`` has one row per node (chart coordinates, column order per
-    group as documented in ``to_csv``); ``weights`` are nonnegative and sum
-    to 1 up to roundoff.  GroupPoint objects are materialized lazily.
+    ``charts`` has one row per node (torus x1..xn; SU(2) t, nu, s; SU(3)
+    theta1..theta3, phi1..phi5); ``weights`` are nonnegative and sum to 1
+    up to roundoff.  ``matrices``, when given, holds the defining matrices
+    at the nodes and replaces the ones rebuilt from the charts.
+    GroupPoint objects are materialized lazily.
     """
 
     group: GroupSpec
     level: int
     charts: np.ndarray
     weights: np.ndarray
+    matrices: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     _node_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -268,6 +270,8 @@ class QuadratureRule:
         """Defining matrices at all nodes, shape (n_nodes, 2, 2)."""
         if self.group.kind != "su2":
             raise GroupMismatchError("su2_matrices needs an SU(2) rule")
+        if self.matrices is not None:
+            return self.matrices
         t = self.charts[:, 0]
         nu = self.charts[:, 1]
         s = self.charts[:, 2]
@@ -282,23 +286,23 @@ class QuadratureRule:
         g[:, 1, 1] = x1 - 1j * nu
         return g
 
-    def to_csv(self) -> str:
-        """CSV with one node per row.
 
-        Column order: torus -> x1..xn, weight; SU(2) -> t, nu, s, weight;
-        SU(3) -> theta1..theta3, phi1..phi5, weight.
-        """
-        if self.group.kind == "torus":
-            header = [f"x{i + 1}" for i in range(self.group.n)]
-        elif self.group.kind == "su2":
-            header = ["t", "nu", "s"]
-        else:
-            header = ["theta1", "theta2", "theta3"] + [f"phi{i + 1}" for i in range(5)]
-        buf = io.StringIO()
-        buf.write(",".join(header + ["weight"]) + "\n")
-        for row, w in zip(self.charts, self.weights):
-            buf.write(",".join(f"{v:.16e}" for v in row) + f",{w:.16e}\n")
-        return buf.getvalue()
+def point_rule(x: GroupPoint) -> QuadratureRule:
+    """One-node rule at x with weight 1: a point for batched evaluators.
+
+    Matrix-group rules carry x's own matrix, so evaluators sample x itself
+    rather than the matrix rebuilt from its recovered chart.  A matrix-only
+    SU(3) point, whose chart cannot be recovered, gets a NaN chart row.
+    """
+    try:
+        chart = x.chart
+    except NotImplementedError:
+        chart = (math.nan,) * x.group.manifold_dim
+    matrices = None if x.group.kind == "torus" else x.matrix[None]
+    rule = QuadratureRule(x.group, 0, np.array([chart], dtype=float),
+                          np.ones(1), matrices)
+    rule._node_cache[0] = x
+    return rule
 
 
 def _chebyshev_u_rule(n: int):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .dual import IrrepLabel
 from .galerkin import (GalerkinOperator, assemble, compose, index_truncation)
-from .groups import GroupSpec, QuadratureRule, haar_quadrature
+from .groups import (GroupSpec, QuadratureRule, haar_quadrature,
+                     min_level_for_band)
 from .symbols import MatrixSymbol, lambda_multiplier
 
 DEFAULT_REL_TOL = 1e-10
@@ -105,16 +106,6 @@ class IndexDensity:
     labels: tuple
     tables: dict          # IrrepLabel -> ndarray (n_nodes, d, d)
     node_trace: np.ndarray  # sum_xi d_xi Tr(...), one value per node
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,label,trace_re,trace_im\n")
-        for xi in self.labels:
-            tr = np.trace(self.tables[xi], axis1=1, axis2=2)
-            for k in range(len(tr)):
-                lab = " ".join(str(v) for v in xi.label)
-                buf.write(f"{k},{lab},{tr[k].real:.16e},{tr[k].imag:.16e}\n")
-        return buf.getvalue()
 
 
 def _expm_neg_hermitian(prod: np.ndarray, gamma: float, tag: str) -> np.ndarray:
@@ -257,8 +248,7 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
             dlabels = [xi for xi in trunc.domain.labels
                        if sigma.max_band is None or xi.band <= sigma.max_band]
             dgrid = haar_quadrature(
-                sigma.group,
-                level or max(1, _density_level(sigma.group, band)))
+                sigma.group, level or min_level_for_band(sigma.group, band))
         except Exception as exc:  # pragma: no cover - aggregated per cell
             report.errors.append({"cutoff": band, "error": str(exc)})
             continue
@@ -302,13 +292,3 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
         abs(row["density_route"] - row["kernel_count"]) > 0.5
         for row in report.rows)
     return report
-
-
-def _density_level(group: GroupSpec, band: int) -> int:
-    # the density integrand has the x-regularity of the symbol; resolve the
-    # symbol's own band generously
-    if group.kind == "torus":
-        return 2 * band + 1
-    if group.kind == "su2":
-        return max(band, 1)
-    return 1

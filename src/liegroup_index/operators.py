@@ -190,14 +190,13 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             cdict[tuple(freq)] = cdict.get(tuple(freq), 0.0) + c
             neg = tuple(-v for v in freq)
             cdict_conj[neg] = cdict_conj.get(neg, 0.0) + c.conjugate()
-        fn, batch, band = torus_function(group, cdict)
-        fnc, batchc, _ = torus_function(group, cdict_conj)
+        coeff, band = torus_function(group, cdict)
+        coeff_conj, _ = torus_function(group, cdict_conj)
         desc = {"op": "pointwise",
                 "coefficients": sorted((list(k), v.real, v.imag)
                                        for k, v in cdict.items())}
-        sym = pointwise_symbol(group, fn, band, desc, batch)
-        adj = pointwise_symbol(group, fnc, band,
-                               {"conjugate_of": desc}, batchc)
+        sym = pointwise_symbol(group, coeff, band, desc)
+        adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
         return BuiltinOperator(group, sym, adj, 0.0, desc)
     if group.kind == "su2":
         entries = tree.get("entries")
@@ -215,21 +214,17 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
                      "entry indices must lie within the representation")
             c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
             terms.append((n, ii, jj, c))
-        fn, batch, band = su2_function(terms)
+        coeff, band = su2_function(terms)
         # conj(t_n[i,j]) = (t_n^*)[j,i] evaluated through the inverse; keep the
         # adjoint as the pointwise complex conjugate, sampled directly
         desc = {"op": "pointwise",
                 "entries": sorted((n, i2, j2, c.real, c.imag)
                                   for n, i2, j2, c in terms)}
-        sym = pointwise_symbol(group, fn, band, desc, batch)
+        sym = pointwise_symbol(group, coeff, band, desc)
 
-        def conj_fn(x):
-            return complex(fn(x)).conjugate()
+        def coeff_conj(rule):
+            return np.conj(coeff(rule))
 
-        def conj_batch(rule):
-            return np.conj(batch(rule))
-
-        adj = pointwise_symbol(group, conj_fn, band,
-                               {"conjugate_of": desc}, conj_batch)
+        adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
         return BuiltinOperator(group, sym, adj, 0.0, desc)
     raise ConfigError(path, "pointwise operators support torus and SU(2) groups")

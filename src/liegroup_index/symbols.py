@@ -2,7 +2,8 @@
 operators and ellipticity / symbol-class diagnostics.
 
 A symbol assigns to every point x and label xi a d_xi x d_xi matrix
-sigma(x, xi).  Extraction from an operator action A uses
+sigma(x, xi), evaluated on whole quadrature rules; a single point is a
+one-node rule.  Extraction from an operator action A uses
 
     sigma_A(x, xi) = xi(x)^* (A xi)(x)
 
@@ -21,7 +22,6 @@ on the torus this reduces to the exact shift rule
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -30,10 +30,10 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dual import (IrrepLabel, UnsupportedFeatureError,
-                   left_invariant_derivative, rep_matrices_on_rule, rep_matrix,
-                   torus_label)
+                   left_invariant_derivative, rep_matrices_on_rule, torus_label)
 from .fourier import FourierCoefficients, SampledFunction, fourier_forward
-from .groups import GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule
+from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
+                     identity, point_rule)
 
 SINGULAR_REL_THRESHOLD = 1e-10
 
@@ -46,6 +46,8 @@ class BandHeadroomError(ValueError):
 class MatrixSymbol:
     """Evaluator for sigma(x, xi) with declared order and x-bandwidth.
 
+    The one evaluator maps a quadrature rule and a label to sigma at every
+    node, shape (n_nodes, d, d); a single point is a one-node rule.
     ``x_bandwidth`` is in band units (torus frequency, SU(2) twice-spin); 0
     for x-independent symbols.  ``max_band`` bounds the labels on which the
     symbol is defined (None = any label).  Evaluators must be pure.
@@ -56,50 +58,38 @@ class MatrixSymbol:
     x_bandwidth: int
     is_invariant: bool
     describe: dict
-    _eval: Callable[[GroupPoint, IrrepLabel], np.ndarray]
-    _batch: Optional[Callable[[QuadratureRule, IrrepLabel], np.ndarray]] = None
+    _on_rule: Callable[[QuadratureRule, IrrepLabel], np.ndarray]
     max_band: Optional[int] = None
 
-    def evaluate(self, x: GroupPoint, xi: IrrepLabel) -> np.ndarray:
+    def evaluate_on_rule(self, rule: QuadratureRule, xi: IrrepLabel) -> np.ndarray:
+        """sigma at every node, shape (n_nodes, d, d)."""
         if xi.group != self.group:
             raise GroupMismatchError("label group does not match symbol group")
         if self.max_band is not None and xi.band > self.max_band:
             raise BandHeadroomError(
                 f"label {xi} beyond the symbol band {self.max_band}")
-        m = np.asarray(self._eval(x, xi), dtype=complex)
-        if m.shape == ():
-            m = m.reshape(1, 1)
-        return m
+        return np.asarray(self._on_rule(rule, xi), dtype=complex)
 
-    def evaluate_on_rule(self, rule: QuadratureRule, xi: IrrepLabel) -> np.ndarray:
-        """sigma at every node, shape (n_nodes, d, d)."""
-        if self.max_band is not None and xi.band > self.max_band:
-            raise BandHeadroomError(
-                f"label {xi} beyond the symbol band {self.max_band}")
-        if self._batch is not None:
-            return np.asarray(self._batch(rule, xi), dtype=complex)
-        if self.is_invariant:
-            m = self.evaluate_at_any(xi)
-            return np.broadcast_to(m, (rule.n_nodes,) + m.shape)
-        return np.stack([self.evaluate(rule.node(k), xi) for k in range(rule.n_nodes)])
+    def evaluate(self, x: GroupPoint, xi: IrrepLabel) -> np.ndarray:
+        """sigma(x, xi): the evaluator on the one-node rule at x."""
+        return self.evaluate_on_rule(point_rule(x), xi)[0]
 
     def evaluate_at_any(self, xi: IrrepLabel) -> np.ndarray:
         """Value of an invariant symbol (independent of x)."""
         if not self.is_invariant:
             raise ValueError("symbol is not x-independent")
-        return self.evaluate(_PROBE_POINTS.setdefault(self.group, _probe(self.group)), xi)
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.describe, sort_keys=True).encode()).hexdigest()[:16]
+        return self.evaluate(identity(self.group), xi)
 
 
-_PROBE_POINTS: dict = {}
-
-
-def _probe(group: GroupSpec) -> GroupPoint:
-    from .groups import identity
-    return identity(group)
+def _values_sha256(tables: dict, *arrays: np.ndarray) -> str:
+    """SHA-256 of per-label matrices (in label order) and further arrays."""
+    digest = hashlib.sha256()
+    for xi in sorted(tables, key=IrrepLabel.sort_key):
+        digest.update(repr(xi.label).encode())
+        digest.update(np.ascontiguousarray(tables[xi], dtype="<c16").tobytes())
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +99,13 @@ def _probe(group: GroupSpec) -> GroupPoint:
 def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
                      order: float, describe: dict,
                      max_band: Optional[int] = None) -> MatrixSymbol:
-    def ev(x, xi):
+    def on_rule(rule, xi):
         v = np.asarray(fn(xi), dtype=complex)
         if v.ndim == 0:
             v = v * np.eye(xi.dim)
-        return v
+        return np.broadcast_to(v, (rule.n_nodes,) + v.shape)
 
-    return MatrixSymbol(group, order, 0, True, describe, ev, max_band=max_band)
+    return MatrixSymbol(group, order, 0, True, describe, on_rule, max_band=max_band)
 
 
 def identity_symbol(group: GroupSpec) -> MatrixSymbol:
@@ -147,48 +137,37 @@ def table_symbol(group: GroupSpec, table: dict, order: float = 0.0) -> MatrixSym
         except KeyError:
             raise BandHeadroomError(f"label {xi} not in symbol table")
 
-    digest = hashlib.sha256()
-    for xi in sorted(table, key=IrrepLabel.sort_key):
-        digest.update(repr(xi.label).encode())
-        digest.update(np.ascontiguousarray(table[xi], dtype="<c16").tobytes())
     # the values digest keeps tables with equal labels apart in cache keys
     describe = {"kind": "table",
                 "labels": sorted(str(xi.label) for xi in table),
-                "values_sha256": digest.hexdigest()}
+                "values_sha256": _values_sha256(table)}
     return invariant_symbol(group, fn, order, describe, max_band=max_band)
 
 
-def pointwise_symbol(group: GroupSpec, coeff_fn: Callable[[GroupPoint], complex],
-                     x_bandwidth: int, describe: dict,
-                     batch_fn: Optional[Callable[[QuadratureRule], np.ndarray]] = None,
-                     ) -> MatrixSymbol:
-    """Symbol c(x) * I of pointwise multiplication by a band-limited c."""
+def pointwise_symbol(group: GroupSpec,
+                     coeff_on_rule: Callable[[QuadratureRule], np.ndarray],
+                     x_bandwidth: int, describe: dict) -> MatrixSymbol:
+    """Symbol c(x) * I of pointwise multiplication by a band-limited c.
 
-    def ev(x, xi):
-        return complex(coeff_fn(x)) * np.eye(xi.dim)
+    ``coeff_on_rule`` samples c at every node of a rule.
+    """
 
-    batch = None
-    if batch_fn is not None:
-        def batch(rule, xi):
-            vals = batch_fn(rule)
-            return vals[:, None, None] * np.eye(xi.dim)[None, :, :]
+    def on_rule(rule, xi):
+        vals = coeff_on_rule(rule)
+        return vals[:, None, None] * np.eye(xi.dim)[None, :, :]
 
-    return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, ev, batch)
+    return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, on_rule)
 
 
 def torus_function(group: GroupSpec, coeffs: dict) -> tuple:
     """Band-limited c(x) = sum_l coeffs[l] exp(2 pi i l.x) on the torus.
 
-    Returns (pointwise evaluator, batch evaluator over a rule, bandwidth).
+    Returns (evaluator over a rule, bandwidth).
     """
     if group.kind != "torus":
         raise GroupMismatchError("torus_function needs a torus group")
     terms = [(np.asarray(l, dtype=float), complex(c)) for l, c in coeffs.items()]
     band = int(max((int(np.abs(l).max()) for l, _ in terms), default=0))
-
-    def at_point(x: GroupPoint) -> complex:
-        xv = np.asarray(x.chart)
-        return sum(c * np.exp(2j * np.pi * float(l @ xv)) for l, c in terms)
 
     def on_rule(rule: QuadratureRule) -> np.ndarray:
         out = np.zeros(rule.n_nodes, dtype=complex)
@@ -196,21 +175,18 @@ def torus_function(group: GroupSpec, coeffs: dict) -> tuple:
             out += c * np.exp(2j * np.pi * (rule.charts @ l))
         return out
 
-    return at_point, on_rule, band
+    return on_rule, band
 
 
 def su2_function(coeffs: Sequence[tuple]) -> tuple:
     """Band-limited c(x) = sum coef * t_n(x)[i, j] on SU(2).
 
     coeffs is a sequence of (twice_spin, i, j, coef).  Returns the same
-    triple as ``torus_function``.
+    pair as ``torus_function``.
     """
-    from .dual import su2_label, su2_rep_matrices
+    from .dual import su2_label
     terms = [(int(n), int(i), int(j), complex(c)) for n, i, j, c in coeffs]
     band = max((n for n, _, _, _ in terms), default=0)
-
-    def at_point(x: GroupPoint) -> complex:
-        return sum(c * su2_rep_matrices(n, x.matrix)[i, j] for n, i, j, c in terms)
 
     def on_rule(rule: QuadratureRule) -> np.ndarray:
         out = np.zeros(rule.n_nodes, dtype=complex)
@@ -218,7 +194,7 @@ def su2_function(coeffs: Sequence[tuple]) -> tuple:
             out += c * rep_matrices_on_rule(su2_label(n), rule)[:, i, j]
         return out
 
-    return at_point, on_rule, band
+    return on_rule, band
 
 
 def winding_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
@@ -230,20 +206,14 @@ def winding_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
         raise UnsupportedFeatureError("winding symbols live on the circle T^1")
     k = int(k)
 
-    def ev(x, xi):
-        l = xi.label[0]
-        if l >= 0:
-            return np.array([[np.exp(2j * np.pi * k * x.chart[0])]])
-        return np.array([[1.0 + 0.0j]])
-
-    def batch(rule, xi):
+    def on_rule(rule, xi):
         l = xi.label[0]
         if l >= 0:
             return np.exp(2j * np.pi * k * rule.charts[:, 0])[:, None, None]
         return np.ones((rule.n_nodes, 1, 1), dtype=complex)
 
     return MatrixSymbol(group, 0.0, abs(k), False, {"kind": "winding", "k": k},
-                        ev, batch)
+                        on_rule)
 
 
 def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
@@ -251,34 +221,31 @@ def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
 
     For k > 0 the adjoint kills the modes 0 <= l < k, hence the symbol
     vanishes there; for k < 0 the modes -|k| <= l < 0 pick up an extra
-    unit term.  Both follow from sigma(x, l) = e_l(x)^* (A^* e_l)(x).
+    unit term.  Both follow from sigma(x, l) = e_l(x)^* (A^* e_l)(x):
+
+        sigma(x, l) = exp(-2 pi i k x)        for l >= max(k, 0),
+                      0                       for 0 <= l < k,
+                      exp(-2 pi i k x) + 1    for k <= l < 0,
+                      1                       for l < min(k, 0).
     """
     if group.kind != "torus" or group.n != 1:
         raise UnsupportedFeatureError("winding symbols live on the circle T^1")
     k = int(k)
 
-    def value(l, x0):
-        if k >= 0:
-            if l >= k:
-                return np.exp(-2j * np.pi * k * x0)
-            if l >= 0:
-                return 0.0 + 0.0j
-            return 1.0 + 0.0j
-        if l >= 0:
-            return np.exp(-2j * np.pi * k * x0)
-        if l >= k:
-            return np.exp(-2j * np.pi * k * x0) + 1.0
-        return 1.0 + 0.0j
-
-    def ev(x, xi):
-        return np.array([[value(xi.label[0], x.chart[0])]])
-
-    def batch(rule, xi):
-        x0 = rule.charts[:, 0]
-        return np.array([value(xi.label[0], x) for x in x0])[:, None, None]
+    def on_rule(rule, xi):
+        l = xi.label[0]
+        if l >= max(k, 0):
+            vals = np.exp(-2j * np.pi * k * rule.charts[:, 0])
+        elif l >= 0:
+            vals = np.zeros(rule.n_nodes, dtype=complex)
+        elif l >= k:
+            vals = np.exp(-2j * np.pi * k * rule.charts[:, 0]) + 1.0
+        else:
+            vals = np.ones(rule.n_nodes, dtype=complex)
+        return vals[:, None, None]
 
     return MatrixSymbol(group, 0.0, abs(k), False,
-                        {"kind": "winding_adjoint", "k": k}, ev, batch)
+                        {"kind": "winding_adjoint", "k": k}, on_rule)
 
 
 def symbol_sum(symbols: Sequence[MatrixSymbol],
@@ -293,10 +260,7 @@ def symbol_sum(symbols: Sequence[MatrixSymbol],
     finite = [s.max_band for s in symbols if s.max_band is not None]
     max_band = min(finite) if finite else None
 
-    def ev(x, xi):
-        return sum(w * s.evaluate(x, xi) for w, s in zip(weights, symbols))
-
-    def batch(rule, xi):
+    def on_rule(rule, xi):
         return sum(w * s.evaluate_on_rule(rule, xi) for w, s in zip(weights, symbols))
 
     return MatrixSymbol(
@@ -306,7 +270,7 @@ def symbol_sum(symbols: Sequence[MatrixSymbol],
         all(s.is_invariant for s in symbols),
         {"kind": "sum", "terms": [s.describe for s in symbols],
          "weights": [repr(w) for w in weights]},
-        ev, batch, max_band=max_band)
+        on_rule, max_band=max_band)
 
 
 def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> MatrixSymbol:
@@ -321,10 +285,7 @@ def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> Matri
     finite = [s.max_band for s in (sigma_a, sigma_b) if s.max_band is not None]
     max_band = min(finite) if finite else None
 
-    def ev(x, xi):
-        return sigma_a.evaluate(x, xi) @ sigma_b.evaluate(x, xi)
-
-    def batch(rule, xi):
+    def on_rule(rule, xi):
         return np.einsum("kij,kjl->kil", sigma_a.evaluate_on_rule(rule, xi),
                          sigma_b.evaluate_on_rule(rule, xi))
 
@@ -334,23 +295,20 @@ def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> Matri
         sigma_a.x_bandwidth + sigma_b.x_bandwidth,
         sigma_a.is_invariant and sigma_b.is_invariant,
         {"kind": "product", "factors": [sigma_a.describe, sigma_b.describe]},
-        ev, batch, max_band=max_band)
+        on_rule, max_band=max_band)
 
 
 def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
     """Pointwise sigma(x, xi)^*; equals the adjoint's symbol for invariant
     and pointwise-multiplication operators (not for the winding family)."""
 
-    def ev(x, xi):
-        return sigma.evaluate(x, xi).conj().T
-
-    def batch(rule, xi):
+    def on_rule(rule, xi):
         return sigma.evaluate_on_rule(rule, xi).conj().transpose(0, 2, 1)
 
     return MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth,
                         sigma.is_invariant,
                         {"kind": "conjugate_transpose", "of": sigma.describe},
-                        ev, batch, max_band=sigma.max_band)
+                        on_rule, max_band=sigma.max_band)
 
 
 def tabulated_symbol(group: GroupSpec, grid: QuadratureRule, tables: dict,
@@ -358,34 +316,24 @@ def tabulated_symbol(group: GroupSpec, grid: QuadratureRule, tables: dict,
                      is_invariant: bool = False) -> MatrixSymbol:
     """Symbol stored as per-label arrays of shape (n_nodes, d, d).
 
-    Evaluable only at the grid's nodes (matched by exact chart key).
+    Evaluable only on its grid (or a rule with the same nodes).  The
+    describe gains a SHA-256 of the tables and the grid's charts, so
+    tabulated symbols with different values get different cache keys.
     """
-    index = {tuple(grid.charts[k]): k for k in range(grid.n_nodes)}
     max_band = max((xi.band for xi in tables), default=0)
 
-    def ev(x, xi):
-        try:
-            arr = tables[xi]
-        except KeyError:
-            raise BandHeadroomError(f"label {xi} not tabulated")
-        key = tuple(x.chart)
-        try:
-            return arr[index[key]]
-        except KeyError:
-            raise ValueError("tabulated symbol evaluated off its grid")
-
-    def batch(rule, xi):
-        if rule is not grid and rule.charts.shape != grid.charts.shape:
+    def on_rule(rule, xi):
+        if rule is not grid and not np.array_equal(rule.charts, grid.charts):
             raise ValueError("tabulated symbol evaluated on a different rule")
         try:
             return tables[xi]
         except KeyError:
             raise BandHeadroomError(f"label {xi} not tabulated")
 
+    describe = dict(describe, values_sha256=_values_sha256(tables, grid.charts))
     sym = MatrixSymbol(group, order, x_bandwidth, is_invariant, describe,
-                       ev, batch, max_band=max_band)
+                       on_rule, max_band=max_band)
     sym.grid = grid
-    sym.tables = tables
     return sym
 
 
@@ -411,15 +359,6 @@ def symbol_of_operator(apply: Callable[[SampledFunction], SampledFunction],
                             describe or {"kind": "extracted"})
 
 
-def quantize(sigma: MatrixSymbol, fhat: FourierCoefficients, x: GroupPoint) -> complex:
-    """A f(x) = sum_xi d_xi Tr(xi(x) sigma(x, xi) fhat(xi))."""
-    total = 0.0 + 0.0j
-    for xi in fhat.labels():
-        total += xi.dim * np.trace(
-            rep_matrix(xi, x) @ sigma.evaluate(x, xi) @ fhat[xi])
-    return complex(total)
-
-
 def quantize_on_rule(sigma: MatrixSymbol, fhat: FourierCoefficients,
                      rule: QuadratureRule) -> np.ndarray:
     """Quantization evaluated at every node of the rule."""
@@ -438,31 +377,16 @@ def apply_symbol(sigma: MatrixSymbol, f: SampledFunction,
     return SampledFunction(f.rule, quantize_on_rule(sigma, fhat, f.rule))
 
 
-def kernel_from_symbol(sigma: MatrixSymbol, x: GroupPoint, y: GroupPoint,
-                       dual: Sequence[IrrepLabel]) -> complex:
-    """Band-limited right-convolution kernel R(x, y) at frozen x."""
-    total = 0.0 + 0.0j
-    for xi in dual:
-        total += xi.dim * np.trace(rep_matrix(xi, y) @ sigma.evaluate(x, xi))
-    return complex(total)
-
-
-def kernel_on_rule(sigma: MatrixSymbol, x: GroupPoint, rule: QuadratureRule,
-                   dual: Sequence[IrrepLabel]) -> np.ndarray:
-    """R(x, y_k) over all nodes y_k of the rule."""
-    out = np.zeros(rule.n_nodes, dtype=complex)
-    for xi in dual:
-        reps = rep_matrices_on_rule(xi, rule)
-        sig = sigma.evaluate(x, xi)
-        out += xi.dim * np.einsum("kij,ji->k", reps, sig)
-    return out
-
-
 def kernel_table(sigma: MatrixSymbol, rule_x: QuadratureRule,
                  rule_y: QuadratureRule, dual: Sequence[IrrepLabel]) -> np.ndarray:
-    """Kernel values R(x_k, y_k') on a grid pair, shape (n_x, n_y)."""
-    return np.stack([kernel_on_rule(sigma, rule_x.node(k), rule_y, dual)
-                     for k in range(rule_x.n_nodes)])
+    """Band-limited right-convolution kernels R(x_k, y_k') = sum_xi d_xi
+    Tr(xi(y_k') sigma(x_k, xi)) at frozen x, shape (n_x, n_y)."""
+    out = np.zeros((rule_x.n_nodes, rule_y.n_nodes), dtype=complex)
+    for xi in dual:
+        reps = rep_matrices_on_rule(xi, rule_y)
+        sig = sigma.evaluate_on_rule(rule_x, xi)
+        out += xi.dim * np.einsum("kij,mji->mk", reps, sig)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -495,11 +419,7 @@ def difference_apply(sigma: MatrixSymbol, xi0: IrrepLabel,
             raise ValueError("torus characters have a single entry (0, 0)")
         l0 = np.asarray(xi0.label, dtype=int)
 
-        def ev(x, xi):
-            shifted = torus_label(group, tuple(np.asarray(xi.label, int) - l0))
-            return sigma.evaluate(x, shifted) - sigma.evaluate(x, xi)
-
-        def batch(rule, xi):
+        def on_rule(rule, xi):
             shifted = torus_label(group, tuple(np.asarray(xi.label, int) - l0))
             return (sigma.evaluate_on_rule(rule, shifted)
                     - sigma.evaluate_on_rule(rule, xi))
@@ -509,7 +429,7 @@ def difference_apply(sigma: MatrixSymbol, xi0: IrrepLabel,
                             sigma.x_bandwidth, sigma.is_invariant,
                             {"kind": "difference", "xi0": list(xi0.label),
                              "entry": [i, j], "of": sigma.describe},
-                            ev, batch, max_band=max_band)
+                            on_rule, max_band=max_band)
 
     # kernel route
     if grid is None or dual is None:
@@ -522,14 +442,12 @@ def difference_apply(sigma: MatrixSymbol, xi0: IrrepLabel,
     if not out_labels:
         raise BandHeadroomError("no band headroom left for the difference")
     q = rep_matrices_on_rule(xi0, grid)[:, i, j] - (1.0 if i == j else 0.0)
+    # a tabulated symbol is evaluated on its own grid
     x_nodes = getattr(sigma, "grid", grid)
-    tables = {eta: np.empty((x_nodes.n_nodes, eta.dim, eta.dim), dtype=complex)
+    # row k: the multiplied kernel at x_k, weighted for the forward transform
+    wq = kernel_table(sigma, x_nodes, grid, dual) * (grid.weights * q)
+    tables = {eta: np.einsum("mk,kij->mji", wq, rep_matrices_on_rule(eta, grid).conj())
               for eta in out_labels}
-    for k in range(x_nodes.n_nodes):
-        r = kernel_on_rule(sigma, x_nodes.node(k), grid, dual)
-        fh = fourier_forward(SampledFunction(grid, q * r), out_labels)
-        for eta in out_labels:
-            tables[eta][k] = fh[eta]
     return tabulated_symbol(group, x_nodes, tables,
                             sigma.order - 1.0, sigma.x_bandwidth,
                             {"kind": "difference_kernel", "xi0": list(xi0.label),
@@ -566,15 +484,6 @@ class EllipticityReport:
             else [list(l) for l in self.doubled_bad_labels],
             "bad_sites": self.bad_sites,
         }, sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,chart,label,smallest_sv\n")
-        for site in self.bad_sites:
-            chart = " ".join(f"{v:.16e}" for v in site["chart"])
-            lab = " ".join(str(v) for v in site["label"])
-            buf.write(f"{site['node']},{chart},{lab},{site['smallest_sv']:.16e}\n")
-        return buf.getvalue()
 
 
 def ellipticity_check(sigma: MatrixSymbol, m: float,
@@ -650,15 +559,6 @@ class DiagnosticTable:
     def to_json(self) -> str:
         return json.dumps({"order": self.order, "rows": self.rows}, sort_keys=True)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,beta,constant\n")
-        for row in self.rows:
-            a = " ".join(str(v) for v in row["alpha"])
-            b = " ".join(str(v) for v in row["beta"])
-            buf.write(f"{a},{b},{row['constant']:.16e}\n")
-        return buf.getvalue()
-
     def constant(self, alpha, beta) -> float:
         for row in self.rows:
             if tuple(row["alpha"]) == tuple(alpha) and tuple(row["beta"]) == tuple(beta):
@@ -678,29 +578,22 @@ def _multi_indices(dim: int, total_max: int):
 def _x_derivative_sup(sigma: MatrixSymbol, alpha: tuple, xi: IrrepLabel,
                       grid: QuadratureRule, h: float) -> float:
     """sup over grid nodes of the operator norm of d_x^alpha sigma(., xi)."""
+    if not any(alpha):
+        vals = sigma.evaluate_on_rule(grid, xi)
+        return float(np.linalg.norm(vals, 2, axis=(1, 2)).max())
     directions = []
     for jdir, count in enumerate(alpha):
         directions.extend([jdir] * count)
 
-    def deriv(fn, dirs, x):
+    def deriv(dirs, x):
+        # nested central differences of the whole d x d matrix
         if not dirs:
-            return fn(x)
+            return sigma.evaluate(x, xi)
         j, rest = dirs[0], dirs[1:]
-        return left_invariant_derivative(
-            lambda p: deriv(fn, rest, p), j, x, h=h)
+        return left_invariant_derivative(lambda p: deriv(rest, p), j, x, h=h)
 
-    sup = 0.0
-    d = xi.dim
-    for k in range(grid.n_nodes):
-        x = grid.node(k)
-        if not directions:
-            m = sigma.evaluate(x, xi)
-        else:
-            m = np.array([[deriv(lambda p, u=u, v=v: sigma.evaluate(p, xi)[u, v],
-                                 directions, x)
-                           for v in range(d)] for u in range(d)])
-        sup = max(sup, float(np.linalg.norm(m, 2)))
-    return sup
+    return max(float(np.linalg.norm(deriv(directions, x), 2))
+               for x in grid.iter_nodes())
 
 
 def symbol_class_diagnostic(sigma: MatrixSymbol, m: float, alpha_max: int,

@@ -189,8 +189,8 @@ def test_criterion_08_ellipticity_checker():
         details.append(f"m={m}:C={rep.constant:.3f}")
     repw = li.ellipticity_check(li.winding_symbol(t1, 1), 0.0, band, rule)
     ok = ok and repw.elliptic and abs(repw.constant - 1.0) <= 1e-12
-    fn, batch, bw = li.torus_function(t1, {(1,): -0.5j, (-1,): 0.5j})
-    sin_sym = li.pointwise_symbol(t1, fn, bw, {"kind": "sin"}, batch)
+    coeff, bw = li.torus_function(t1, {(1,): -0.5j, (-1,): 0.5j})
+    sin_sym = li.pointwise_symbol(t1, coeff, bw, {"kind": "sin"})
     reps = li.ellipticity_check(sin_sym, 0.0, band, rule)
     named_zero = any(site["chart"] == [0.0] for site in reps.bad_sites)
     ok = ok and not reps.elliptic and named_zero

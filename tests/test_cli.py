@@ -301,3 +301,39 @@ def test_index_sum_tree(tmp_path):
     assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert {row["kernel_count"] for row in report["rows"]} == {-1}
+
+
+def test_benchmark_tracer_targets_resolve_and_restore(tmp_path):
+    # the benchmark's tracer wraps functions by name in every package module;
+    # a renamed or deleted target would only surface in a traced benchmark run
+    import importlib.util
+    import pathlib
+    import sys
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    modules = {name: mod for name, mod in sys.modules.items()
+               if name == "liegroup_index" or name.startswith("liegroup_index.")}
+    before = {(name, key): value for name, mod in modules.items()
+              for key, value in vars(mod).items()}
+    classes = {(module, cls): dict(vars(getattr(modules[f"liegroup_index.{module}"], cls)))
+               for module, cls, _, _, _ in tracing.TARGETS if cls is not None}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        cfg = write_config(tmp_path, "cfg.json", winding_config(k=1, cutoffs=(4, 8)))
+        assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.summary()
+    for name in ("galerkin.assemble", "symbols.evaluate_on_rule",
+                 "index_engine.stabilization_sweep"):
+        assert spans.get(name, {"calls": 0})["calls"] > 0, name
+    after = {(name, key): value for name, mod in modules.items()
+             for key, value in vars(mod).items()}
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    for (module, cls), attrs in classes.items():
+        owner = getattr(modules[f"liegroup_index.{module}"], cls)
+        assert all(vars(owner)[attr] is value for attr, value in attrs.items())

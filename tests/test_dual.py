@@ -155,14 +155,15 @@ def test_lie_basis_antihermitian_traceless():
             assert abs(np.trace(y)) <= 1e-14
 
 
-def test_dual_csv(t1):
-    text = li.dual_to_csv(li.enumerate_dual(t1, 7.0))
-    lines = text.strip().split("\n")
-    assert lines[0] == "label,dim,casimir,weight"
-    assert len(lines) == 4  # 0, +1, -1
-
-
 def test_accessors(t1):
     lab = li.su2_label(2)
     assert li.casimir_eigenvalue(lab) == 2.0
     assert li.weight(lab) == pytest.approx(np.sqrt(3.0))
+
+
+def test_rep_matrices_on_rule_checks_group_on_memo_hit(t1, rule_su2):
+    # SU(2) twice-spin 1 and the torus label [1] share the label tuple (1,)
+    rule = li.haar_quadrature(li.SU2, rule_su2.level)
+    assert li.rep_matrices_on_rule(li.su2_label(1), rule).shape[1:] == (2, 2)
+    with pytest.raises(li.GroupMismatchError):
+        li.rep_matrices_on_rule(li.torus_label(t1, [1]), rule)

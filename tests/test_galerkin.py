@@ -61,7 +61,7 @@ def test_assemble_fast_path_matches_quadrature(rng):
     table = random_invariant_table(li.SU2, 2, rng)
     sym = li.table_symbol(li.SU2, table)
     slow_sym = li.MatrixSymbol(li.SU2, 0.0, 0, False, {"kind": "slow"},
-                               sym._eval, None, max_band=sym.max_band)
+                               sym._on_rule, max_band=sym.max_band)
     basis = li.basis_for_band(li.SU2, 2)
     fast = li.assemble(sym, basis, basis)
     slow = li.assemble(slow_sym, basis, basis)
@@ -82,10 +82,10 @@ def test_assemble_winding_shift_matrix(t1):
 def test_assemble_linearity(t1, rng):
     basis = li.basis_for_band(t1, 4)
     grid = li.haar_quadrature(t1, 11)
-    fn1, b1, w1 = li.torus_function(t1, {(1,): 0.7, (-1,): 0.7})
-    fn2, b2, w2 = li.torus_function(t1, {(0,): 1.0, (1,): -0.2j})
-    s1 = li.pointwise_symbol(t1, fn1, w1, {"k": 1}, b1)
-    s2 = li.pointwise_symbol(t1, fn2, w2, {"k": 2}, b2)
+    c1, w1 = li.torus_function(t1, {(1,): 0.7, (-1,): 0.7})
+    c2, w2 = li.torus_function(t1, {(0,): 1.0, (1,): -0.2j})
+    s1 = li.pointwise_symbol(t1, c1, w1, {"k": 1})
+    s2 = li.pointwise_symbol(t1, c2, w2, {"k": 2})
     cod = li.basis_for_band(t1, 5)
     g1 = li.assemble(s1, basis, cod, grid)
     g2 = li.assemble(s2, basis, cod, grid)
@@ -121,10 +121,10 @@ def test_self_adjoint_multiplier_hermitian(t1):
 
 def test_adjoint_matches_adjoint_symbol_assembly(t1):
     # alias-free variable-coefficient case on matched bands
-    fn, batch, w = li.torus_function(t1, {(1,): 0.5, (-1,): 0.25j})
-    sym = li.pointwise_symbol(t1, fn, w, {"k": "c"}, batch)
-    fnc, batchc, _ = li.torus_function(t1, {(-1,): 0.5, (1,): -0.25j})
-    adj_sym = li.pointwise_symbol(t1, fnc, w, {"k": "cbar"}, batchc)
+    coeff, w = li.torus_function(t1, {(1,): 0.5, (-1,): 0.25j})
+    sym = li.pointwise_symbol(t1, coeff, w, {"k": "c"})
+    coeff_conj, _ = li.torus_function(t1, {(-1,): 0.5, (1,): -0.25j})
+    adj_sym = li.pointwise_symbol(t1, coeff_conj, w, {"k": "cbar"})
     dom = li.basis_for_band(t1, 3)
     cod = li.basis_for_band(t1, 4)
     grid = li.haar_quadrature(t1, 11)
@@ -273,26 +273,18 @@ def column_by_column(sigma, dom, cod, grid):
 
 def t2_pointwise():
     t2 = li.torus(2)
-    fn, batch, w = li.torus_function(
+    coeff, w = li.torus_function(
         t2, {(0, 0): 2.0, (1, 0): 0.3 - 0.2j, (0, -1): 0.4j})
-    return li.pointwise_symbol(t2, fn, w, {"k": "t2"}, batch)
+    return li.pointwise_symbol(t2, coeff, w, {"k": "t2"})
 
 
 def su2_pointwise():
-    fn, batch, w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.35 + 0.1j),
-                                    (1, 1, 0, -0.2j)])
-    return li.pointwise_symbol(li.SU2, fn, w, {"k": "su2"}, batch)
+    coeff, w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.35 + 0.1j),
+                                (1, 1, 0, -0.2j)])
+    return li.pointwise_symbol(li.SU2, coeff, w, {"k": "su2"})
 
 
-def per_node_only(sigma):
-    """The same symbol without its batch evaluator."""
-    return li.MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth, False,
-                           {"k": "per-node"}, sigma._eval, None)
-
-
-@pytest.mark.parametrize("make, dom_band", [
-    (t2_pointwise, 2), (su2_pointwise, 3),
-    (lambda: per_node_only(su2_pointwise()), 2)])
+@pytest.mark.parametrize("make, dom_band", [(t2_pointwise, 2), (su2_pointwise, 3)])
 def test_assemble_matches_column_by_column(make, dom_band):
     sigma = make()
     dom = li.basis_for_band(sigma.group, dom_band)
@@ -320,8 +312,8 @@ def test_index_truncation_is_slice_of_fresh_assembly(make, band):
 def test_assemble_aliasing_names_first_column_su2():
     # (t1[0,0] * t1[i,j]) has a trivial-label part only for (i, j) = (1, 1),
     # which sits at position 1 + 3 of the band-1 basis
-    fn, batch, w = li.su2_function([(1, 0, 0, 1.0)])
-    sigma = li.pointwise_symbol(li.SU2, fn, w, {"k": "t1"}, batch)
+    coeff, w = li.su2_function([(1, 0, 0, 1.0)])
+    sigma = li.pointwise_symbol(li.SU2, coeff, w, {"k": "t1"})
     dom = li.basis_for_band(li.SU2, 1)
     cod = li.PeterWeylBasis(li.SU2, (li.su2_label(1), li.su2_label(2)))
     with pytest.raises(li.AliasingError) as err:
@@ -360,3 +352,19 @@ def test_damaged_cache_entry_is_a_miss(t1, tmp_path, damage):
     again = li.index_truncation(sym, 4, cache=cache)
     assert cache.misses == misses + 1 and cache.hits == 0
     np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
+def test_extracted_symbols_with_equal_describe_get_distinct_keys(t1, tmp_path):
+    # identity and 2 * identity, extracted on one grid, share the caller's
+    # describe; their tables must still keep their cache entries apart
+    grid = li.haar_quadrature(t1, 11)
+    dual = li.labels_for_band(t1, 5)
+    one = li.symbol_of_operator(lambda f: f, grid, dual, x_bandwidth=1)
+    two = li.symbol_of_operator(lambda f: li.SampledFunction(grid, 2.0 * f.values),
+                                grid, dual, x_bandwidth=1)
+    assert one.describe["values_sha256"] != two.describe["values_sha256"]
+    cache = li.OperatorCache(str(tmp_path))
+    m1 = li.index_truncation(one, 3, cache=cache)
+    m2 = li.index_truncation(two, 3, cache=cache)
+    assert cache.hits == 0
+    np.testing.assert_allclose(m2.matrix, 2.0 * m1.matrix, atol=1e-12)

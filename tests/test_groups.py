@@ -138,15 +138,6 @@ def test_su3_mass_against_printed_density():
     assert abs(float(rule.weights.sum()) - 1.0) <= 1e-6
 
 
-def test_rule_csv_export(t1):
-    rule = li.haar_quadrature(t1, 4)
-    lines = rule.to_csv().strip().split("\n")
-    assert lines[0] == "x1,weight"
-    assert len(lines) == 5
-    rule2 = li.haar_quadrature(li.SU3, 2)
-    assert rule2.to_csv().startswith("theta1,theta2,theta3,phi1")
-
-
 def test_node_materialization(rule_su2):
     p = rule_su2.node(17)
     assert p.unitarity_defect() <= 1e-12

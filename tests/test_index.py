@@ -161,14 +161,6 @@ def test_density_rejects_non_hermitian_products(t1):
         li.density_route_index(w, ws, 1.0, li.labels_for_band(t1, 4), grid)
 
 
-def test_density_csv_export(t1):
-    lam = li.lambda_multiplier(t1, 0.0)
-    grid = li.haar_quadrature(t1, 3)
-    _, density = li.density_route_index(lam, lam, 1.0,
-                                        li.labels_for_band(t1, 1), grid)
-    assert density.to_csv().startswith("node,label,trace_re,trace_im")
-
-
 # --- order reduction and traces ----------------------------------------------
 
 def test_order_reduce_weight_multiplier_is_identity(t1):
@@ -186,8 +178,8 @@ def test_order_reduce_su2_laplacian_plus_one():
 
 
 def test_order_reduce_variable_coefficient_matches_unreduced(t1):
-    fn, batch, w = li.torus_function(t1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})
-    c_sym = li.pointwise_symbol(t1, fn, w, {"kind": "c"}, batch)
+    coeff, w = li.torus_function(t1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})
+    c_sym = li.pointwise_symbol(t1, coeff, w, {"kind": "c"})
     sym = li.frozen_symbol_product(c_sym, li.lambda_multiplier(t1, 2.0))
     unreduced = li.kernel_count_index(li.index_truncation(sym, 8))
     reduced = li.kernel_count_index(li.order_reduce(sym, 8))

@@ -20,8 +20,8 @@ def band(t1):
 
 
 def multiplication_by_sin(t1):
-    fn, batch, bw = li.torus_function(t1, {(1,): -0.5j, (-1,): 0.5j})
-    return li.pointwise_symbol(t1, fn, bw, {"kind": "sin2pix"}, batch)
+    coeff, bw = li.torus_function(t1, {(1,): -0.5j, (-1,): 0.5j})
+    return li.pointwise_symbol(t1, coeff, bw, {"kind": "sin2pix"})
 
 
 # --- extraction -------------------------------------------------------------
@@ -43,8 +43,8 @@ def test_extract_heat_multiplier(t1, rule, band):
 
 
 def test_extract_pointwise_multiplication(t1, rule, band):
-    fn, batch, bw = li.torus_function(t1, {(0,): 1.0, (2,): 0.3, (-2,): 0.3})
-    c_vals = batch(rule)
+    coeff, bw = li.torus_function(t1, {(0,): 1.0, (2,): 0.3, (-2,): 0.3})
+    c_vals = coeff(rule)
 
     def apply(f):
         return li.SampledFunction(rule, c_vals * f.values)
@@ -72,24 +72,24 @@ def test_quantize_weight_multiplier_single_mode(t1, rule, band):
     f = li.sample(rule, lambda p: np.exp(2j * np.pi * p.chart[0]))
     fhat = li.fourier_forward(f, band)
     x = rule.node(5)
-    got = li.quantize(li.lambda_multiplier(t1, 2.0), fhat, x)
+    got = li.quantize_on_rule(li.lambda_multiplier(t1, 2.0), fhat, rule)[5]
     want = (1 + 4 * np.pi ** 2) * np.exp(2j * np.pi * x.chart[0])
     assert abs(got - want) <= 1e-8
 
 
 def test_quantize_extraction_round_trip(t1, rule, band, rng):
     # builtin family: extraction then quantization reproduces the action
-    fn, batch, bw = li.torus_function(t1, {(1,): 0.4, (-1,): 0.4, (0,): 1.0})
-    sym = li.pointwise_symbol(t1, fn, bw, {"kind": "c"}, batch)
+    coeff, bw = li.torus_function(t1, {(1,): 0.4, (-1,): 0.4, (0,): 1.0})
+    sym = li.pointwise_symbol(t1, coeff, bw, {"kind": "c"})
     inner = li.labels_for_band(t1, 4)
     vals = np.zeros(rule.n_nodes, dtype=complex)
     for l in range(-4, 5):
         vals += (rng.standard_normal() + 1j * rng.standard_normal()) \
             * np.exp(2j * np.pi * l * rule.charts[:, 0])
     f = li.SampledFunction(rule, vals)
-    direct = batch(rule) * vals
+    direct = coeff(rule) * vals
     ext = li.symbol_of_operator(
-        lambda g: li.SampledFunction(rule, batch(rule) * g.values), rule, inner)
+        lambda g: li.SampledFunction(rule, coeff(rule) * g.values), rule, inner)
     via = li.quantize_on_rule(ext, li.fourier_forward(f, inner), rule)
     np.testing.assert_allclose(via, direct, atol=1e-8 * np.abs(direct).max())
 
@@ -97,8 +97,8 @@ def test_quantize_extraction_round_trip(t1, rule, band, rng):
 # --- kernels ----------------------------------------------------------------
 
 def test_kernel_identity_at_identity(t1, rule, band):
-    val = li.kernel_from_symbol(li.identity_symbol(t1), rule.node(0),
-                                li.identity(t1), band)
+    val = li.kernel_table(li.identity_symbol(t1), rule,
+                          li.point_rule(li.identity(t1)), band)[0, 0]
     assert val == pytest.approx(sum(l.dim ** 2 for l in band))
 
 
@@ -106,7 +106,7 @@ def test_kernel_multiplier_matches_idft(t1, rule, band, rng):
     table = {l: np.array([[rng.standard_normal() + 0j]]) for l in band}
     sym = li.table_symbol(t1, table)
     y = rule.node(7)
-    got = li.kernel_from_symbol(sym, rule.node(0), y, band)
+    got = li.kernel_table(sym, rule, rule, band)[0, 7]
     want = sum(table[l][0, 0] * np.exp(2j * np.pi * l.label[0] * y.chart[0])
                for l in band)
     assert abs(got - want) <= 1e-10
@@ -114,9 +114,9 @@ def test_kernel_multiplier_matches_idft(t1, rule, band, rng):
 
 def test_kernel_pointwise_factorizes(t1, rule, band):
     sym = multiplication_by_sin(t1)
-    x, y = rule.node(3), rule.node(9)
-    got = li.kernel_from_symbol(sym, x, y, band)
-    dirichlet = li.kernel_from_symbol(li.identity_symbol(t1), x, y, band)
+    x = rule.node(3)
+    got = li.kernel_table(sym, rule, rule, band)[3, 9]
+    dirichlet = li.kernel_table(li.identity_symbol(t1), rule, rule, band)[3, 9]
     c_x = np.sin(2 * np.pi * x.chart[0])
     assert abs(got - c_x * dirichlet) <= 1e-8
 
@@ -137,9 +137,7 @@ def test_forward_transform_of_kernel_recovers_symbol(rng):
         d = lab.dim
         table[lab] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sym = li.table_symbol(li.SU2, table)
-    x = grid.node(11)
-    from liegroup_index.symbols import kernel_on_rule
-    r = kernel_on_rule(sym, x, grid, dual)
+    r = li.kernel_table(sym, grid, grid, dual)[11]
     back = li.fourier_forward(li.SampledFunction(grid, r), dual)
     for lab in dual:
         assert np.abs(back[lab] - table[lab]).max() <= 1e-8
@@ -173,10 +171,9 @@ def test_difference_kernel_route_matches_shift_rule(t1, rule, band, rng):
     fast = li.difference_apply(sym, li.torus_label(t1, [1]))
     brute = li.difference_apply(sym, li.torus_label(t1, [1]), grid=rule,
                                 dual=band, force_kernel_route=True)
-    x = rule.node(4)
     for lab in li.labels_for_band(t1, 5):
-        assert abs(fast.evaluate(x, lab)[0, 0]
-                   - brute.evaluate(x, lab)[0, 0]) <= 1e-10
+        assert abs(fast.evaluate_on_rule(rule, lab)[4, 0, 0]
+                   - brute.evaluate_on_rule(rule, lab)[4, 0, 0]) <= 1e-10
 
 
 def test_difference_kernel_route_su2_identity():
@@ -186,7 +183,7 @@ def test_difference_kernel_route_su2_identity():
     d = li.difference_apply(li.identity_symbol(li.SU2), li.su2_label(1),
                             entry=(0, 0), grid=grid, dual=dual)
     for lab in li.labels_for_band(li.SU2, 3):
-        np.testing.assert_allclose(d.evaluate(grid.node(2), lab),
+        np.testing.assert_allclose(d.evaluate_on_rule(grid, lab)[2],
                                    np.zeros((lab.dim, lab.dim)), atol=1e-10)
 
 
@@ -233,7 +230,6 @@ def test_ellipticity_flags_vanishing_coefficient(t1, rule, band):
     zero_site_charts = {site["chart"][0] for site in rep.bad_sites}
     assert 0.0 in zero_site_charts  # sin(2 pi x) vanishes at the x = 0 node
     assert '"elliptic": false' in rep.to_json()
-    assert rep.to_csv().startswith("node,chart,label")
 
 
 def test_ellipticity_stable_finite_bad_set(t1, rule, band):
@@ -268,8 +264,8 @@ def test_diagnostic_weight_symbol_difference_constant(t1):
 
 def test_diagnostic_x_derivative_ratio(t1):
     # sigma(x, l) = e^{2 pi i x} <l>: the x-derivative scales by 2 pi
-    fn, batch, bw = li.torus_function(t1, {(1,): 1.0})
-    phase = li.pointwise_symbol(t1, fn, bw, {"kind": "e"}, batch)
+    coeff, bw = li.torus_function(t1, {(1,): 1.0})
+    phase = li.pointwise_symbol(t1, coeff, bw, {"kind": "e"})
     sym = li.frozen_symbol_product(phase, li.lambda_multiplier(t1, 1.0))
     grid = li.haar_quadrature(t1, 7)
     table = li.symbol_class_diagnostic(sym, 1.0, 1, 0, grid,
@@ -289,5 +285,52 @@ def test_diagnostic_exports(t1):
     grid = li.haar_quadrature(t1, 5)
     table = li.symbol_class_diagnostic(li.identity_symbol(t1), 0.0, 1, 1,
                                        grid, li.labels_for_band(t1, 3))
-    assert table.to_csv().startswith("alpha,beta,constant")
     assert "rows" in table.to_json()
+
+
+# --- point evaluation through the one evaluator -------------------------------
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_su2_pointwise_samples_the_point_matrix(j, entry):
+    # a point off the chart grid: its one-node rule must carry its own
+    # matrix, since the chart round trip loses up to 1.4e-9 in the
+    # off-diagonal entries near the identity
+    from liegroup_index.dual import flow_point
+    c = 0.35 + 0.1j
+    coeff, w = li.su2_function([(1, entry[0], entry[1], c)])
+    sym = li.pointwise_symbol(li.SU2, coeff, w, {"kind": "t1"})
+    x = flow_point(li.identity(li.SU2), li.lie_basis(li.SU2).generators[j], 1e-5)
+    want = c * li.rep_matrix(li.su2_label(1), x)[entry]
+    for lab in li.labels_for_band(li.SU2, 2):
+        got = sym.evaluate(x, lab)
+        assert np.abs(got - want * np.eye(lab.dim)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+def test_winding_adjoint_closed_form(t1, rule, k):
+    sym = li.winding_adjoint_symbol(t1, k)
+    e = np.exp(-2j * np.pi * k * rule.charts[:, 0])
+    for l in range(-4, 5):
+        if l >= max(k, 0):
+            want = e
+        elif l >= 0:
+            want = np.zeros(rule.n_nodes)
+        elif l >= k:
+            want = e + 1.0
+        else:
+            want = np.ones(rule.n_nodes)
+        got = sym.evaluate_on_rule(rule, li.torus_label(t1, [l]))
+        assert got.shape == (rule.n_nodes, 1, 1)
+        np.testing.assert_array_equal(got[:, 0, 0], want)
+
+
+def test_invariant_symbol_at_matrix_only_su3_point():
+    # products of SU(3) points carry no chart; invariant symbols ignore x
+    p = li.su3_point([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5])
+    x = li.group_mul(p, p)
+    lab = li.su3_label(1, 0)
+    np.testing.assert_array_equal(li.identity_symbol(li.SU3).evaluate(x, lab),
+                                  np.eye(3))
+    lam = li.lambda_multiplier(li.SU3, 1.0)
+    np.testing.assert_array_equal(lam.evaluate(x, lab), lam.evaluate_at_any(lab))
