@@ -112,6 +112,19 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_quadrature_level(cfg: dict):
+    """The optional quadrature level override of both commands, or None."""
+    level = cfg.get("quadrature_level")
+    if level is not None and (not _is_int(level) or level < 1):
+        raise ConfigError("config.quadrature_level", "level must be a positive integer")
+    return level
+
+
 def parse_group(cfg: dict, path: str = "config.group") -> GroupSpec:
     node = cfg.get("group")
     if not isinstance(node, dict):
@@ -119,7 +132,7 @@ def parse_group(cfg: dict, path: str = "config.group") -> GroupSpec:
     kind = node.get("kind")
     if kind == "torus":
         n = node.get("n", 1)
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError(path + ".n", "torus dimension must be a positive integer")
         return torus(n)
     if kind in ("su2", "su3"):
@@ -132,13 +145,14 @@ def validate_index_config(cfg: dict) -> dict:
     op = parse_operator(cfg.get("operator"), group, "config.operator")
     cutoffs = cfg.get("cutoffs")
     if (not isinstance(cutoffs, list) or not cutoffs
-            or not all(isinstance(c, int) and c > 0 for c in cutoffs)):
+            or not all(_is_int(c) and c > 0 for c in cutoffs)):
         raise ConfigError("config.cutoffs", "need a nonempty list of positive integers")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("config.cutoffs", "cutoffs must be strictly increasing")
     gammas = cfg.get("gammas", [1.0])
     if (not isinstance(gammas, list) or not gammas
-            or not all(isinstance(g, (int, float)) and g > 0 for g in gammas)):
+            or not all(isinstance(g, (int, float)) and not isinstance(g, bool)
+                       and g > 0 for g in gammas)):
         raise ConfigError("config.gammas", "need a nonempty list of positive numbers")
     rel_tol = cfg.get("rel_tol", 1e-10)
     if not isinstance(rel_tol, float) or not 0.0 < rel_tol < 1.0:
@@ -146,9 +160,7 @@ def validate_index_config(cfg: dict) -> dict:
     if group.kind == "su3":
         raise ConfigError("config.group", "index sweeps need torus or SU(2) "
                                           "(SU(3) support is quadrature-only)")
-    level = cfg.get("quadrature_level")
-    if level is not None and (not isinstance(level, int) or level < 1):
-        raise ConfigError("config.quadrature_level", "level must be a positive integer")
+    parse_quadrature_level(cfg)
     return {
         "group": group,
         "operator": op,
@@ -328,9 +340,9 @@ def cmd_check(config_path: str, which: str, out_dir: str | None) -> int:
         raise ConfigError("--which", f"unknown check {which!r}; "
                                      f"known: {sorted(CHECKS)}")
     band = cfg.get("band", 4 if group.kind == "torus" else 6)
-    if not isinstance(band, int) or band < 0:
+    if not _is_int(band) or band < 0:
         raise ConfigError("config.band", "band must be a nonnegative integer")
-    level = cfg.get("quadrature_level")
+    level = parse_quadrature_level(cfg)
     rows = CHECKS[which](cfg, group, band, level)
     for row in rows:
         row["pass"] = bool(row["error"] <= row["tolerance"])

@@ -167,14 +167,6 @@ def labels_for_band(group: GroupSpec, band: int) -> list:
     return labels
 
 
-def casimir_eigenvalue(xi: IrrepLabel) -> float:
-    return xi.casimir
-
-
-def weight(xi: IrrepLabel) -> float:
-    return xi.weight
-
-
 # ---------------------------------------------------------------------------
 # representation matrices
 

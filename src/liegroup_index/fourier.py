@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dual import IrrepLabel, rep_matrices_on_rule
-from .groups import GroupMismatchError, GroupPoint, QuadratureRule
+from .groups import GroupMismatchError, QuadratureRule
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,10 +35,6 @@ class SampledFunction:
         if v.shape != (self.rule.n_nodes,):
             raise ValueError(f"expected {self.rule.n_nodes} samples, got {v.shape}")
         object.__setattr__(self, "values", v)
-
-
-def sample(rule: QuadratureRule, f: Callable[[GroupPoint], complex]) -> SampledFunction:
-    return SampledFunction(rule, np.array([f(p) for p in rule.iter_nodes()], dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,13 +24,12 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .dual import (IrrepLabel, enumerate_dual, labels_for_band,
-                   rep_matrices_on_rule)
+from .dual import IrrepLabel, labels_for_band, rep_matrices_on_rule
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
                      haar_quadrature, min_level_for_band)
 from .symbols import MatrixSymbol
@@ -54,7 +53,6 @@ class PeterWeylBasis:
 
     group: GroupSpec
     labels: tuple
-    cutoff: Optional[float] = None
 
     def __post_init__(self):
         labels = tuple(sorted(self.labels, key=IrrepLabel.sort_key))
@@ -116,20 +114,6 @@ def basis_for_band(group: GroupSpec, band: int) -> PeterWeylBasis:
     return PeterWeylBasis(group, tuple(labels_for_band(group, band)))
 
 
-def basis_for_cutoff(group: GroupSpec, cutoff: float) -> PeterWeylBasis:
-    return PeterWeylBasis(group, tuple(enumerate_dual(group, cutoff)), cutoff)
-
-
-def _as_basis(group: GroupSpec, spec: Union[PeterWeylBasis, int, float, Sequence]) -> PeterWeylBasis:
-    if isinstance(spec, PeterWeylBasis):
-        return spec
-    if isinstance(spec, int):
-        return basis_for_band(group, spec)
-    if isinstance(spec, float):
-        return basis_for_cutoff(group, spec)
-    return PeterWeylBasis(group, tuple(spec))
-
-
 @dataclass(eq=False)
 class GalerkinOperator:
     """Rectangular matrix between two Peter-Weyl bases."""
@@ -160,9 +144,7 @@ def assembly_level(group: GroupSpec, dom_band: int, cod_band: int,
     return 1
 
 
-def assemble(sigma: MatrixSymbol,
-             dom: Union[PeterWeylBasis, int, float, Sequence],
-             cod: Union[PeterWeylBasis, int, float, Sequence],
+def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
              grid: Optional[QuadratureRule] = None,
              check_aliasing: bool = True) -> GalerkinOperator:
     """Galerkin matrix of the quantized symbol between two bases.
@@ -176,8 +158,6 @@ def assemble(sigma: MatrixSymbol,
     the required band.
     """
     group = sigma.group
-    dom = _as_basis(group, dom)
-    cod = _as_basis(group, cod)
     if dom.group != group or cod.group != group:
         raise GroupMismatchError("bases and symbol must share the group")
 
@@ -296,28 +276,23 @@ class OperatorCache:
         return save_operator(g, self.directory)
 
 
-def assemble_cached(sigma: MatrixSymbol,
-                    dom: Union[PeterWeylBasis, int, float, Sequence],
-                    cod: Union[PeterWeylBasis, int, float, Sequence],
-                    cache: Optional[OperatorCache] = None,
-                    check_aliasing: bool = True) -> GalerkinOperator:
+def assemble_cached(sigma: MatrixSymbol, dom: PeterWeylBasis,
+                    cod: PeterWeylBasis,
+                    cache: Optional[OperatorCache] = None) -> GalerkinOperator:
     """assemble() on its own grid with an optional read-through cache."""
-    group = sigma.group
-    dom = _as_basis(group, dom)
-    cod = _as_basis(group, cod)
     if cache is not None:
         w = int(math.ceil(sigma.x_bandwidth))
         if sigma.is_invariant and w == 0:
             level = None
         else:
-            level = assembly_level(group, dom.band, cod.band, w)
+            level = assembly_level(sigma.group, dom.band, cod.band, w)
         key = cache_key_for(sigma.describe, dom, cod, level)
         matrix = cache.fetch(key)
         if matrix is not None and matrix.shape == (cod.size, dom.size):
             return GalerkinOperator(dom, cod, matrix,
                                     {"level": level, "symbol": sigma.describe,
                                      "cached": True})
-    g = assemble(sigma, dom, cod, check_aliasing=check_aliasing)
+    g = assemble(sigma, dom, cod)
     if cache is not None:
         cache.store(g)
     return g

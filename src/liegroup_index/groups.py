@@ -257,11 +257,6 @@ class QuadratureRule:
         self._node_cache[i] = p
         return p
 
-    @property
-    def nodes(self) -> list:
-        # materializes every node; avoid for large SU(3) rules
-        return [self.node(i) for i in range(self.n_nodes)]
-
     def iter_nodes(self) -> Iterator[GroupPoint]:
         for i in range(self.n_nodes):
             yield self.node(i)

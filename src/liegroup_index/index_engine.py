@@ -1,18 +1,21 @@
 """Fredholm index computation by three routes.
 
-* heat-trace route:    tr exp(-g M^* M) - tr exp(-g M M^*), via Hermitian
-  eigendecompositions; exact (= dim ker - dim coker) at every finite
-  truncation and for every g > 0, because the nonzero spectra of M^*M and
-  MM^* coincide.
+* heat-trace route:    tr exp(-g M^* M) - tr exp(-g M M^*) for every g, from
+  one SVD: the spectra of M^*M and MM^* are the squared singular values
+  padded with zeros, so the route equals q - p (the number of columns minus
+  the number of rows) at every finite truncation and for every g > 0.
 * kernel-count route:  dim ker M - dim ker M^* from one SVD with a
   relative rank threshold and an audited spectral gap.
 * density route:       quadrature over x of
   sum_xi d_xi Tr[ exp(-g s_*(x,xi) s(x,xi)) - exp(-g s(x,xi) s_*(x,xi)) ],
   the phase-space density built from the frozen symbols of the operator
-  and its adjoint.  For invariant symbols the density vanishes identically
-  (the two products are similar), matching the zero index of invariant
-  operators; for the winding family it reports 0 while the matrix routes
-  report -k, a documented discrepancy of the frozen-argument composition.
+  and its adjoint.  Each label's two frozen products are diagonalized once
+  and only the exponentials of their eigenvalues depend on g.  For square
+  frozen symbols the two products share their eigenvalues, so the density
+  is 0 (or an error when a product is not Hermitian): it vanishes for
+  invariant operators and reports 0 for the winding family while the
+  matrix routes report -k, a documented discrepancy of the frozen-argument
+  composition.
 
 Order reduction composes with the multiplier <xi>^-m to produce the
 order-zero operator whose index is computed.
@@ -42,19 +45,28 @@ class DensityError(ValueError):
     """Non-Hermitian or non-finite input to the density exponentials."""
 
 
-def heat_trace_index(m: GalerkinOperator | np.ndarray, gamma: float) -> float:
-    """tr exp(-gamma M^* M) - tr exp(-gamma M M^*)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+def _positive_gammas(gammas: Sequence[float]) -> np.ndarray:
+    g = np.asarray(gammas, dtype=float)
+    if g.ndim != 1 or not g.size or not (g > 0).all():
+        raise ValueError("gammas must be a nonempty sequence of positive numbers")
+    return g
+
+
+def heat_trace_index(m: GalerkinOperator | np.ndarray,
+                     gammas: Sequence[float]) -> np.ndarray:
+    """tr exp(-g M^* M) - tr exp(-g M M^*) for every g in gammas.
+
+    For a p x q matrix with k = min(p, q) singular values s_i, the spectrum
+    of M^*M is s_i^2 padded with q - k zeros and that of MM^* is s_i^2
+    padded with p - k zeros.
+    """
+    g = _positive_gammas(gammas)
     mat = m.matrix if isinstance(m, GalerkinOperator) else np.asarray(m)
-    try:
-        ev_dom = np.linalg.eigvalsh(mat.conj().T @ mat)
-        ev_cod = np.linalg.eigvalsh(mat @ mat.conj().T)
-    except np.linalg.LinAlgError as exc:
-        raise DensityError(f"eigendecomposition failed: {exc}") from exc
-    ev_dom = np.maximum(ev_dom, 0.0)
-    ev_cod = np.maximum(ev_cod, 0.0)
-    return float(np.sum(np.exp(-gamma * ev_dom)) - np.sum(np.exp(-gamma * ev_cod)))
+    p, q = mat.shape
+    sv = np.linalg.svd(mat, compute_uv=False) if min(p, q) else np.zeros(0)
+    k = sv.size
+    decay = np.exp(-np.outer(g, sv ** 2)).sum(axis=1)
+    return (decay + (q - k)) - (decay + (p - k))
 
 
 def singular_value_census(mat: np.ndarray, rel_tol: float) -> dict:
@@ -98,53 +110,38 @@ def kernel_count_index(m: GalerkinOperator | np.ndarray,
 # density route
 
 
-@dataclass(eq=False)
-class IndexDensity:
-    """Per (node, label) matrices exp(-g s* s) - exp(-g s s*) and the trace sum."""
-
-    gamma: float
-    labels: tuple
-    tables: dict          # IrrepLabel -> ndarray (n_nodes, d, d)
-    node_trace: np.ndarray  # sum_xi d_xi Tr(...), one value per node
-
-
-def _expm_neg_hermitian(prod: np.ndarray, gamma: float, tag: str) -> np.ndarray:
-    """exp(-gamma * prod) for a batch of Hermitian PSD matrices."""
+def _exp_trace_per_node(prod: np.ndarray, g: np.ndarray, tag: str) -> np.ndarray:
+    """Tr exp(-g * prod) for a batch of Hermitian matrices, shape (len(g), n_nodes)."""
     defect = np.abs(prod - prod.conj().transpose(0, 2, 1)).max()
     scale = max(float(np.abs(prod).max()), 1.0)
     if defect > 1e-8 * scale:
         raise DensityError(
             f"{tag}: product is not Hermitian (defect {defect:.3e}); "
             "supply the adjoint symbol consistent with the operator")
-    herm = 0.5 * (prod + prod.conj().transpose(0, 2, 1))
-    evals, vecs = np.linalg.eigh(herm)
-    out = np.einsum("kij,kj,klj->kil", vecs, np.exp(-gamma * evals), vecs.conj())
-    if not np.isfinite(out).all():
+    evals = np.linalg.eigvalsh(0.5 * (prod + prod.conj().transpose(0, 2, 1)))
+    with np.errstate(over="ignore"):
+        decay = np.exp(-g[:, None, None] * evals)
+    if not np.isfinite(decay).all():
         raise DensityError(f"{tag}: non-finite exponential")
-    return out
+    return decay.sum(axis=2)
 
 
 def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
-                        gamma: float, cutoff_labels: Sequence[IrrepLabel],
-                        grid: QuadratureRule) -> tuple:
-    """Quadrature of the symbol-density integrand; returns (value, IndexDensity)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    labels = tuple(cutoff_labels)
-    tables = {}
-    node_trace = np.zeros(grid.n_nodes)
-    for xi in labels:
+                        gammas: Sequence[float],
+                        cutoff_labels: Sequence[IrrepLabel],
+                        grid: QuadratureRule) -> np.ndarray:
+    """Quadrature of the symbol-density integrand, one value per gamma."""
+    g = _positive_gammas(gammas)
+    node_trace = np.zeros((g.size, grid.n_nodes))
+    for xi in cutoff_labels:
         sa = sigma_a.evaluate_on_rule(grid, xi)
         sstar = sigma_astar.evaluate_on_rule(grid, xi)
-        left = _expm_neg_hermitian(
-            np.einsum("kij,kjl->kil", sstar, sa), gamma, f"sigma_A* sigma_A at {xi}")
-        right = _expm_neg_hermitian(
-            np.einsum("kij,kjl->kil", sa, sstar), gamma, f"sigma_A sigma_A* at {xi}")
-        diff = left - right
-        tables[xi] = diff
-        node_trace += xi.dim * np.real(np.trace(diff, axis1=1, axis2=2))
-    value = float(np.sum(grid.weights * node_trace))
-    return value, IndexDensity(gamma, labels, tables, node_trace)
+        left = _exp_trace_per_node(np.einsum("kij,kjl->kil", sstar, sa), g,
+                                   f"sigma_A* sigma_A at {xi}")
+        right = _exp_trace_per_node(np.einsum("kij,kjl->kil", sa, sstar), g,
+                                    f"sigma_A sigma_A* at {xi}")
+        node_trace += xi.dim * (left - right)
+    return np.sum(grid.weights * node_trace, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +223,16 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                         cache=None) -> IndexReport:
     """Run all three index routes per (band, gamma) cell.
 
-    Verdict "stable" requires the kernel count to be constant across the
-    two largest bands and the heat trace to match it within 1e-6 at every
-    gamma.  Per-cell failures are recorded without aborting the sweep.
+    Each band's truncation, singular values and density eigenvalues are
+    computed once for all gammas.  Verdict "stable" requires the kernel
+    count to be constant across the two largest bands and the heat trace to
+    match it within 1e-6 at every gamma.  Per-band and per-cell failures
+    are recorded without aborting the sweep.
     """
     if not bands or not gammas:
         raise ValueError("bands and gammas must be nonempty")
     bands = sorted(int(b) for b in bands)
+    gammas = [float(g) for g in gammas]
     report = IndexReport(operator_desc or sigma.describe, sigma.group)
     kernel_by_band = {}
     heat_ok = True
@@ -242,39 +242,36 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                      if reduce_order and sigma.order != 0
                      else index_truncation(sigma, band, cache=cache))
             census = singular_value_census(trunc.matrix, rel_tol)
+            heats = heat_trace_index(trunc, gammas)
             kcount = census["ker_dim"] - census["coker_dim"]
             kernel_by_band[band] = kcount
-            level = trunc.meta.get("level") if isinstance(trunc.meta, dict) else None
+            level = trunc.meta.get("level")
             dlabels = [xi for xi in trunc.domain.labels
                        if sigma.max_band is None or xi.band <= sigma.max_band]
             dgrid = haar_quadrature(
                 sigma.group, level or min_level_for_band(sigma.group, band))
-        except Exception as exc:  # pragma: no cover - aggregated per cell
+        except Exception as exc:  # pragma: no cover - aggregated per band
             report.errors.append({"cutoff": band, "error": str(exc)})
             continue
-        for gamma in gammas:
-            cell = {"cutoff": band, "gamma": float(gamma)}
-            try:
-                heat = heat_trace_index(trunc, gamma)
-            except Exception as exc:
-                report.errors.append({"cutoff": band, "gamma": float(gamma),
-                                      "error": str(exc)})
-                heat_ok = False
-                continue
-            try:
-                dens, _ = density_route_index(sigma, sigma_astar, gamma,
-                                              dlabels, dgrid)
-            except Exception as exc:
-                # the density route may be undefined (non-Hermitian frozen
-                # products); record and keep the matrix routes
-                dens = math.nan
-                cell["density_error"] = str(exc)
-                report.errors.append({"cutoff": band, "gamma": float(gamma),
-                                      "error": str(exc)})
+        try:
+            densities = density_route_index(sigma, sigma_astar, gammas,
+                                            dlabels, dgrid)
+            density_error = None
+        except Exception as exc:
+            # the density route may be undefined (non-Hermitian frozen
+            # products); record it on every cell and keep the matrix routes
+            densities = [math.nan] * len(gammas)
+            density_error = str(exc)
+        for gamma, heat, dens in zip(gammas, heats, densities):
+            cell = {"cutoff": band, "gamma": gamma}
+            if density_error is not None:
+                cell["density_error"] = density_error
+                report.errors.append({"cutoff": band, "gamma": gamma,
+                                      "error": density_error})
             cell.update({
-                "heat_trace": heat,
+                "heat_trace": float(heat),
                 "kernel_count": kcount,
-                "density_route": dens,
+                "density_route": float(dens),
                 "ker_dim": census["ker_dim"],
                 "coker_dim": census["coker_dim"],
                 "sv_gap": census["gap"],

@@ -97,6 +97,36 @@ def test_index_validation_messages(tmp_path, capsys):
         assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("patch,fragment", [
+    ({"cutoffs": [True, 4]}, "config.cutoffs"),
+    ({"gammas": [True]}, "config.gammas"),
+    ({"quadrature_level": True}, "config.quadrature_level"),
+    ({"quadrature_level": 0}, "config.quadrature_level"),
+    ({"group": {"kind": "torus", "n": True}}, "config.group.n"),
+])
+def test_index_rejects_booleans_and_bad_levels(tmp_path, capsys, patch, fragment):
+    cfg = write_config(tmp_path, "bad.json", dict(winding_config(), **patch))
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("group", [{"kind": "torus", "n": 1}, {"kind": "su2"}])
+@pytest.mark.parametrize("patch,fragment", [
+    ({"quadrature_level": 2.5}, "config.quadrature_level"),
+    ({"quadrature_level": 0}, "config.quadrature_level"),
+    ({"quadrature_level": "x"}, "config.quadrature_level"),
+    ({"quadrature_level": True}, "config.quadrature_level"),
+    ({"band": True}, "config.band"),
+])
+def test_check_validates_level_and_band(tmp_path, capsys, group, patch, fragment):
+    cfg = write_config(tmp_path, "bad.json", dict({"group": group}, **patch))
+    assert main(["check", "--config", cfg, "--which", "quadrature",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_index_invalid_json_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "group": [,]\n}')
@@ -330,6 +360,10 @@ def test_benchmark_tracer_targets_resolve_and_restore(tmp_path):
     for name in ("galerkin.assemble", "symbols.evaluate_on_rule",
                  "index_engine.stabilization_sweep"):
         assert spans.get(name, {"calls": 0})["calls"] > 0, name
+    # one decomposition per route per cutoff, whatever the number of gammas
+    for name in ("index_engine.heat_trace_index",
+                 "index_engine.density_route_index"):
+        assert spans[name]["calls"] == 2, name
     after = {(name, key): value for name, mod in modules.items()
              for key, value in vars(mod).items()}
     assert after.keys() == before.keys()

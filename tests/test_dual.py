@@ -157,8 +157,8 @@ def test_lie_basis_antihermitian_traceless():
 
 def test_accessors(t1):
     lab = li.su2_label(2)
-    assert li.casimir_eigenvalue(lab) == 2.0
-    assert li.weight(lab) == pytest.approx(np.sqrt(3.0))
+    assert lab.casimir == 2.0
+    assert lab.weight == pytest.approx(np.sqrt(3.0))
 
 
 def test_rep_matrices_on_rule_checks_group_on_memo_hit(t1, rule_su2):

@@ -26,7 +26,7 @@ def band_limited_su2(rule, rng, band):
 
 
 def test_constant_function_transform(t1, rule_t1):
-    f = li.sample(rule_t1, lambda p: 1.0)
+    f = li.SampledFunction(rule_t1, np.ones(rule_t1.n_nodes))
     c = li.fourier_forward(f, li.labels_for_band(t1, 5))
     np.testing.assert_allclose(c[li.trivial_label(t1)], [[1.0]], atol=1e-12)
     for lab in c.labels():
@@ -90,8 +90,8 @@ def test_inverse_reproduces_rep_entry(rule_su2):
 
 
 def test_plancherel_constant(t1, rule_t1):
-    c = li.fourier_forward(li.sample(rule_t1, lambda p: 1.0),
-                           li.labels_for_band(t1, 3))
+    one = li.SampledFunction(rule_t1, np.ones(rule_t1.n_nodes))
+    c = li.fourier_forward(one, li.labels_for_band(t1, 3))
     assert li.plancherel_norm(c) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -141,11 +141,12 @@ def test_lambda_multiplier_inverse_pair(t1, rule_t1, rng):
 
 def test_sobolev_norms(t1, rule_t1):
     labels = li.labels_for_band(t1, 3)
-    c1 = li.fourier_forward(li.sample(rule_t1, lambda p: 1.0), labels)
+    one = li.SampledFunction(rule_t1, np.ones(rule_t1.n_nodes))
+    c1 = li.fourier_forward(one, labels)
     for s in (-2.0, 0.0, 3.0):
         assert li.sobolev_norm(c1, s) == pytest.approx(1.0, abs=1e-10)
-    ce = li.fourier_forward(
-        li.sample(rule_t1, lambda p: np.exp(2j * np.pi * p.chart[0])), labels)
+    e1 = li.SampledFunction(rule_t1, np.exp(2j * np.pi * rule_t1.charts[:, 0]))
+    ce = li.fourier_forward(e1, labels)
     assert li.sobolev_norm(ce, 0.0) == li.plancherel_norm(ce)
     assert li.sobolev_norm(ce, 1.0) == pytest.approx(np.sqrt(1 + 4 * np.pi ** 2), abs=1e-8)
 
@@ -180,5 +181,5 @@ def test_sample_count_validation(rule_t1):
 
 def test_group_mismatch_in_forward(t1, rule_t1):
     with pytest.raises(li.GroupMismatchError):
-        li.fourier_forward(li.sample(rule_t1, lambda p: 1.0),
+        li.fourier_forward(li.SampledFunction(rule_t1, np.ones(rule_t1.n_nodes)),
                            [li.su2_label(0)])

@@ -25,34 +25,36 @@ def planted_matrix(rng, max_dim=40):
 
 
 def test_heat_trace_zero_matrix():
-    assert li.heat_trace_index(np.zeros((5, 9)), 1.0) == pytest.approx(4.0)
+    assert li.heat_trace_index(np.zeros((5, 9)), [1.0])[0] == pytest.approx(4.0)
     assert li.kernel_count_index(np.zeros((5, 9))) == 4
 
 
 def test_heat_trace_planted(rng):
     for _ in range(40):
         m, ker, coker = planted_matrix(rng, 25)
-        for gamma in (0.1, 1.0, 10.0):
-            assert abs(li.heat_trace_index(m, gamma) - (ker - coker)) <= 1e-8
+        heats = li.heat_trace_index(m, [0.1, 1.0, 10.0])
+        assert heats.shape == (3,)
+        for heat in heats:
+            assert abs(heat - (ker - coker)) <= 1e-8
 
 
 def test_heat_trace_gamma_invariance(rng):
     m, _, _ = planted_matrix(rng, 30)
-    base = li.heat_trace_index(m, 0.01)
-    for gamma in (0.05, 0.5, 5.0, 50.0, 100.0):
-        assert abs(li.heat_trace_index(m, gamma) - base) <= 1e-8
+    base, *rest = li.heat_trace_index(m, [0.01, 0.05, 0.5, 5.0, 50.0, 100.0])
+    for heat in rest:
+        assert abs(heat - base) <= 1e-8
 
 
 def test_heat_trace_rejects_bad_gamma():
     with pytest.raises(ValueError):
-        li.heat_trace_index(np.eye(3), 0.0)
+        li.heat_trace_index(np.eye(3), [1.0, 0.0])
 
 
 def test_mckean_singer_identity(rng):
     # finite-dimensional identity between the two matrix routes
     for _ in range(50):
         m, _, _ = planted_matrix(rng, 30)
-        heat = li.heat_trace_index(m, 1.0)
+        (heat,) = li.heat_trace_index(m, [1.0])
         count = li.kernel_count_index(m, 1e-10)
         assert abs(heat - count) <= 1e-8
 
@@ -67,7 +69,7 @@ def test_kernel_count_identity_assembly(t1):
 def test_kernel_count_winding(t1, k):
     m = li.index_truncation(li.winding_symbol(t1, k), 16)
     assert li.kernel_count_index(m) == -k
-    assert abs(li.heat_trace_index(m, 1.0) - (-k)) <= 1e-8
+    assert abs(li.heat_trace_index(m, [1.0])[0] - (-k)) <= 1e-8
 
 
 def test_kernel_count_rel_tol_validation():
@@ -111,24 +113,18 @@ def test_density_invariant_symbol_is_zero(rng):
         table[lab] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sym = li.table_symbol(li.SU2, table)
     grid = li.haar_quadrature(li.SU2, 3)
-    value, density = li.density_route_index(
-        sym, li.conjugate_transpose_symbol(sym), 1.0,
+    (value,) = li.density_route_index(
+        sym, li.conjugate_transpose_symbol(sym), [1.0],
         li.labels_for_band(li.SU2, 3), grid)
     assert abs(value) <= 1e-10
-    # per-label similarity: every density matrix has trace ~ 0
-    for lab, arr in density.tables.items():
-        traces = np.trace(arr, axis1=1, axis2=2)
-        assert np.abs(traces).max() <= 1e-10
 
 
 def test_density_self_adjoint_symbol_exactly_zero(t1):
     lam = li.lambda_multiplier(t1, 1.0)
     grid = li.haar_quadrature(t1, 9)
-    value, density = li.density_route_index(lam, lam, 2.0,
-                                            li.labels_for_band(t1, 4), grid)
+    (value,) = li.density_route_index(lam, lam, [2.0],
+                                      li.labels_for_band(t1, 4), grid)
     assert value == 0.0
-    for arr in density.tables.values():
-        assert np.abs(arr).max() == 0.0
 
 
 def test_density_antisymmetric_under_argument_swap(t1):
@@ -136,11 +132,9 @@ def test_density_antisymmetric_under_argument_swap(t1):
     ws = li.winding_adjoint_symbol(t1, 1)
     grid = li.haar_quadrature(t1, 9)
     labels = li.labels_for_band(t1, 4)
-    v1, d1 = li.density_route_index(w, ws, 1.0, labels, grid)
-    v2, d2 = li.density_route_index(ws, w, 1.0, labels, grid)
+    (v1,) = li.density_route_index(w, ws, [1.0], labels, grid)
+    (v2,) = li.density_route_index(ws, w, [1.0], labels, grid)
     assert v1 == pytest.approx(-v2, abs=1e-12)
-    for lab in labels:
-        np.testing.assert_allclose(d1.tables[lab], -d2.tables[lab], atol=1e-12)
 
 
 def test_density_winding_discrepancy(t1):
@@ -148,7 +142,7 @@ def test_density_winding_discrepancy(t1):
     w = li.winding_symbol(t1, 1)
     ws = li.winding_adjoint_symbol(t1, 1)
     grid = li.haar_quadrature(t1, 17)
-    value, _ = li.density_route_index(w, ws, 1.0, li.labels_for_band(t1, 8), grid)
+    (value,) = li.density_route_index(w, ws, [1.0], li.labels_for_band(t1, 8), grid)
     assert abs(value) <= 1e-10
     assert li.kernel_count_index(li.index_truncation(w, 8)) == -1
 
@@ -158,7 +152,15 @@ def test_density_rejects_non_hermitian_products(t1):
     ws = li.winding_adjoint_symbol(t1, -2)
     grid = li.haar_quadrature(t1, 9)
     with pytest.raises(li.DensityError):
-        li.density_route_index(w, ws, 1.0, li.labels_for_band(t1, 4), grid)
+        li.density_route_index(w, ws, [1.0], li.labels_for_band(t1, 4), grid)
+
+
+def test_density_rejects_non_finite_exponential(t1):
+    one = li.multiplier_symbol(t1, lambda xi: 1.0, 0.0, {"kind": "one"})
+    minus = li.multiplier_symbol(t1, lambda xi: -1000.0, 0.0, {"kind": "minus"})
+    grid = li.haar_quadrature(t1, 9)
+    with pytest.raises(li.DensityError, match="non-finite exponential"):
+        li.density_route_index(one, minus, [1.0], li.labels_for_band(t1, 4), grid)
 
 
 # --- order reduction and traces ----------------------------------------------
@@ -261,6 +263,21 @@ def test_sweep_csv_and_dict(t1):
     d = rep.to_dict()
     assert d["verdict"] == "stable"
     assert d["density_vs_kernel_discrepancy"] is True
+
+
+def test_sweep_density_failure_recorded_per_cell(t1):
+    gammas = [0.1, 1.0, 10.0]
+    rep = li.stabilization_sweep(li.winding_symbol(t1, -2),
+                                 li.winding_adjoint_symbol(t1, -2),
+                                 [8, 16], gammas)
+    assert len(rep.rows) == 6
+    for row in rep.rows:
+        assert "not Hermitian" in row["density_error"]
+        assert math.isnan(row["density_route"])
+        assert row["kernel_count"] == 2
+    assert [(e["cutoff"], e["gamma"]) for e in rep.errors] == [
+        (band, gamma) for band in (8, 16) for gamma in gammas]
+    assert rep.verdict == "stable"
 
 
 def test_sweep_requires_nonempty_lists(t1):

@@ -69,7 +69,7 @@ def test_quantize_identity_reproduces_inverse(t1, rule, band, rng):
 
 
 def test_quantize_weight_multiplier_single_mode(t1, rule, band):
-    f = li.sample(rule, lambda p: np.exp(2j * np.pi * p.chart[0]))
+    f = li.SampledFunction(rule, np.exp(2j * np.pi * rule.charts[:, 0]))
     fhat = li.fourier_forward(f, band)
     x = rule.node(5)
     got = li.quantize_on_rule(li.lambda_multiplier(t1, 2.0), fhat, rule)[5]
