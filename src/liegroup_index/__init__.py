@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .groups import (GroupSpec, GroupPoint, QuadratureRule, SU2, SU3, torus,
                      identity, su2_point, su3_point, torus_point, group_mul,
                      group_inv, haar_quadrature, min_level_for_band, point_rule,
-                     GroupMismatchError, ChartDomainError)
+                     flow_rule, GroupMismatchError, ChartDomainError)
 from .dual import (IrrepLabel, LieBasis, enumerate_dual, labels_for_band,
                    rep_matrix, rep_matrices_on_rule, lie_basis,
                    left_invariant_derivative, left_invariant_second_derivative,

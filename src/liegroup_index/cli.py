@@ -152,8 +152,9 @@ def validate_index_config(cfg: dict) -> dict:
     gammas = cfg.get("gammas", [1.0])
     if (not isinstance(gammas, list) or not gammas
             or not all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                       and g > 0 for g in gammas)):
-        raise ConfigError("config.gammas", "need a nonempty list of positive numbers")
+                       and 0 < g < math.inf for g in gammas)):
+        raise ConfigError("config.gammas",
+                          "need a nonempty list of finite positive numbers")
     rel_tol = cfg.get("rel_tol", 1e-10)
     if not isinstance(rel_tol, float) or not 0.0 < rel_tol < 1.0:
         raise ConfigError("config.rel_tol", "rel_tol must be a float in (0, 1)")

@@ -24,12 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
-                     group_mul)
+                     flow_rule, point_rule)
 
 
 class UnsupportedFeatureError(NotImplementedError):
@@ -215,14 +215,7 @@ def su2_rep_matrices(twice_spin: int, g: np.ndarray) -> np.ndarray:
 
 def rep_matrix(xi: IrrepLabel, x: GroupPoint) -> np.ndarray:
     """Unitary matrix xi(x); torus characters are 1x1."""
-    if xi.group != x.group:
-        raise GroupMismatchError("label and point belong to different groups")
-    if xi.group.kind == "torus":
-        phase = 2.0 * math.pi * sum(l * c for l, c in zip(xi.label, x.chart))
-        return np.array([[complex(math.cos(phase), math.sin(phase))]])
-    if xi.group.kind == "su2":
-        return su2_rep_matrices(xi.label[0], x.matrix)
-    raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+    return rep_matrices_on_rule(xi, point_rule(x))[0]
 
 
 def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
@@ -241,7 +234,7 @@ def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
         phases = 2.0 * math.pi * (rule.charts @ np.asarray(xi.label, dtype=float))
         mats = np.exp(1j * phases)[:, None, None]
     elif xi.group.kind == "su2":
-        mats = su2_rep_matrices(xi.label[0], rule.su2_matrices())
+        mats = su2_rep_matrices(xi.label[0], rule.defining_matrices())
     else:
         raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
     mats.setflags(write=False)
@@ -295,41 +288,24 @@ def lie_basis(group: GroupSpec) -> LieBasis:
     return LieBasis(group, gens)
 
 
-def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
-    if a.shape == (2, 2):
-        # traceless 2x2: a^2 = -det(a) I, det >= 0 for anti-Hermitian a
-        norm2 = float(np.real(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-        norm = math.sqrt(max(norm2, 0.0))
-        if norm < 1e-300:
-            return np.eye(2, dtype=complex) + a
-        return math.cos(norm) * np.eye(2, dtype=complex) + (math.sin(norm) / norm) * a
-    evals, vecs = np.linalg.eigh(1j * a)
-    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
-
-
-def flow_point(x: GroupPoint, direction: np.ndarray, s: float) -> GroupPoint:
-    """x * exp(s * Y) for a generator Y (torus: chart translation)."""
-    if x.group.kind == "torus":
-        return group_mul(x, GroupPoint(x.group, tuple(s * direction)))
-    return GroupPoint(x.group, None, x.matrix @ _expm_antihermitian(s * direction))
-
-
 def left_invariant_derivative(
-    f: Callable[[GroupPoint], complex],
+    f: Callable[[QuadratureRule], np.ndarray],
     j: int,
-    x: GroupPoint,
+    rule: QuadratureRule,
     h: float = 1e-4,
     richardson: bool = False,
-    basis: Optional[LieBasis] = None,
-) -> complex:
-    """Central difference of s -> f(x exp(s Y_j)) at s = 0."""
+) -> np.ndarray:
+    """Central difference of s -> f(x exp(s Y_j)) at s = 0, at every node.
+
+    f maps a rule to per-node values (first axis the node); a single point
+    is ``point_rule(x)``.
+    """
     if h <= 0:
         raise ValueError("step must be positive")
-    basis = basis or lie_basis(x.group)
-    y = basis.generators[j]
+    y = lie_basis(rule.group).generators[j]
 
     def central(step):
-        return (f(flow_point(x, y, step)) - f(flow_point(x, y, -step))) / (2.0 * step)
+        return (f(flow_rule(rule, y, step)) - f(flow_rule(rule, y, -step))) / (2.0 * step)
 
     if not richardson:
         return central(h)
@@ -339,21 +315,18 @@ def left_invariant_derivative(
 
 
 def left_invariant_second_derivative(
-    f: Callable[[GroupPoint], complex],
+    f: Callable[[QuadratureRule], np.ndarray],
     j: int,
-    x: GroupPoint,
+    rule: QuadratureRule,
     h: float = 1e-4,
-    basis: Optional[LieBasis] = None,
-) -> complex:
-    """Second central difference of s -> f(x exp(s Y_j)) at s = 0."""
-    basis = basis or lie_basis(x.group)
-    y = basis.generators[j]
-    return (f(flow_point(x, y, h)) - 2.0 * f(x) + f(flow_point(x, y, -h))) / (h * h)
+) -> np.ndarray:
+    """Second central difference of s -> f(x exp(s Y_j)) at s = 0, at every node."""
+    y = lie_basis(rule.group).generators[j]
+    return (f(flow_rule(rule, y, h)) - 2.0 * f(rule) + f(flow_rule(rule, y, -h))) / (h * h)
 
 
-def laplacian_fd(f: Callable[[GroupPoint], complex], x: GroupPoint,
-                 h: float = 1e-4) -> complex:
-    """Finite-difference group Laplacian sum_j d_j^2 f at x."""
-    basis = lie_basis(x.group)
-    return sum(left_invariant_second_derivative(f, j, x, h, basis)
-               for j in range(len(basis)))
+def laplacian_fd(f: Callable[[QuadratureRule], np.ndarray], rule: QuadratureRule,
+                 h: float = 1e-4) -> np.ndarray:
+    """Finite-difference group Laplacian sum_j d_j^2 f at every node."""
+    return sum(left_invariant_second_derivative(f, j, rule, h)
+               for j in range(rule.group.manifold_dim))

@@ -12,7 +12,6 @@ a test oracle, never here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,17 +52,6 @@ class FourierCoefficients:
     def scaled(self, factor: Callable[[IrrepLabel], complex]) -> "FourierCoefficients":
         return FourierCoefficients(
             {xi: factor(xi) * m for xi, m in self.entries.items()}, self.cutoff)
-
-    def to_json(self) -> str:
-        items = []
-        for xi in self.labels():
-            m = self.entries[xi]
-            items.append({
-                "label": list(xi.label),
-                "re": np.real(m).tolist(),
-                "im": np.imag(m).tolist(),
-            })
-        return json.dumps({"cutoff": self.cutoff, "entries": items}, sort_keys=True)
 
 
 def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCoefficients:

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 class GroupMismatchError(ValueError):
@@ -109,7 +108,7 @@ class GroupPoint:
         if self._chart is not None:
             return self._chart
         if self.group.kind == "su2":
-            chart = _su2_chart_from_matrix(self.matrix)
+            chart = tuple(float(c) for c in _su2_charts(self.matrix[None])[0])
             object.__setattr__(self, "_chart", chart)
             return chart
         raise NotImplementedError("chart recovery is not available for SU(3) points")
@@ -126,19 +125,47 @@ class GroupPoint:
         return float(abs(np.linalg.det(self.matrix) - 1.0))
 
 
-def _su2_matrix(x1: float, x2: float, x3: float, x4: float) -> np.ndarray:
-    return np.array([[x1 + 1j * x2, x3 + 1j * x4],
-                     [-x3 + 1j * x4, x1 - 1j * x2]], dtype=complex)
+def _su2_matrices(charts: np.ndarray) -> np.ndarray:
+    """SU(2) matrices at chart rows (t, nu, s), shape (n, 2, 2)."""
+    t = charts[:, 0]
+    nu = charts[:, 1]
+    s = charts[:, 2]
+    x1 = np.cos(0.5 * t)
+    rho = np.sqrt(np.maximum(np.sin(0.5 * t) ** 2 - nu ** 2, 0.0))
+    x3 = rho * np.cos(s)
+    x4 = rho * np.sin(s)
+    g = np.empty((len(t), 2, 2), dtype=complex)
+    g[:, 0, 0] = x1 + 1j * nu
+    g[:, 0, 1] = x3 + 1j * x4
+    g[:, 1, 0] = -x3 + 1j * x4
+    g[:, 1, 1] = x1 - 1j * nu
+    return g
 
 
-def _su2_chart_from_matrix(m: np.ndarray) -> tuple:
-    x1 = float(np.real(m[0, 0]))
-    x2 = float(np.imag(m[0, 0]))
-    x3 = float(np.real(m[0, 1]))
-    x4 = float(np.imag(m[0, 1]))
-    t = 2.0 * math.acos(min(1.0, max(-1.0, x1)))
-    s = math.atan2(x4, x3) % (2.0 * math.pi)
-    return (t, x2, s)
+def _su2_charts(g: np.ndarray) -> np.ndarray:
+    """Chart rows (t, nu, s) of SU(2) matrices of shape (n, 2, 2)."""
+    t = 2.0 * np.arccos(np.clip(g[:, 0, 0].real, -1.0, 1.0))
+    s = np.arctan2(g[:, 0, 1].imag, g[:, 0, 1].real) % (2.0 * np.pi)
+    return np.stack([t, g[:, 0, 0].imag, s], axis=1)
+
+
+def _su3_matrices(charts: np.ndarray) -> np.ndarray:
+    """SU(3) matrices at Bronzan chart rows (theta1..3, phi1..5), shape (n, 3, 3)."""
+    c1, c2, c3 = np.cos(charts[:, :3]).T
+    s1, s2, s3 = np.sin(charts[:, :3]).T
+    p1, p2, p3, p4, p5 = charts[:, 3:].T
+    e = lambda a: np.exp(1j * a)
+    u = np.empty((len(charts), 3, 3), dtype=complex)
+    u[:, 0, 0] = c1 * c2 * e(p1)
+    u[:, 0, 1] = s1 * e(p3)
+    u[:, 0, 2] = c1 * s2 * e(p4)
+    u[:, 1, 0] = s2 * s3 * e(-p4 - p5) - s1 * c2 * c3 * e(p1 + p2 - p3)
+    u[:, 1, 1] = c1 * c3 * e(p2)
+    u[:, 1, 2] = -c2 * s3 * e(-p1 - p5) - s1 * s2 * c3 * e(p2 - p3 + p4)
+    u[:, 2, 0] = -s1 * c2 * s3 * e(p1 - p3 + p5) - s2 * c3 * e(-p2 - p4)
+    u[:, 2, 1] = c1 * s3 * e(p5)
+    u[:, 2, 2] = c2 * c3 * e(-p1 - p2) - s1 * s2 * s3 * e(-p3 + p4 + p5)
+    return u
 
 
 def identity(group: GroupSpec) -> GroupPoint:
@@ -165,10 +192,10 @@ def su2_point(t: float, nu: float, s: float) -> GroupPoint:
         raise ChartDomainError(f"t and s must lie in [0, 2*pi], got t={t}, s={s}")
     r = math.sin(0.5 * t)
     # tiny negative radicands from roundoff at |nu| = sin(t/2) are clipped
+    # by the matrix map
     if abs(nu) > r + 1e-14:
         raise ChartDomainError(f"|nu| = {abs(nu)} exceeds sin(t/2) = {r}")
-    rho = math.sqrt(max(r * r - nu * nu, 0.0))
-    g = _su2_matrix(math.cos(0.5 * t), nu, rho * math.cos(s), rho * math.sin(s))
+    g = _su2_matrices(np.array([[t, nu, s]], dtype=float))[0]
     return GroupPoint(SU2, (t, nu, s), g)
 
 
@@ -182,20 +209,8 @@ def su3_point(thetas: Sequence[float], phis: Sequence[float]) -> GroupPoint:
     for p in (p1, p2, p3, p4, p5):
         if not 0.0 <= p <= 2.0 * math.pi + 1e-12:
             raise ChartDomainError(f"phi = {p} outside [0, 2*pi]")
-    c1, c2, c3 = math.cos(t1), math.cos(t2), math.cos(t3)
-    s1, s2, s3 = math.sin(t1), math.sin(t2), math.sin(t3)
-    e = lambda a: complex(math.cos(a), math.sin(a))
-    u = np.empty((3, 3), dtype=complex)
-    u[0, 0] = c1 * c2 * e(p1)
-    u[0, 1] = s1 * e(p3)
-    u[0, 2] = c1 * s2 * e(p4)
-    u[1, 0] = s2 * s3 * e(-p4 - p5) - s1 * c2 * c3 * e(p1 + p2 - p3)
-    u[1, 1] = c1 * c3 * e(p2)
-    u[1, 2] = -c2 * s3 * e(-p1 - p5) - s1 * s2 * c3 * e(p2 - p3 + p4)
-    u[2, 0] = -s1 * c2 * s3 * e(p1 - p3 + p5) - s2 * c3 * e(-p2 - p4)
-    u[2, 1] = c1 * s3 * e(p5)
-    u[2, 2] = c2 * c3 * e(-p1 - p2) - s1 * s2 * s3 * e(-p3 + p4 + p5)
-    return GroupPoint(SU3, (t1, t2, t3, p1, p2, p3, p4, p5), u)
+    chart = (t1, t2, t3, p1, p2, p3, p4, p5)
+    return GroupPoint(SU3, chart, _su3_matrices(np.array([chart], dtype=float))[0])
 
 
 def group_mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
@@ -250,6 +265,8 @@ class QuadratureRule:
         row = self.charts[i]
         if self.group.kind == "torus":
             p = GroupPoint(self.group, tuple(row))
+        elif self.matrices is not None:
+            p = GroupPoint(self.group, None, self.matrices[i])
         elif self.group.kind == "su2":
             p = su2_point(row[0], row[1], row[2])
         else:
@@ -257,29 +274,15 @@ class QuadratureRule:
         self._node_cache[i] = p
         return p
 
-    def iter_nodes(self) -> Iterator[GroupPoint]:
-        for i in range(self.n_nodes):
-            yield self.node(i)
-
-    def su2_matrices(self) -> np.ndarray:
-        """Defining matrices at all nodes, shape (n_nodes, 2, 2)."""
-        if self.group.kind != "su2":
-            raise GroupMismatchError("su2_matrices needs an SU(2) rule")
+    def defining_matrices(self) -> np.ndarray:
+        """Defining matrices at all nodes, shape (n_nodes, d, d)."""
         if self.matrices is not None:
             return self.matrices
-        t = self.charts[:, 0]
-        nu = self.charts[:, 1]
-        s = self.charts[:, 2]
-        x1 = np.cos(0.5 * t)
-        rho = np.sqrt(np.maximum(np.sin(0.5 * t) ** 2 - nu ** 2, 0.0))
-        x3 = rho * np.cos(s)
-        x4 = rho * np.sin(s)
-        g = np.empty((len(t), 2, 2), dtype=complex)
-        g[:, 0, 0] = x1 + 1j * nu
-        g[:, 0, 1] = x3 + 1j * x4
-        g[:, 1, 0] = -x3 + 1j * x4
-        g[:, 1, 1] = x1 - 1j * nu
-        return g
+        if self.group.kind == "su2":
+            return _su2_matrices(self.charts)
+        if self.group.kind == "su3":
+            return _su3_matrices(self.charts)
+        raise GroupMismatchError("torus rules carry no defining matrices")
 
 
 def point_rule(x: GroupPoint) -> QuadratureRule:
@@ -300,6 +303,36 @@ def point_rule(x: GroupPoint) -> QuadratureRule:
     return rule
 
 
+def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
+    if a.shape == (2, 2):
+        # traceless 2x2: a^2 = -det(a) I, det >= 0 for anti-Hermitian a
+        norm2 = float(np.real(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
+        norm = math.sqrt(max(norm2, 0.0))
+        if norm < 1e-300:
+            return np.eye(2, dtype=complex) + a
+        return math.cos(norm) * np.eye(2, dtype=complex) + (math.sin(norm) / norm) * a
+    evals, vecs = np.linalg.eigh(1j * a)
+    return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
+
+
+def flow_rule(rule: QuadratureRule, direction: np.ndarray, s: float) -> QuadratureRule:
+    """The rule with every node x right-translated to x exp(s Y).
+
+    Torus charts shift by s Y mod 1.  Matrix-group rules multiply their
+    node matrices by exp(s Y) and carry the products, so evaluators sample
+    the flowed nodes themselves; SU(2) charts are recovered from them and
+    SU(3) charts, which have no recovery formula, are NaN.
+    """
+    if rule.group.kind == "torus":
+        # the shift is reduced mod 1 first, as torus points store it
+        charts = (rule.charts + (s * direction) % 1.0) % 1.0
+        return QuadratureRule(rule.group, rule.level, charts, rule.weights)
+    mats = rule.defining_matrices() @ _expm_antihermitian(s * direction)
+    charts = (_su2_charts(mats) if rule.group.kind == "su2"
+              else np.full((len(mats), 8), math.nan))
+    return QuadratureRule(rule.group, rule.level, charts, rule.weights, mats)
+
+
 def _chebyshev_u_rule(n: int):
     """Gauss rule for the weight sqrt(1-u^2) on [-1,1]; weights sum to pi/2."""
     k = np.arange(1, n + 1)
@@ -308,9 +341,18 @@ def _chebyshev_u_rule(n: int):
 
 
 def _jacobi01_rule(n: int):
-    """Gauss rule for the weight u du on [0,1]; weights sum to 1/2."""
-    x, w = roots_jacobi(n, 0.0, 1.0)  # weight (1+x) on [-1,1]
-    return 0.5 * (x + 1.0), 0.25 * w
+    """Gauss rule for the weight u du on [0,1]; weights sum to 1/2.
+
+    Golub-Welsch for the Jacobi weight (1+x) on [-1,1] (alpha = 0,
+    beta = 1, mass 2): the nodes are the eigenvalues of the symmetric
+    tridiagonal recurrence matrix, the weights 2 times the squared first
+    components of its eigenvectors.
+    """
+    k = np.arange(n)
+    diag = 1.0 / ((2 * k + 1) * (2 * k + 3))
+    off = np.sqrt(k[1:] * (k[1:] + 1.0)) / (2 * k[1:] + 1)
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (x + 1.0), 0.5 * vecs[0] ** 2
 
 
 def _legendre01_rule(n: int):

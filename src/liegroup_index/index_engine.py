@@ -47,30 +47,30 @@ class DensityError(ValueError):
 
 def _positive_gammas(gammas: Sequence[float]) -> np.ndarray:
     g = np.asarray(gammas, dtype=float)
-    if g.ndim != 1 or not g.size or not (g > 0).all():
-        raise ValueError("gammas must be a nonempty sequence of positive numbers")
+    if g.ndim != 1 or not g.size or not (np.isfinite(g) & (g > 0)).all():
+        raise ValueError("gammas must be a nonempty sequence of finite positive numbers")
     return g
 
 
-def heat_trace_index(m: GalerkinOperator | np.ndarray,
+def heat_trace_index(sv: np.ndarray, shape: tuple,
                      gammas: Sequence[float]) -> np.ndarray:
     """tr exp(-g M^* M) - tr exp(-g M M^*) for every g in gammas.
 
-    For a p x q matrix with k = min(p, q) singular values s_i, the spectrum
-    of M^*M is s_i^2 padded with q - k zeros and that of MM^* is s_i^2
-    padded with p - k zeros.
+    ``sv`` are the k = min(p, q) singular values s_i of a p x q matrix M
+    (``singular_value_census`` returns them): the spectrum of M^*M is s_i^2
+    padded with q - k zeros and that of MM^* is s_i^2 padded with p - k
+    zeros.
     """
     g = _positive_gammas(gammas)
-    mat = m.matrix if isinstance(m, GalerkinOperator) else np.asarray(m)
-    p, q = mat.shape
-    sv = np.linalg.svd(mat, compute_uv=False) if min(p, q) else np.zeros(0)
+    p, q = shape
     k = sv.size
     decay = np.exp(-np.outer(g, sv ** 2)).sum(axis=1)
     return (decay + (q - k)) - (decay + (p - k))
 
 
 def singular_value_census(mat: np.ndarray, rel_tol: float) -> dict:
-    """Rank decision data: kernel/cokernel dimensions and the spectral gap."""
+    """Rank decision data from one SVD: kernel/cokernel dimensions, the
+    spectral gap and the singular values themselves."""
     p, q = mat.shape
     sv = np.linalg.svd(mat, compute_uv=False) if min(p, q) else np.zeros(0)
     smax = float(sv[0]) if sv.size else 0.0
@@ -93,6 +93,7 @@ def singular_value_census(mat: np.ndarray, rel_tol: float) -> dict:
         "discarded_max": discarded_max,
         "gap": gap,
         "marginal": gap < MARGINAL_GAP,
+        "singular_values": sv,
     }
 
 
@@ -223,16 +224,17 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                         cache=None) -> IndexReport:
     """Run all three index routes per (band, gamma) cell.
 
-    Each band's truncation, singular values and density eigenvalues are
-    computed once for all gammas.  Verdict "stable" requires the kernel
-    count to be constant across the two largest bands and the heat trace to
-    match it within 1e-6 at every gamma.  Per-band and per-cell failures
-    are recorded without aborting the sweep.
+    Each band's truncation, SVD and density eigenvalues are computed once
+    for all gammas.  Verdict "stable" requires the kernel count to be
+    constant across the two largest bands and the heat trace to match it
+    within 1e-6 at every gamma.  Gammas must be finite and positive
+    (ValueError).  Per-band and per-cell failures are recorded without
+    aborting the sweep.
     """
-    if not bands or not gammas:
-        raise ValueError("bands and gammas must be nonempty")
+    if not bands:
+        raise ValueError("bands must be nonempty")
     bands = sorted(int(b) for b in bands)
-    gammas = [float(g) for g in gammas]
+    gammas = _positive_gammas(gammas).tolist()
     report = IndexReport(operator_desc or sigma.describe, sigma.group)
     kernel_by_band = {}
     heat_ok = True
@@ -242,7 +244,8 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                      if reduce_order and sigma.order != 0
                      else index_truncation(sigma, band, cache=cache))
             census = singular_value_census(trunc.matrix, rel_tol)
-            heats = heat_trace_index(trunc, gammas)
+            heats = heat_trace_index(census["singular_values"], trunc.matrix.shape,
+                                     gammas)
             kcount = census["ker_dim"] - census["coker_dim"]
             kernel_by_band[band] = kcount
             level = trunc.meta.get("level")

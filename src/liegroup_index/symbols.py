@@ -22,7 +22,6 @@ on the torus this reduces to the exact shift rule
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -472,19 +471,6 @@ class EllipticityReport:
     threshold: float
     smin_margin: float         # smallest retained singular value
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "order": self.order,
-            "constant": self.constant,
-            "elliptic": self.elliptic,
-            "threshold": self.threshold,
-            "smin_margin": self.smin_margin,
-            "bad_labels": [list(l) for l in self.bad_labels],
-            "doubled_bad_labels": None if self.doubled_bad_labels is None
-            else [list(l) for l in self.doubled_bad_labels],
-            "bad_sites": self.bad_sites,
-        }, sort_keys=True)
-
 
 def ellipticity_check(sigma: MatrixSymbol, m: float,
                       dual: Sequence[IrrepLabel], grid: QuadratureRule,
@@ -556,9 +542,6 @@ class DiagnosticTable:
     order: float
     rows: list  # dicts: alpha, beta, constant
 
-    def to_json(self) -> str:
-        return json.dumps({"order": self.order, "rows": self.rows}, sort_keys=True)
-
     def constant(self, alpha, beta) -> float:
         for row in self.rows:
             if tuple(row["alpha"]) == tuple(alpha) and tuple(row["beta"]) == tuple(beta):
@@ -578,22 +561,15 @@ def _multi_indices(dim: int, total_max: int):
 def _x_derivative_sup(sigma: MatrixSymbol, alpha: tuple, xi: IrrepLabel,
                       grid: QuadratureRule, h: float) -> float:
     """sup over grid nodes of the operator norm of d_x^alpha sigma(., xi)."""
-    if not any(alpha):
-        vals = sigma.evaluate_on_rule(grid, xi)
-        return float(np.linalg.norm(vals, 2, axis=(1, 2)).max())
-    directions = []
-    for jdir, count in enumerate(alpha):
-        directions.extend([jdir] * count)
+    def derivative(f, j):
+        return lambda rule: left_invariant_derivative(f, j, rule, h=h)
 
-    def deriv(dirs, x):
-        # nested central differences of the whole d x d matrix
-        if not dirs:
-            return sigma.evaluate(x, xi)
-        j, rest = dirs[0], dirs[1:]
-        return left_invariant_derivative(lambda p: deriv(rest, p), j, x, h=h)
-
-    return max(float(np.linalg.norm(deriv(directions, x), 2))
-               for x in grid.iter_nodes())
+    # nested central differences of the whole d x d matrices on the whole
+    # grid, the first direction outermost
+    f = lambda rule: sigma.evaluate_on_rule(rule, xi)
+    for j in reversed([j for j, count in enumerate(alpha) for _ in range(count)]):
+        f = derivative(f, j)
+    return float(np.linalg.norm(f(grid), 2, axis=(1, 2)).max())
 
 
 def symbol_class_diagnostic(sigma: MatrixSymbol, m: float, alpha_max: int,

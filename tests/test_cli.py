@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,6 +25,14 @@ def winding_config(k=1, cutoffs=(8, 16)):
         "cutoffs": list(cutoffs),
         "gammas": [0.1, 1.0, 10.0],
     }
+
+
+def test_cli_import_needs_numpy_only():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, liegroup_index.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_canonical_json_formatting():
@@ -108,6 +120,20 @@ def test_index_rejects_booleans_and_bad_levels(tmp_path, capsys, patch, fragment
     cfg = write_config(tmp_path, "bad.json", dict(winding_config(), **patch))
     assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gammas", [[math.inf], [math.nan], [1.0, -math.inf]])
+def test_index_rejects_non_finite_gammas(tmp_path, capsys, gammas):
+    # a T^1 table multiplier with a zero entry: at gamma = inf its heat
+    # trace is NaN, and a NaN passes the heat tolerance check
+    table = [{"label": [l], "re": 0.0 if l == 0 else 1.0} for l in range(-2, 3)]
+    cfg = write_config(tmp_path, "bad.json", {
+        "group": {"kind": "torus", "n": 1},
+        "operator": {"op": "multiplier", "table": table},
+        "cutoffs": [1, 2], "gammas": gammas})
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert "config.gammas" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
     assert not (tmp_path / "out").exists()
 
 
@@ -337,8 +363,6 @@ def test_benchmark_tracer_targets_resolve_and_restore(tmp_path):
     # the benchmark's tracer wraps functions by name in every package module;
     # a renamed or deleted target would only surface in a traced benchmark run
     import importlib.util
-    import pathlib
-    import sys
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)

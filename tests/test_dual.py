@@ -101,49 +101,95 @@ def test_schur_orthogonality_su2(rule_su2):
 
 
 def test_left_invariant_derivative_torus_analytic_oracle(t1):
-    x = li.torus_point(t1, [0.37])
+    x = li.point_rule(li.torus_point(t1, [0.37]))
     for l in (1, 2, 3):
         lab = li.torus_label(t1, [l])
-        f = lambda p: li.rep_matrix(lab, p)[0, 0]
-        fd = li.left_invariant_derivative(f, 0, x, h=1e-5)
-        assert abs(fd - 2j * np.pi * l * f(x)) <= 1e-6
+        f = lambda r: li.rep_matrices_on_rule(lab, r)[:, 0, 0]
+        fd = li.left_invariant_derivative(f, 0, x, h=1e-5)[0]
+        assert abs(fd - 2j * np.pi * l * f(x)[0]) <= 1e-6
 
 
 def test_left_invariant_derivative_constant_is_zero():
-    x = li.identity(li.SU2)
+    x = li.point_rule(li.identity(li.SU2))
     for j in range(3):
-        assert abs(li.left_invariant_derivative(lambda p: 1.0, j, x)) <= 1e-12
+        d = li.left_invariant_derivative(lambda r: np.ones(r.n_nodes), j, x)[0]
+        assert abs(d) <= 1e-12
 
 
 def test_richardson_improves_step_error(t1):
-    x = li.torus_point(t1, [0.11])
+    x = li.point_rule(li.torus_point(t1, [0.11]))
     lab = li.torus_label(t1, [3])
-    f = lambda p: li.rep_matrix(lab, p)[0, 0]
-    exact = 2j * np.pi * 3 * f(x)
-    plain = abs(li.left_invariant_derivative(f, 0, x, h=1e-3) - exact)
-    rich = abs(li.left_invariant_derivative(f, 0, x, h=1e-3, richardson=True) - exact)
+    f = lambda r: li.rep_matrices_on_rule(lab, r)[:, 0, 0]
+    exact = 2j * np.pi * 3 * f(x)[0]
+    plain = abs(li.left_invariant_derivative(f, 0, x, h=1e-3)[0] - exact)
+    rich = abs(li.left_invariant_derivative(f, 0, x, h=1e-3, richardson=True)[0] - exact)
     assert rich < plain
 
 
 def test_fd_casimir_su2(rng):
     # sum_j d_j^2 t_l = -l(l+1) t_l validates the Casimir normalization
-    x = random_su2_point(rng)
+    x = li.point_rule(random_su2_point(rng))
     for n in (1, 2, 3, 4):  # l <= 2
         lab = li.su2_label(n)
-        d = lab.dim
-        t = li.rep_matrix(lab, x)
-        lap = np.array([[li.laplacian_fd(
-            lambda p, i=i, j=j: li.rep_matrix(lab, p)[i, j], x)
-            for j in range(d)] for i in range(d)])
+        t = li.rep_matrices_on_rule(lab, x)[0]
+        lap = li.laplacian_fd(lambda r: li.rep_matrices_on_rule(lab, r), x)[0]
         assert np.abs(lap + lab.casimir * t).max() <= 1e-5
 
 
 def test_fd_casimir_torus(t2):
-    x = li.torus_point(t2, [0.2, 0.7])
+    x = li.point_rule(li.torus_point(t2, [0.2, 0.7]))
     lab = li.torus_label(t2, [1, -2])
-    f = lambda p: li.rep_matrix(lab, p)[0, 0]
-    lap = li.laplacian_fd(f, x, h=1e-4)
-    assert abs(lap / f(x) + lab.casimir) <= 1e-4 * lab.casimir
+    f = lambda r: li.rep_matrices_on_rule(lab, r)[:, 0, 0]
+    lap = li.laplacian_fd(f, x, h=1e-4)[0]
+    assert abs(lap / f(x)[0] + lab.casimir) <= 1e-4 * lab.casimir
+
+
+@pytest.mark.parametrize("group", [li.SU2, li.torus(2)])
+def test_fd_casimir_on_whole_grid(group):
+    # one Laplacian call differentiates every node of a Haar grid at once
+    rule = li.haar_quadrature(group, 3)
+    for lab in li.labels_for_band(group, 2):
+        t = li.rep_matrices_on_rule(lab, rule)
+        lap = li.laplacian_fd(lambda r: li.rep_matrices_on_rule(lab, r), rule)
+        assert lap.shape == t.shape
+        assert np.abs(lap + lab.casimir * t).max() <= 1e-5 * (1.0 + lab.casimir)
+
+
+def test_flow_rule_su2_carries_products(rule_su2):
+    y = li.lie_basis(li.SU2).generators[1]
+    s = 0.3
+    flowed = li.flow_rule(rule_su2, y, s)
+    # exp(s Y) for Y = -i/2 sigma_y in closed form
+    e = np.cos(s / 2) * np.eye(2) - 1j * np.sin(s / 2) * np.array([[0, -1j], [1j, 0]])
+    np.testing.assert_allclose(flowed.matrices, rule_su2.defining_matrices() @ e,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(flowed.weights, rule_su2.weights)
+    np.testing.assert_array_equal(flowed.node(5).matrix, flowed.matrices[5])
+    # the recovered charts rebuild the flowed matrices up to the chart round trip
+    rebuilt = li.QuadratureRule(li.SU2, 0, flowed.charts, flowed.weights)
+    assert np.abs(rebuilt.defining_matrices() - flowed.matrices).max() <= 1e-7
+
+
+def test_flow_rule_su3_grid_matches_points():
+    rule = li.haar_quadrature(li.SU3, 2)
+    y = li.lie_basis(li.SU3).generators[7]
+    flowed = li.flow_rule(rule, y, 0.2)
+    assert np.isnan(flowed.charts).all()
+    # Y = -i/2 lambda_8 is diagonal, so exp(s Y) is too
+    e = np.diag(np.exp(-0.1j * np.array([1.0, 1.0, -2.0]) / np.sqrt(3.0)))
+    for k in (0, 17, rule.n_nodes - 1):
+        np.testing.assert_allclose(flowed.matrices[k], rule.node(k).matrix @ e,
+                                   rtol=0, atol=1e-14)
+    unitarity = np.abs(np.einsum("kij,klj->kil", flowed.matrices, flowed.matrices.conj())
+                       - np.eye(3)).max()
+    assert unitarity <= 1e-12
+
+
+def test_flow_rule_torus_shifts_mod_one(t1):
+    rule = li.haar_quadrature(t1, 4)
+    flowed = li.flow_rule(rule, li.lie_basis(t1).generators[0], -0.3)
+    np.testing.assert_allclose(flowed.charts[:, 0], [0.7, 0.95, 0.2, 0.45], atol=1e-15)
+    assert flowed.matrices is None
 
 
 def test_lie_basis_antihermitian_traceless():

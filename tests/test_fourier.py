@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -149,15 +148,6 @@ def test_sobolev_norms(t1, rule_t1):
     ce = li.fourier_forward(e1, labels)
     assert li.sobolev_norm(ce, 0.0) == li.plancherel_norm(ce)
     assert li.sobolev_norm(ce, 1.0) == pytest.approx(np.sqrt(1 + 4 * np.pi ** 2), abs=1e-8)
-
-
-def test_coefficients_json_round_trip(rule_su2, rng):
-    f = band_limited_su2(rule_su2, rng, 2)
-    c = li.fourier_forward(f, li.labels_for_band(li.SU2, 2))
-    data = json.loads(c.to_json())
-    assert len(data["entries"]) == 3
-    m = np.array(data["entries"][2]["re"]) + 1j * np.array(data["entries"][2]["im"])
-    np.testing.assert_allclose(m, c[li.su2_label(2)])
 
 
 def test_forward_of_inverse_recovers_coefficients(rule_su2, rng):

@@ -138,6 +138,15 @@ def test_su3_mass_against_printed_density():
     assert abs(float(rule.weights.sum()) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
+def test_jacobi01_rule_exactness(n):
+    # Gauss rule for u du on [0, 1]: exact for u^k, k <= 2n - 1
+    from liegroup_index.groups import _jacobi01_rule
+    u, w = _jacobi01_rule(n)
+    for k in range(2 * n):
+        assert abs(float(np.sum(w * u ** k)) - 1.0 / (k + 2)) <= 1e-14
+
+
 def test_node_materialization(rule_su2):
     p = rule_su2.node(17)
     assert p.unitarity_defect() <= 1e-12

@@ -24,15 +24,22 @@ def planted_matrix(rng, max_dim=40):
     return (u * sv) @ v.conj().T, q - r, p - r
 
 
+def heat_traces(m, gammas):
+    """The heat trace route from the singular values of the census."""
+    mat = m.matrix if isinstance(m, li.GalerkinOperator) else m
+    census = li.singular_value_census(mat, 1e-10)
+    return li.heat_trace_index(census["singular_values"], mat.shape, gammas)
+
+
 def test_heat_trace_zero_matrix():
-    assert li.heat_trace_index(np.zeros((5, 9)), [1.0])[0] == pytest.approx(4.0)
+    assert heat_traces(np.zeros((5, 9)), [1.0])[0] == pytest.approx(4.0)
     assert li.kernel_count_index(np.zeros((5, 9))) == 4
 
 
 def test_heat_trace_planted(rng):
     for _ in range(40):
         m, ker, coker = planted_matrix(rng, 25)
-        heats = li.heat_trace_index(m, [0.1, 1.0, 10.0])
+        heats = heat_traces(m, [0.1, 1.0, 10.0])
         assert heats.shape == (3,)
         for heat in heats:
             assert abs(heat - (ker - coker)) <= 1e-8
@@ -40,21 +47,41 @@ def test_heat_trace_planted(rng):
 
 def test_heat_trace_gamma_invariance(rng):
     m, _, _ = planted_matrix(rng, 30)
-    base, *rest = li.heat_trace_index(m, [0.01, 0.05, 0.5, 5.0, 50.0, 100.0])
+    base, *rest = heat_traces(m, [0.01, 0.05, 0.5, 5.0, 50.0, 100.0])
     for heat in rest:
         assert abs(heat - base) <= 1e-8
 
 
 def test_heat_trace_rejects_bad_gamma():
     with pytest.raises(ValueError):
-        li.heat_trace_index(np.eye(3), [1.0, 0.0])
+        heat_traces(np.eye(3), [1.0, 0.0])
+
+
+NON_FINITE_GAMMAS = [[math.inf], [math.nan], [1.0, -math.inf]]
+
+
+@pytest.mark.parametrize("gammas", NON_FINITE_GAMMAS)
+def test_heat_trace_rejects_non_finite_gammas(gammas):
+    with pytest.raises(ValueError):
+        heat_traces(np.eye(3), gammas)
+
+
+@pytest.mark.parametrize("gammas", NON_FINITE_GAMMAS)
+def test_sweep_rejects_non_finite_gammas(t1, gammas):
+    # a T^1 multiplier with one zero eigenvalue: at gamma = inf the heat
+    # trace would be NaN, which no tolerance check catches
+    table = {l: np.array([[0j if l.label == (0,) else 1.0 + 0j]])
+             for l in li.labels_for_band(t1, 4)}
+    sym = li.table_symbol(t1, table)
+    with pytest.raises(ValueError):
+        li.stabilization_sweep(sym, li.conjugate_transpose_symbol(sym), [2, 3], gammas)
 
 
 def test_mckean_singer_identity(rng):
     # finite-dimensional identity between the two matrix routes
     for _ in range(50):
         m, _, _ = planted_matrix(rng, 30)
-        (heat,) = li.heat_trace_index(m, [1.0])
+        (heat,) = heat_traces(m, [1.0])
         count = li.kernel_count_index(m, 1e-10)
         assert abs(heat - count) <= 1e-8
 
@@ -69,7 +96,7 @@ def test_kernel_count_identity_assembly(t1):
 def test_kernel_count_winding(t1, k):
     m = li.index_truncation(li.winding_symbol(t1, k), 16)
     assert li.kernel_count_index(m) == -k
-    assert abs(li.heat_trace_index(m, [1.0])[0] - (-k)) <= 1e-8
+    assert abs(heat_traces(m, [1.0])[0] - (-k)) <= 1e-8
 
 
 def test_kernel_count_rel_tol_validation():
