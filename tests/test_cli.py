@@ -120,6 +120,7 @@ def test_index_rejects_booleans_and_bad_levels(tmp_path, capsys, patch, fragment
     cfg = write_config(tmp_path, "bad.json", dict(winding_config(), **patch))
     assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("gammas", [[math.inf], [math.nan], [1.0, -math.inf]])
@@ -133,7 +134,6 @@ def test_index_rejects_non_finite_gammas(tmp_path, capsys, gammas):
         "cutoffs": [1, 2], "gammas": gammas})
     assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     assert "config.gammas" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "report.json").exists()
     assert not (tmp_path / "out").exists()
 
 
