@@ -152,7 +152,7 @@ def validate_index_config(cfg: dict) -> dict:
     gammas = cfg.get("gammas", [1.0])
     if (not isinstance(gammas, list) or not gammas
             or not all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                       and 0 < g < math.inf for g in gammas)):
+                       and 0 < g <= sys.float_info.max for g in gammas)):
         raise ConfigError("config.gammas",
                           "need a nonempty list of finite positive numbers")
     rel_tol = cfg.get("rel_tol", 1e-10)
@@ -271,10 +271,14 @@ def _check_rows_schur(group: GroupSpec, band: int, level) -> list:
         raise ConfigError("config.group", "schur check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
     basis = basis_for_band(group, band)
-    gram = gram_matrix(basis, haar_quadrature(group, level))
-    err = float(np.abs(gram - np.eye(basis.size)).max())
+    gram, off_energy = gram_matrix(basis, haar_quadrature(group, level))
+    # Cauchy-Schwarz bound on the dense max|G - I|, off-mode parts included
+    off, on = float(off_energy.max()), float(gram.diagonal().real.max())
+    gram[np.diag_indices(basis.size)] -= 1.0
+    err = float(np.abs(gram).max()) + 2.0 * math.sqrt(off * on) + off
     return [{"name": f"schur_band_{band}_level_{level}", "error": err,
-             "tolerance": 1e-8}]
+             "tolerance": 1e-8},
+            {"name": "off_mode_energy", "error": off, "tolerance": 1e-18}]
 
 
 def _check_rows_ellipticity(cfg: dict, group: GroupSpec, band: int, level) -> list:

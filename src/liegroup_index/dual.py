@@ -207,10 +207,11 @@ def su2_rep_matrices(twice_spin: int, g: np.ndarray) -> np.ndarray:
             p[q] = p[q - 1] * e
         powers.append(p)
     p11, p12, p21, p22 = powers
-    out = np.zeros(batch + (n + 1, n + 1), dtype=complex)
+    # entry-major accumulation writes contiguous rows; the result is a view
+    out = np.zeros((n + 1, n + 1) + batch, dtype=complex)
     for j, k, coeff, e11, e21, e12, e22 in _su2_expansion_terms(n):
-        out[..., j, k] += coeff * p11[e11] * p21[e21] * p12[e12] * p22[e22]
-    return out
+        out[j, k] += coeff * p11[e11] * p21[e21] * p12[e12] * p22[e22]
+    return np.moveaxis(out, (0, 1), (-2, -1))
 
 
 def rep_matrix(xi: IrrepLabel, x: GroupPoint) -> np.ndarray:

@@ -6,8 +6,8 @@ Plancherel norm:     ( sum_xi d_xi ||fhat(xi)||_HS^2 )^(1/2)
 
 The quadrature level must resolve the band of f against the requested dual
 (see ``groups.min_level_for_band``); the transforms themselves are plain
-weighted sums, deterministic in label order.  The torus FFT is used only as
-a test oracle, never here.
+weighted sums, deterministic in label order; the package's one FFT is the
+Schur check's (``galerkin.gram_matrix``), along a rule's uniform axis.
 """
 
 from __future__ import annotations

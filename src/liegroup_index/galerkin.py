@@ -1,11 +1,12 @@
 """Peter-Weyl bases and rectangular Galerkin assembly.
 
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
-they are orthonormal under Haar quadrature at the documented level.  An
-operator is assembled label by label: the images of the d_xi^2 domain basis
-elements of a label are the entries of sqrt(d_xi) xi(x) sigma(x, xi), which
-one batched product evaluates on the grid and one matrix product projects
-onto the codomain basis by quadrature.
+they are orthonormal under Haar quadrature at the documented level, which
+``gram_matrix`` checks by one FFT along the rule's uniform axis and one Gram
+block per mode.  An operator is assembled label by label: the images of the
+d_xi^2 domain basis elements of a label are the entries of sqrt(d_xi) xi(x)
+sigma(x, xi), which one batched product evaluates on the grid and one matrix
+product projects onto the codomain basis by quadrature.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -31,7 +32,7 @@ import numpy as np
 from . import __version__
 from .dual import IrrepLabel, labels_for_band, rep_matrices_on_rule
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
-                     haar_quadrature, min_level_for_band)
+                     haar_quadrature, min_level_for_band, uniform_axis_length)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
@@ -95,12 +96,9 @@ class PeterWeylBasis:
         """All basis functions sampled on the rule, shape (size, n_nodes)."""
         rows = np.empty((self.size, rule.n_nodes), dtype=complex)
         for xi in self.labels:
-            reps = rep_matrices_on_rule(xi, rule)
-            base = self.offsets[xi]
-            scale = math.sqrt(xi.dim)
-            for i in range(xi.dim):
-                for j in range(xi.dim):
-                    rows[base + i * xi.dim + j] = scale * reps[:, i, j]
+            d, pos = xi.dim, self.offsets[xi]
+            np.multiply(math.sqrt(d), np.moveaxis(rep_matrices_on_rule(xi, rule), 0, -1),
+                        out=rows[pos:pos + d * d].reshape(d, d, rule.n_nodes))
         return rows
 
     def positions(self, labels) -> np.ndarray:
@@ -239,12 +237,43 @@ def compose(g1: GalerkinOperator, g2: GalerkinOperator) -> GalerkinOperator:
                             {"compose": [g1.meta, g2.meta]})
 
 
-def gram_matrix(basis: PeterWeylBasis, grid: Optional[QuadratureRule] = None) -> np.ndarray:
+def gram_matrix(basis: PeterWeylBasis,
+                grid: Optional[QuadratureRule] = None) -> tuple:
+    """(Gram matrix of the basis under the rule, off-mode energy of each row).
+
+    One FFT per label along the rule's uniform axis, whose weights must be
+    constant (else ValueError) and on which each basis entry has one charge
+    (torus: l[-1]; SU(2) entry (i, j): j - i), and one weighted Gram block per
+    mode, charge mod n_s, shared by aliased charges (Kostelec & Rockmore).
+    By Parseval only the returned off-mode energy is dropped.
+    """
     if grid is None:
         grid = haar_quadrature(basis.group,
                                min_level_for_band(basis.group, basis.band))
-    rows = basis.values_on_rule(grid)
-    return (rows * grid.weights) @ rows.conj().T
+    n_s = uniform_axis_length(grid.group, grid.level)
+    w = grid.weights.reshape(-1, n_s)
+    if np.any(w != w[:, :1]):
+        raise ValueError("rule weights vary along its uniform axis")
+    w = w[:, 0]
+    modes = np.empty(basis.size, dtype=int)
+    on_mode = np.empty((basis.size, len(w)), dtype=complex)
+    off_energy = np.empty(basis.size)
+    for xi in basis.labels:
+        d, pos = xi.dim, slice(basis.offsets[xi], basis.offsets[xi] + xi.dim ** 2)
+        reps = np.moveaxis(rep_matrices_on_rule(xi, grid), 0, -1)
+        spec = np.fft.fft(reps.reshape(d * d, len(w), n_s), norm="ortho")
+        charge = ([xi.label[-1]] if xi.group.kind == "torus"
+                  else (np.arange(d)[None, :] - np.arange(d)[:, None]).ravel())
+        m, k = np.mod(charge, n_s), np.arange(d * d)
+        energy = d * np.einsum("kam,a->km", np.abs(spec) ** 2, w)
+        energy[k, m] = 0.0
+        modes[pos], off_energy[pos] = m, energy.sum(axis=1)
+        on_mode[pos] = math.sqrt(d) * spec[k, :, m]
+    gram = np.zeros((basis.size, basis.size), dtype=complex)
+    for m in np.unique(modes):
+        rows = np.flatnonzero(modes == m)
+        gram[np.ix_(rows, rows)] = (on_mode[rows] * w) @ on_mode[rows].conj().T
+    return gram, off_energy
 
 
 # ---------------------------------------------------------------------------

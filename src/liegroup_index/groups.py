@@ -360,6 +360,12 @@ def _legendre01_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def uniform_axis_length(group: GroupSpec, level: int) -> int:
+    """Points on the innermost axis of the level's Haar rule: uniform, with
+    weights constant along it (torus: the last coordinate; SU(2): s)."""
+    return 2 * (level + 1) if group.kind == "su2" else level
+
+
 def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     """Product quadrature rule for the normalized Haar measure.
 
@@ -385,7 +391,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         # polynomials of degree < n_s).  Total mass is exactly
         # 2*(pi/2)*2*(2*pi) / (4*pi^2) = 1.
         n_gauss = level + 1
-        n_s = 2 * (level + 1)
+        n_s = uniform_axis_length(group, level)
         u, wu = _chebyshev_u_rule(n_gauss)
         p, wp = leggauss(n_gauss)
         s = 2.0 * np.pi * np.arange(n_s) / n_s

@@ -123,7 +123,8 @@ def test_index_rejects_booleans_and_bad_levels(tmp_path, capsys, patch, fragment
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("gammas", [[math.inf], [math.nan], [1.0, -math.inf]])
+@pytest.mark.parametrize("gammas", [[math.inf], [math.nan], [1.0, -math.inf],
+                                    [10 ** 400]])
 def test_index_rejects_non_finite_gammas(tmp_path, capsys, gammas):
     # a T^1 table multiplier with a zero entry: at gamma = inf its heat
     # trace is NaN, and a NaN passes the heat tolerance check
@@ -186,6 +187,16 @@ def test_check_suites_pass(tmp_path, which, group):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["pass"] is True
     assert (tmp_path / "out" / "tables" / f"check_{which}.csv").exists()
+
+
+def test_check_schur_reports_off_mode_energy(tmp_path):
+    cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su2"}, "band": 8})
+    assert main(["check", "--config", cfg, "--which", "schur",
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert [r["name"] for r in rows] == ["schur_band_8_level_8", "off_mode_energy"]
+    assert rows[0]["error"] <= 1e-13
+    assert rows[1]["error"] <= rows[1]["tolerance"] == 1e-18
 
 
 def test_check_su3_quadrature_level_six(tmp_path):

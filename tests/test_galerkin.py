@@ -23,8 +23,47 @@ def random_invariant_table(group, band, rng):
 def test_gram_identity(t1):
     for group, band in ((t1, 6), (li.SU2, 4), (li.torus(2), 2)):
         basis = li.basis_for_band(group, band)
-        gram = li.gram_matrix(basis)
+        gram, off_energy = li.gram_matrix(basis)
         assert np.abs(gram - np.eye(basis.size)).max() <= 1e-8
+        assert off_energy.max() <= 1e-18
+
+
+def dense_gram(basis, rule):
+    rows = basis.values_on_rule(rule)
+    return (rows * rule.weights) @ rows.conj().T
+
+
+@pytest.mark.parametrize("group,band", [
+    (li.torus(1), 6), (li.torus(2), 4), (li.SU2, 4), (li.SU2, 8)])
+def test_gram_blocks_match_dense_gram(group, band):
+    basis = li.basis_for_band(group, band)
+    rule = li.haar_quadrature(group, li.min_level_for_band(group, band))
+    gram, _ = li.gram_matrix(basis, rule)
+    assert np.abs(gram - dense_gram(basis, rule)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("group,band,level,error", [
+    (li.SU2, 8, 4, 1.59),
+    # level 7 on T^1: charges l and l - 7 alias to one mode and must
+    # share a block, where the dense Gram has an entry 1
+    (li.torus(1), 6, 7, 1.0)])
+def test_gram_blocks_fail_under_resolved_like_dense(group, band, level, error):
+    basis = li.basis_for_band(group, band)
+    rule = li.haar_quadrature(group, level)
+    gram, _ = li.gram_matrix(basis, rule)
+    eye = np.eye(basis.size)
+    dense_err = np.abs(dense_gram(basis, rule) - eye).max()
+    assert abs(np.abs(gram - eye).max() - dense_err) <= 1e-12
+    assert dense_err == pytest.approx(error, abs=0.01)
+
+
+def test_gram_rejects_weights_varying_on_uniform_axis():
+    rule = li.haar_quadrature(li.SU2, 2)
+    weights = rule.weights.copy()
+    weights[0] *= 1.5
+    bumped = li.QuadratureRule(rule.group, rule.level, rule.charts.copy(), weights)
+    with pytest.raises(ValueError, match="uniform axis"):
+        li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
 
 
 def test_basis_ordering_deterministic(t1):
