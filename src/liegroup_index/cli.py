@@ -31,9 +31,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .dual import enumerate_dual, labels_for_band, rep_matrices_on_rule
-from .fourier import (SampledFunction, fourier_forward, fourier_inverse_on_rule,
-                      l2_norm, plancherel_norm)
+from .dual import enumerate_dual, labels_for_band
+from .fourier import (FourierCoefficients, SampledFunction, fourier_forward,
+                      fourier_inverse_on_rule, l2_norm, plancherel_norm)
 from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
                        gram_matrix, read_cache_entry)
 from .groups import (GroupSpec, haar_quadrature, min_level_for_band, torus)
@@ -249,12 +249,9 @@ def _check_rows_plancherel(group: GroupSpec, band: int, level) -> list:
     level = level or min_level_for_band(group, band)
     rule = haar_quadrature(group, level)
     labels = labels_for_band(group, band)
-    values = np.zeros(rule.n_nodes, dtype=complex)
-    for xi in labels:
-        reps = rep_matrices_on_rule(xi, rule)
-        coef = (rng.standard_normal((xi.dim, xi.dim))
-                + 1j * rng.standard_normal((xi.dim, xi.dim)))
-        values += xi.dim * np.einsum("kij,ji->k", reps, coef)
+    coefs = {xi: rng.standard_normal((xi.dim, xi.dim))
+             + 1j * rng.standard_normal((xi.dim, xi.dim)) for xi in labels}
+    values = fourier_inverse_on_rule(FourierCoefficients(coefs, labels[-1].weight), rule)
     f = SampledFunction(rule, values)
     fhat = fourier_forward(f, labels)
     recon = fourier_inverse_on_rule(fhat, rule)

@@ -14,8 +14,10 @@ The SU(2) matrices are built as symmetric powers of the defining
 representation acting on homogeneous polynomials of degree n = 2l in two
 variables (orthonormal monomial basis).  With the action f -> f(z g) the
 twice-spin-1 matrix is the defining matrix itself, the construction is an
-exact homomorphism, and no special functions are involved.  The Casimir
-conventions above are the ones validated by the finite-difference
+exact homomorphism, and no special functions are involved.  On a Haar
+product rule every entry is a plane factor times one exact axis character
+(``rep_factors``), so the polynomial runs on the plane nodes only.  The
+Casimir conventions above are the ones validated by the finite-difference
 Laplacian oracle in the tests.
 """
 
@@ -29,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
-                     flow_rule, point_rule)
+                     _su2_matrices, flow_rule, point_rule)
 
 
 class UnsupportedFeatureError(NotImplementedError):
@@ -222,25 +224,78 @@ def rep_matrix(xi: IrrepLabel, x: GroupPoint) -> np.ndarray:
 def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
     """xi evaluated at every node of the rule, shape (n_nodes, d, d).
 
-    Results are memoized on the rule object (read-mostly dict; concurrent
-    duplicate computation is benign).
+    On a Haar product rule these are the plane factors times the exact axis
+    characters of their modes (``rep_factors``); on any other rule the SU(2)
+    polynomial and the torus exponential run on every node.
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
-    cache = rule._node_cache.setdefault("_reps", {})
+    if rule.axis_length is not None:
+        plane, modes = rep_factors(xi, rule)
+        chars = axis_characters(rule)[modes]                   # (d, d, n_s)
+        mats = np.moveaxis(plane, 0, -1)[..., None] * chars[:, :, None, :]
+        return np.moveaxis(mats.reshape(xi.dim, xi.dim, rule.n_nodes), -1, 0)
+    if xi.group.kind == "torus":
+        phases = 2.0 * math.pi * (rule.charts @ np.asarray(xi.label, dtype=float))
+        return np.exp(1j * phases)[:, None, None]
+    if xi.group.kind == "su2":
+        return su2_rep_matrices(xi.label[0], rule.defining_matrices())
+    raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+
+
+def axis_characters(rule: QuadratureRule) -> np.ndarray:
+    """Row q, column c: exp(2 pi i ((q c) mod n_s) / n_s), the charge-q
+    character at the n_s points of a Haar product rule's uniform axis.
+
+    Reducing the integer phase first gives exact roots of unity at every
+    charge.  Memoized on the rule; any other rule raises ValueError.
+    """
+    n_s = rule.axis_length
+    if n_s is None:
+        raise ValueError("the rule has no uniform axis: separating variables "
+                         "needs a Haar product rule (haar_quadrature)")
+    table = rule._node_cache.get("_axis")
+    if table is None:
+        c = np.arange(n_s)
+        table = _roots_of_unity(n_s)[np.outer(c, c) % n_s]
+        rule._node_cache["_axis"] = table
+    return table
+
+
+def _roots_of_unity(n: int) -> np.ndarray:
+    return np.exp(2j * math.pi * np.arange(n) / n)
+
+
+def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
+    """(plane, modes) of xi on a Haar product rule (Kostelec & Rockmore).
+
+    With n_s = rule.axis_length, entry (i, j) of xi at node a * n_s + c is
+    plane[a, i, j] * axis_characters(rule)[modes[i, j], c], where the mode
+    is the entry's charge mod n_s: j - i for SU(2) entry (i, j), l[-1] for
+    a torus label.  plane is xi on the nodes whose axis coordinate is 0:
+    the SU(2) polynomial on (level+1)^2 matrices, torus characters from the
+    reduced integer phase (k.l) mod level.  Memoized on the rule; any other
+    rule raises ValueError.
+    """
+    if xi.group != rule.group:
+        raise GroupMismatchError("label and rule belong to different groups")
+    n_s = axis_characters(rule).shape[0]
+    cache = rule._node_cache.setdefault("_factors", {})
     hit = cache.get(xi.label)
     if hit is not None:
         return hit
     if xi.group.kind == "torus":
-        phases = 2.0 * math.pi * (rule.charts @ np.asarray(xi.label, dtype=float))
-        mats = np.exp(1j * phases)[:, None, None]
+        k = np.rint(rule.charts[::n_s] * n_s).astype(int)
+        plane = _roots_of_unity(n_s)[(k @ np.asarray(xi.label)) % n_s][:, None, None]
+        charges = np.array([[xi.label[-1]]])
     elif xi.group.kind == "su2":
-        mats = su2_rep_matrices(xi.label[0], rule.defining_matrices())
+        plane = su2_rep_matrices(xi.label[0], _su2_matrices(rule.charts[::n_s]))
+        charges = np.arange(xi.dim)[None, :] - np.arange(xi.dim)[:, None]
     else:
         raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
-    mats.setflags(write=False)
-    cache[xi.label] = mats
-    return mats
+    plane.setflags(write=False)
+    cache[xi.label] = plane, charges % n_s
+    return cache[xi.label]
 
 
 # ---------------------------------------------------------------------------

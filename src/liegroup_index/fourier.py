@@ -5,9 +5,9 @@ Inversion:           f(x)     = sum_xi d_xi Tr(xi(x) fhat(xi))
 Plancherel norm:     ( sum_xi d_xi ||fhat(xi)||_HS^2 )^(1/2)
 
 The quadrature level must resolve the band of f against the requested dual
-(see ``groups.min_level_for_band``); the transforms themselves are plain
-weighted sums, deterministic in label order; the package's one FFT is the
-Schur check's (``galerkin.gram_matrix``), along a rule's uniform axis.
+(see ``groups.min_level_for_band``).  The rule must be a Haar product rule:
+both transforms separate variables, one contraction with the exact axis
+characters and one plane contraction per label (``dual.rep_factors``).
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dual import IrrepLabel, rep_matrices_on_rule
-from .groups import GroupMismatchError, QuadratureRule
+from .dual import IrrepLabel, axis_characters, rep_factors
+from .groups import QuadratureRule
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,27 +55,38 @@ class FourierCoefficients:
 
 
 def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCoefficients:
-    """Matrix Fourier coefficients of f over the given labels."""
+    """Matrix Fourier coefficients of f over the given labels.
+
+    One contraction of the weighted samples with the conjugate axis
+    characters along the rule's uniform axis, then one plane contraction
+    per label (``dual.rep_factors``); the rule must be a Haar product rule.
+    """
+    rule = f.rule
+    chars = axis_characters(rule)
+    # per plane node a and mode m: sum_c w f(a, c) conj(chi_m(c))
+    axis = (rule.weights * f.values).reshape(-1, len(chars)) @ chars.conj().T
     entries = {}
-    wf = f.rule.weights * f.values
     cutoff = 1.0
     for xi in dual:
-        if xi.group != f.rule.group:
-            raise GroupMismatchError("dual labels and samples belong to different groups")
-        reps = rep_matrices_on_rule(xi, f.rule)
-        # sum_k wf_k xi(x_k)^*  ->  conjugate-transpose contraction
-        entries[xi] = np.einsum("k,kij->ji", wf, reps.conj())
+        plane, modes = rep_factors(xi, rule)
+        entries[xi] = np.einsum("aij,aij->ji", plane.conj(), axis[:, modes])
         cutoff = max(cutoff, xi.weight)
     return FourierCoefficients(entries, cutoff)
 
 
 def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.ndarray:
-    """Inversion evaluated at every node, shape (n_nodes,)."""
-    out = np.zeros(rule.n_nodes, dtype=complex)
+    """Inversion evaluated at every node, shape (n_nodes,).
+
+    Per-mode plane sums, then one product with the axis characters; the
+    rule must be a Haar product rule.
+    """
+    chars = axis_characters(rule)
+    sums = np.zeros((rule.n_nodes // len(chars), len(chars)), dtype=complex)
     for xi in c.labels():
-        reps = rep_matrices_on_rule(xi, rule)
-        out += xi.dim * np.einsum("kij,ji->k", reps, c.entries[xi])
-    return out
+        plane, modes = rep_factors(xi, rule)
+        terms = xi.dim * plane * c.entries[xi].T
+        np.add.at(sums, (slice(None), modes.ravel()), terms.reshape(len(plane), -1))
+    return (sums @ chars).ravel()
 
 
 def plancherel_norm(c: FourierCoefficients) -> float:

@@ -2,11 +2,11 @@
 
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
 they are orthonormal under Haar quadrature at the documented level, which
-``gram_matrix`` checks by one FFT along the rule's uniform axis and one Gram
-block per mode.  An operator is assembled label by label: the images of the
-d_xi^2 domain basis elements of a label are the entries of sqrt(d_xi) xi(x)
-sigma(x, xi), which one batched product evaluates on the grid and one matrix
-product projects onto the codomain basis by quadrature.
+``gram_matrix`` checks from the plane factors (``dual.rep_factors``), one
+Gram block per axis mode.  An operator is assembled label by label: the
+images of the d_xi^2 domain basis elements of a label are the entries of
+sqrt(d_xi) xi(x) sigma(x, xi), which one batched product evaluates on the
+grid and one matrix product projects onto the codomain basis by quadrature.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -30,9 +30,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dual import IrrepLabel, labels_for_band, rep_matrices_on_rule
+from .dual import (IrrepLabel, axis_characters, labels_for_band, rep_factors,
+                   rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
-                     haar_quadrature, min_level_for_band, uniform_axis_length)
+                     haar_quadrature, min_level_for_band)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
@@ -241,16 +242,23 @@ def gram_matrix(basis: PeterWeylBasis,
                 grid: Optional[QuadratureRule] = None) -> tuple:
     """(Gram matrix of the basis under the rule, off-mode energy of each row).
 
-    One FFT per label along the rule's uniform axis, whose weights must be
-    constant (else ValueError) and on which each basis entry has one charge
-    (torus: l[-1]; SU(2) entry (i, j): j - i), and one weighted Gram block per
-    mode, charge mod n_s, shared by aliased charges (Kostelec & Rockmore).
-    By Parseval only the returned off-mode energy is dropped.
+    On a Haar product rule each basis entry is a plane factor times one
+    axis character (``dual.rep_factors``), so by Parseval along the axis the
+    Gram matrix is one weighted block of plane factors per mode, charge mod
+    n_s, shared by aliased charges (Kostelec & Rockmore).  Only the returned
+    off-mode energy is dropped: the plane energy times the off-mode DFT
+    energy of the row's sampled character, summed directly.  Any other rule,
+    or one whose weights vary along its axis, raises ValueError.
     """
     if grid is None:
         grid = haar_quadrature(basis.group,
                                min_level_for_band(basis.group, basis.band))
-    n_s = uniform_axis_length(grid.group, grid.level)
+    # row q: the DFT of the sampled charge-q character; on-mode entry q
+    spec = np.fft.fft(axis_characters(grid), norm="ortho")
+    n_s = len(spec)
+    on_char = spec.diagonal().copy()
+    np.fill_diagonal(spec, 0.0)
+    off_char = np.sum(np.abs(spec) ** 2, axis=1)
     w = grid.weights.reshape(-1, n_s)
     if np.any(w != w[:, :1]):
         raise ValueError("rule weights vary along its uniform axis")
@@ -260,15 +268,11 @@ def gram_matrix(basis: PeterWeylBasis,
     off_energy = np.empty(basis.size)
     for xi in basis.labels:
         d, pos = xi.dim, slice(basis.offsets[xi], basis.offsets[xi] + xi.dim ** 2)
-        reps = np.moveaxis(rep_matrices_on_rule(xi, grid), 0, -1)
-        spec = np.fft.fft(reps.reshape(d * d, len(w), n_s), norm="ortho")
-        charge = ([xi.label[-1]] if xi.group.kind == "torus"
-                  else (np.arange(d)[None, :] - np.arange(d)[:, None]).ravel())
-        m, k = np.mod(charge, n_s), np.arange(d * d)
-        energy = d * np.einsum("kam,a->km", np.abs(spec) ** 2, w)
-        energy[k, m] = 0.0
-        modes[pos], off_energy[pos] = m, energy.sum(axis=1)
-        on_mode[pos] = math.sqrt(d) * spec[k, :, m]
+        plane, modes_xi = rep_factors(xi, grid)
+        plane = math.sqrt(d) * np.moveaxis(plane, 0, -1).reshape(d * d, len(w))
+        m = modes_xi.ravel()
+        modes[pos], on_mode[pos] = m, plane * on_char[m, None]
+        off_energy[pos] = (np.abs(plane) ** 2 @ w) * off_char[m]
     gram = np.zeros((basis.size, basis.size), dtype=complex)
     for m in np.unique(modes):
         rows = np.flatnonzero(modes == m)

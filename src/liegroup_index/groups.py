@@ -15,6 +15,8 @@ Supported groups and their charts:
 All quadrature rules integrate against the *normalized* Haar measure: the
 weights of every rule sum to 1 up to roundoff, without any a-posteriori
 rescaling (the per-axis Gauss rules are exact for the angular densities).
+Haar rules record their plane-times-uniform-axis product structure
+(``QuadratureRule.axis_length``); flowed and one-node rules do not.
 """
 
 from __future__ import annotations
@@ -240,6 +242,11 @@ class QuadratureRule:
     theta1..theta3, phi1..phi5); ``weights`` are nonnegative and sum to 1
     up to roundoff.  ``matrices``, when given, holds the defining matrices
     at the nodes and replaces the ones rebuilt from the charts.
+    ``axis_length`` is set by ``haar_quadrature`` only: such a rule is a
+    plane times a uniform innermost axis (torus: the last coordinate; SU(2):
+    s; SU(3): phi5) of that many points with weights constant along it, node
+    a * axis_length + c sitting at plane node a and axis point c, so that
+    Peter-Weyl sums on it separate variables (``dual.rep_factors``).
     GroupPoint objects are materialized lazily.
     """
 
@@ -248,6 +255,7 @@ class QuadratureRule:
     charts: np.ndarray
     weights: np.ndarray
     matrices: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    axis_length: Optional[int] = None
     _node_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -360,12 +368,6 @@ def _legendre01_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def uniform_axis_length(group: GroupSpec, level: int) -> int:
-    """Points on the innermost axis of the level's Haar rule: uniform, with
-    weights constant along it (torus: the last coordinate; SU(2): s)."""
-    return 2 * (level + 1) if group.kind == "su2" else level
-
-
 def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     """Product quadrature rule for the normalized Haar measure.
 
@@ -383,7 +385,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         mesh = np.meshgrid(*([grid] * group.n), indexing="ij")
         charts = np.stack([m.ravel() for m in mesh], axis=1)
         weights = np.full(charts.shape[0], 1.0 / level ** group.n)
-        return QuadratureRule(group, level, charts, weights)
+        return QuadratureRule(group, level, charts, weights, axis_length=level)
 
     if group.kind == "su2":
         # u = cos(t/2) carries the measure factor sqrt(1-u^2) (Chebyshev-II),
@@ -391,7 +393,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         # polynomials of degree < n_s).  Total mass is exactly
         # 2*(pi/2)*2*(2*pi) / (4*pi^2) = 1.
         n_gauss = level + 1
-        n_s = uniform_axis_length(group, level)
+        n_s = 2 * n_gauss
         u, wu = _chebyshev_u_rule(n_gauss)
         p, wp = leggauss(n_gauss)
         s = 2.0 * np.pi * np.arange(n_s) / n_s
@@ -405,7 +407,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         charts = np.stack([tt.ravel(), nn.ravel(), ss.ravel()], axis=1)
         w = (2.0 * wu)[:, None, None] * wp[None, :, None] * ws / (4.0 * np.pi ** 2)
         weights = np.broadcast_to(w, shape).ravel().copy()
-        return QuadratureRule(group, level, charts, weights)
+        return QuadratureRule(group, level, charts, weights, axis_length=n_s)
 
     # SU(3): per-theta Gauss rules built through the substitution u = cos^2(theta)
     # (Gauss-Jacobi for the sin*cos^3 axis, Gauss-Legendre for the sin*cos axes),
@@ -432,7 +434,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         charts[:, ax] = np.broadcast_to(axes[ax].reshape(expand), shape).ravel()
         weights *= np.broadcast_to(waxes[ax].reshape(expand), shape).ravel()
     weights /= 2.0 * np.pi ** 5
-    return QuadratureRule(group, level, charts, weights)
+    return QuadratureRule(group, level, charts, weights, axis_length=n)
 
 
 def min_level_for_band(group: GroupSpec, band: int) -> int:

@@ -406,3 +406,15 @@ def test_benchmark_tracer_targets_resolve_and_restore(tmp_path):
     for (module, cls), attrs in classes.items():
         owner = getattr(modules[f"liegroup_index.{module}"], cls)
         assert all(vars(owner)[attr] is value for attr, value in attrs.items())
+
+
+def test_check_schur_circle_band_128_exact_roots(tmp_path):
+    # torus characters from the reduced integer phase are exact roots of
+    # unity; exp(2 pi i x l) drifts by 1e-13 at l = 128 on this rule
+    cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "torus", "n": 1},
+                                              "band": 128})
+    assert main(["check", "--config", cfg, "--which", "schur",
+                 "--out", str(tmp_path / "out")]) == 0
+    rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
+    assert rows[0]["name"] == "schur_band_128_level_257"
+    assert rows[0]["error"] <= 1e-14

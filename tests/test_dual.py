@@ -3,6 +3,7 @@ import pytest
 
 import liegroup_index as li
 from conftest import random_su2_point
+from liegroup_index.dual import su2_rep_matrices
 
 
 def test_enumerate_torus_cutoff_one(t1):
@@ -213,3 +214,34 @@ def test_rep_matrices_on_rule_checks_group_on_memo_hit(t1, rule_su2):
     assert li.rep_matrices_on_rule(li.su2_label(1), rule).shape[1:] == (2, 2)
     with pytest.raises(li.GroupMismatchError):
         li.rep_matrices_on_rule(li.torus_label(t1, [1]), rule)
+
+
+@pytest.mark.parametrize("level", [1, 8, 16])
+def test_factored_su2_reps_match_polynomial_on_every_node(level):
+    # independent oracle: the polynomial on every node's defining matrix
+    rule = li.haar_quadrature(li.SU2, level)
+    mats = rule.defining_matrices()
+    for n in range(17):
+        lab = li.su2_label(n)
+        np.testing.assert_allclose(li.rep_matrices_on_rule(lab, rule),
+                                   su2_rep_matrices(n, mats), rtol=0, atol=1e-13)
+        plane, modes = li.rep_factors(lab, rule)
+        assert plane.shape == ((level + 1) ** 2, n + 1, n + 1)
+        assert modes.min() >= 0 and modes.max() < rule.axis_length
+
+
+def test_torus_characters_on_haar_rule_are_exact_roots_of_unity(t1):
+    rule = li.haar_quadrature(t1, 257)
+    k = np.arange(257)
+    for l in (1, -5, 128):
+        chars = li.rep_matrices_on_rule(li.torus_label(t1, [l]), rule)[:, 0, 0]
+        np.testing.assert_array_equal(chars, np.exp(2j * np.pi * ((l * k) % 257) / 257))
+
+
+def test_flowed_and_point_rules_have_no_uniform_axis(rule_su2):
+    y = li.lie_basis(li.SU2).generators[0]
+    assert rule_su2.axis_length == 2 * (rule_su2.level + 1)
+    for rule in (li.flow_rule(rule_su2, y, 0.1), li.point_rule(rule_su2.node(3))):
+        assert rule.axis_length is None
+        with pytest.raises(ValueError, match="uniform axis"):
+            li.rep_factors(li.su2_label(1), rule)

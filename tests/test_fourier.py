@@ -173,3 +173,31 @@ def test_group_mismatch_in_forward(t1, rule_t1):
     with pytest.raises(li.GroupMismatchError):
         li.fourier_forward(li.SampledFunction(rule_t1, np.ones(rule_t1.n_nodes)),
                            [li.su2_label(0)])
+
+
+def per_node_copy(rule):
+    # the same nodes without the product structure: every node evaluated
+    # by the SU(2) polynomial or the torus exponential
+    return li.QuadratureRule(rule.group, rule.level, rule.charts, rule.weights)
+
+
+@pytest.mark.parametrize("group,band,level", [
+    (li.torus(1), 6, 13), (li.torus(2), 3, 7), (li.SU2, 5, 5)])
+def test_factored_transforms_match_per_node_einsum(group, band, level):
+    rng = np.random.default_rng(7)
+    rule = li.haar_quadrature(group, level)
+    plain = per_node_copy(rule)
+    labels = li.labels_for_band(group, band)
+    vals = rng.standard_normal(rule.n_nodes) + 1j * rng.standard_normal(rule.n_nodes)
+    fhat = li.fourier_forward(li.SampledFunction(rule, vals), labels)
+    coefs = {}
+    inverse = np.zeros(rule.n_nodes, dtype=complex)
+    for lab in labels:
+        reps = li.rep_matrices_on_rule(lab, plain)
+        ref = np.einsum("k,kij->ji", rule.weights * vals, reps.conj())
+        np.testing.assert_allclose(fhat[lab], ref, rtol=0, atol=1e-13)
+        coefs[lab] = rng.standard_normal(ref.shape) + 1j * rng.standard_normal(ref.shape)
+        inverse += lab.dim * np.einsum("kij,ji->k", reps, coefs[lab])
+    out = li.fourier_inverse_on_rule(li.FourierCoefficients(coefs, 1.0), rule)
+    # relative to the sample scale, as the CLI's round-trip error
+    assert np.abs(out - inverse).max() <= 1e-13 * max(np.abs(inverse).max(), 1.0)

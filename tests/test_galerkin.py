@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -407,3 +408,29 @@ def test_extracted_symbols_with_equal_describe_get_distinct_keys(t1, tmp_path):
     m2 = li.index_truncation(two, 3, cache=cache)
     assert cache.hits == 0
     np.testing.assert_allclose(m2.matrix, 2.0 * m1.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2])
+def test_separated_sums_reject_flowed_rule(group):
+    # a flowed rule keeps the level and the weights of the Haar rule
+    rule = li.haar_quadrature(group, 5)
+    flowed = li.flow_rule(rule, li.lie_basis(group).generators[0], 0.1)
+    assert flowed.level == rule.level
+    np.testing.assert_array_equal(flowed.weights, rule.weights)
+    labels = li.labels_for_band(group, 2)
+    with pytest.raises(ValueError, match="uniform axis"):
+        li.gram_matrix(li.basis_for_band(group, 2), flowed)
+    with pytest.raises(ValueError, match="uniform axis"):
+        li.fourier_forward(li.SampledFunction(flowed, np.ones(flowed.n_nodes)), labels)
+    coefs = li.FourierCoefficients({lab: np.eye(lab.dim) for lab in labels}, 1.0)
+    with pytest.raises(ValueError, match="uniform axis"):
+        li.fourier_inverse_on_rule(coefs, flowed)
+
+
+def test_gram_rejects_varying_weights_on_haar_structure():
+    rule = li.haar_quadrature(li.SU2, 2)
+    weights = rule.weights.copy()
+    weights[0] *= 1.5
+    bumped = dataclasses.replace(rule, weights=weights, _node_cache={})
+    with pytest.raises(ValueError, match="weights vary"):
+        li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
