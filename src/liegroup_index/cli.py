@@ -36,7 +36,8 @@ from .fourier import (FourierCoefficients, SampledFunction, fourier_forward,
                       fourier_inverse_on_rule, l2_norm, plancherel_norm)
 from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
                        gram_matrix, read_cache_entry)
-from .groups import (GroupSpec, haar_quadrature, min_level_for_band, torus)
+from .groups import (GroupSpec, haar_quadrature, haar_weights, min_level_for_band,
+                     torus)
 from .index_engine import stabilization_sweep, trace_via_symbol
 from .operators import BuiltinOperator, ConfigError, parse_operator
 from .symbols import ellipticity_check
@@ -317,12 +318,11 @@ def _check_rows_quadrature(group: GroupSpec, band: int, level) -> list:
     else:
         level = level or min_level_for_band(group, max(band, 1))
         tol = 1e-10
-    rule = haar_quadrature(group, level)
-    mass_err = abs(float(rule.weights.sum()) - 1.0)
-    rows = [{"name": f"mass_level_{level}", "error": mass_err, "tolerance": tol},
+    weights = haar_weights(group, level)
+    mass_err = abs(float(weights.sum()) - 1.0)
+    return [{"name": f"mass_level_{level}", "error": mass_err, "tolerance": tol},
             {"name": "weights_nonnegative",
-             "error": max(0.0, -float(rule.weights.min())), "tolerance": 0.0}]
-    return rows
+             "error": max(0.0, -float(weights.min())), "tolerance": 0.0}]
 
 
 CHECKS = {

@@ -21,6 +21,7 @@ Haar rules record their plane-times-uniform-axis product structure
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -368,6 +369,37 @@ def _legendre01_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _su3_axes(n: int) -> tuple:
+    """Per-axis (nodes, weights) of the SU(3) rule: theta through u = cos^2,
+    Gauss-Jacobi for sin*cos^3 (mass 1/4), Gauss-Legendre for sin*cos (1/2);
+    each phi uniform (2*pi)."""
+    (u1, w1), (u2, w2) = _jacobi01_rule(n), _legendre01_rule(n)
+    th1, th2 = np.arccos(np.sqrt(u1)), np.arccos(np.sqrt(u2))
+    phi = 2.0 * np.pi * np.arange(n) / n
+    return ([th1, th2, th2] + [phi] * 5,
+            [0.5 * w1, 0.5 * w2, 0.5 * w2] + [np.full(n, 2.0 * np.pi / n)] * 5)
+
+
+def haar_weights(group: GroupSpec, level: int) -> np.ndarray:
+    """The weights of ``haar_quadrature(group, level)``, without its charts:
+    the outer product of the per-axis weights (innermost axis last) over the
+    density's total mass (SU(2) 4*pi^2, SU(3) 2*pi^5), so they sum to 1 up
+    to roundoff exactly when that constant is right."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if group.kind == "torus":
+        return np.full(level ** group.n, 1.0 / level ** group.n)
+    if group.kind == "su2":
+        n_s = 2 * (level + 1)
+        axes = [2.0 * _chebyshev_u_rule(level + 1)[1], leggauss(level + 1)[1],
+                np.full(n_s, 2.0 * np.pi / n_s)]
+        mass = 4.0 * np.pi ** 2
+    else:
+        axes, mass = _su3_axes(level)[1], 2.0 * np.pi ** 5
+    weights = functools.reduce(np.multiply.outer, axes).ravel()
+    return np.divide(weights, mass, out=weights)
+
+
 def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     """Product quadrature rule for the normalized Haar measure.
 
@@ -376,15 +408,13 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     |l|_inf < level.  SU(2) rules are exact for any polynomial of total
     degree <= 2*level + 1 in the matrix coordinates (x1..x4); entries of
     t_l have degree 2l, so products from t_l and t_l' resolve whenever
-    2(l + l') <= 2*level + 1.
+    2(l + l') <= 2*level + 1.  The weights are ``haar_weights``.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    weights = haar_weights(group, level)
     if group.kind == "torus":
         grid = np.arange(level) / level
         mesh = np.meshgrid(*([grid] * group.n), indexing="ij")
         charts = np.stack([m.ravel() for m in mesh], axis=1)
-        weights = np.full(charts.shape[0], 1.0 / level ** group.n)
         return QuadratureRule(group, level, charts, weights, axis_length=level)
 
     if group.kind == "su2":
@@ -394,10 +424,8 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         # 2*(pi/2)*2*(2*pi) / (4*pi^2) = 1.
         n_gauss = level + 1
         n_s = 2 * n_gauss
-        u, wu = _chebyshev_u_rule(n_gauss)
-        p, wp = leggauss(n_gauss)
+        u, p = _chebyshev_u_rule(n_gauss)[0], leggauss(n_gauss)[0]
         s = 2.0 * np.pi * np.arange(n_s) / n_s
-        ws = 2.0 * np.pi / n_s
         t = 2.0 * np.arccos(np.clip(u, -1.0, 1.0))
         r = np.sqrt(np.maximum(1.0 - u ** 2, 0.0))
         shape = (n_gauss, n_gauss, n_s)
@@ -405,36 +433,14 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
         nn = np.broadcast_to(r[:, None, None] * p[None, :, None], shape)
         ss = np.broadcast_to(s[None, None, :], shape)
         charts = np.stack([tt.ravel(), nn.ravel(), ss.ravel()], axis=1)
-        w = (2.0 * wu)[:, None, None] * wp[None, :, None] * ws / (4.0 * np.pi ** 2)
-        weights = np.broadcast_to(w, shape).ravel().copy()
         return QuadratureRule(group, level, charts, weights, axis_length=n_s)
 
-    # SU(3): per-theta Gauss rules built through the substitution u = cos^2(theta)
-    # (Gauss-Jacobi for the sin*cos^3 axis, Gauss-Legendre for the sin*cos axes),
-    # uniform in each phi.  The per-axis masses are exact (1/4, 1/2, 1/2, (2*pi)^5)
-    # so multiplying by the density constant 1/(2*pi^5) gives total mass 1 up to
-    # roundoff; a wrong constant would show up directly in the weight sum.
-    n = level
-    u1, w1 = _jacobi01_rule(n)
-    u2, w2 = _legendre01_rule(n)
-    w1 = 0.5 * w1                   # mass 1/4 = integral of sin*cos^3
-    w2 = 0.5 * w2                   # mass 1/2 = integral of sin*cos
-    th1 = np.arccos(np.sqrt(u1))
-    th2 = np.arccos(np.sqrt(u2))
-    phi = 2.0 * np.pi * np.arange(n) / n
-    wphi = np.full(n, 2.0 * np.pi / n)
-    axes = [th1, th2, th2, phi, phi, phi, phi, phi]
-    waxes = [w1, w2, w2, wphi, wphi, wphi, wphi, wphi]
-    shape = (n,) * 8
-    charts = np.empty((n ** 8, 8))
-    weights = np.ones(n ** 8)
-    for ax in range(8):
-        expand = [1] * 8
-        expand[ax] = n
-        charts[:, ax] = np.broadcast_to(axes[ax].reshape(expand), shape).ravel()
-        weights *= np.broadcast_to(waxes[ax].reshape(expand), shape).ravel()
-    weights /= 2.0 * np.pi ** 5
-    return QuadratureRule(group, level, charts, weights, axis_length=n)
+    # SU(3): Bronzan angles on the per-axis rules of ``_su3_axes``
+    mesh = np.meshgrid(*_su3_axes(level)[0], indexing="ij", sparse=True)
+    charts = np.empty((level ** 8, 8))
+    for ax, m in enumerate(mesh):
+        charts[:, ax] = np.broadcast_to(m, (level,) * 8).ravel()
+    return QuadratureRule(group, level, charts, weights, axis_length=level)
 
 
 def min_level_for_band(group: GroupSpec, band: int) -> int:

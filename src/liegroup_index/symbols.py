@@ -148,11 +148,16 @@ def pointwise_symbol(group: GroupSpec,
                      x_bandwidth: int, describe: dict) -> MatrixSymbol:
     """Symbol c(x) * I of pointwise multiplication by a band-limited c.
 
-    ``coeff_on_rule`` samples c at every node of a rule.
+    ``coeff_on_rule`` samples c at every node of a rule.  c(x) does not
+    depend on the label, so the samples are memoized on the rule, keyed by
+    ``coeff_on_rule``: a census over many labels samples c once.
     """
 
     def on_rule(rule, xi):
-        vals = coeff_on_rule(rule)
+        vals = rule._node_cache.get(coeff_on_rule)
+        if vals is None:
+            vals = rule._node_cache[coeff_on_rule] = coeff_on_rule(rule)
+            vals.setflags(write=False)
         return vals[:, None, None] * np.eye(xi.dim)[None, :, :]
 
     return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, on_rule)
@@ -479,6 +484,8 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
 
     A site is non-invertible when its smallest singular value falls below
     rel_threshold times the largest singular value over the whole band.
+    At a label of dimension 1 the singular value is the modulus |sigma|;
+    larger labels take a batched SVD.
     The verdict requires the non-invertible label set to be unchanged when
     the band is doubled once (the finite-scale reading of "all but
     finitely many"), and the fitted constant to be finite.
@@ -488,7 +495,8 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
         smax_global = 0.0
         for xi in labels:
             sig = sigma.evaluate_on_rule(grid, xi)
-            sv = np.linalg.svd(sig, compute_uv=False)
+            sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
+                  else np.linalg.svd(sig, compute_uv=False))
             smin[xi] = sv[:, -1]
             smax_global = max(smax_global, float(sv[:, 0].max()))
         return smin, smax_global

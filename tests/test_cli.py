@@ -210,6 +210,22 @@ def test_check_su3_quadrature_level_six(tmp_path):
     assert mass_row["error"] <= 1e-6
 
 
+def test_check_su3_quadrature_builds_no_rule(tmp_path, monkeypatch):
+    # the mass check sums the rule's own weights; the 6^8 x 8 charts of the
+    # SU(3) level-6 rule are never built
+    def no_rule(*args, **kwargs):
+        raise AssertionError("haar_quadrature called")
+
+    monkeypatch.setattr(li.cli, "haar_quadrature", no_rule)
+    cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su3"}})
+    assert main(["check", "--config", cfg, "--which", "quadrature",
+                 "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [r["name"] for r in report["rows"]] == ["mass_level_6",
+                                                   "weights_nonnegative"]
+    assert all(r["pass"] for r in report["rows"])
+
+
 def test_check_ellipticity_pass_and_fail(tmp_path, capsys):
     good = write_config(tmp_path, "good.json", {
         "group": {"kind": "torus", "n": 1},

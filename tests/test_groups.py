@@ -138,6 +138,22 @@ def test_su3_mass_against_printed_density():
     assert abs(float(rule.weights.sum()) - 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize("group, levels", [
+    (li.torus(1), [1, 2, 7]), (li.torus(2), [1, 3, 5]), (li.SU2, [1, 2, 6]),
+    (li.SU3, [1, 2, 3])], ids=["T1", "T2", "SU2", "SU3"])
+def test_haar_weights_are_the_rule_weights(group, levels):
+    # one definition: the quadrature check sums these without building charts
+    from liegroup_index.groups import haar_weights
+    for level in levels:
+        weights = haar_weights(group, level)
+        rule_weights = li.haar_quadrature(group, level).weights
+        assert weights.shape == rule_weights.shape
+        assert weights.dtype == rule_weights.dtype
+        assert weights.tobytes() == rule_weights.tobytes()
+    with pytest.raises(ValueError):
+        haar_weights(group, 0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])
 def test_jacobi01_rule_exactness(n):
     # Gauss rule for u du on [0, 1]: exact for u^k, k <= 2n - 1

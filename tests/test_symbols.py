@@ -239,6 +239,108 @@ def test_ellipticity_stable_finite_bad_set(t1, rule, band):
     assert rep.elliptic
 
 
+def svd_census(sigma, m, dual, grid, rel_threshold=li.symbols.SINGULAR_REL_THRESHOLD):
+    """The census of ellipticity_check with np.linalg.svd on every label."""
+    def smallest(labels):
+        sv = {xi: np.linalg.svd(sigma.evaluate_on_rule(grid, xi), compute_uv=False)
+              for xi in labels}
+        return ({xi: s[:, -1] for xi, s in sv.items()},
+                max(float(s[:, 0].max()) for s in sv.values()))
+
+    smin, smax = smallest(dual)
+    threshold = rel_threshold * smax
+    bad_sites, bad_labels, constant, margin = [], [], 0.0, np.inf
+    for xi in dual:
+        bad = smin[xi] <= threshold
+        if bad.any():
+            bad_labels.append(xi.label)
+            bad_sites += [(int(k), list(xi.label), float(smin[xi][k]))
+                          for k in np.nonzero(bad)[0]]
+        good = smin[xi][~bad]
+        if good.size:
+            constant = max(constant, xi.weight ** m / float(good.min()))
+            margin = min(margin, float(good.min()))
+    doubled = li.enumerate_dual(sigma.group, 2.0 * max(xi.weight for xi in dual))
+    smin2, smax2 = smallest(doubled)
+    threshold2 = rel_threshold * max(smax, smax2)
+    doubled_bad = [xi.label for xi in doubled if (smin2[xi] <= threshold2).any()]
+    elliptic = (set(doubled_bad) == set(bad_labels) and np.isfinite(margin)
+                and np.isfinite(constant))
+    return dict(constant=constant, elliptic=elliptic, bad_sites=bad_sites,
+                bad_labels=bad_labels, doubled_bad_labels=doubled_bad,
+                threshold=threshold, smin_margin=margin if np.isfinite(margin) else 0.0)
+
+
+def _census_cases():
+    t1, t2 = li.torus(1), li.torus(2)
+    c1, w1 = li.torus_function(t1, {(0,): 2.0, (1,): 0.3 + 0.2j, (-1,): 0.1j})
+    c2, w2 = li.torus_function(t2, {(0, 0): 2.0, (1, 0): 0.4 - 0.1j,
+                                    (0, 1): -0.2 + 0.3j})
+    c3, w3 = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.35 + 0.1j),
+                              (2, 1, 0, -0.2j)])
+    laplacian = li.parse_operator({"op": "multiplier", "formula": "laplacian_plus_one"},
+                                  li.SU2, "op")
+    return {
+        "t1_pointwise": (li.pointwise_symbol(t1, c1, w1, {"k": "t1"}), 0.0,
+                         li.labels_for_band(t1, 6), li.haar_quadrature(t1, 21)),
+        "t2_pointwise": (li.pointwise_symbol(t2, c2, w2, {"k": "t2"}), 0.0,
+                         li.labels_for_band(t2, 4), li.haar_quadrature(t2, 9)),
+        "sin2pix": (multiplication_by_sin(t1), 0.0, li.labels_for_band(t1, 6),
+                    li.haar_quadrature(t1, 21)),
+        "su2_pointwise": (li.pointwise_symbol(li.SU2, c3, w3, {"k": "su2"}), 0.0,
+                          li.labels_for_band(li.SU2, 4), li.haar_quadrature(li.SU2, 6)),
+        "su2_laplacian_plus_one": (laplacian.symbol, laplacian.order,
+                                   li.labels_for_band(li.SU2, 4),
+                                   li.haar_quadrature(li.SU2, 4)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_census_cases()))
+def test_ellipticity_census_matches_svd_reference(case):
+    # d = 1 labels take the modulus, larger ones the batched SVD; the
+    # modulus and LAPACK's 1 x 1 singular value may differ in the last bit
+    sigma, m, dual, grid = _census_cases()[case]
+    ref = svd_census(sigma, m, dual, grid)
+    rep = li.ellipticity_check(sigma, m, dual, grid)
+    assert rep.elliptic == ref["elliptic"] == (case != "sin2pix")
+    assert rep.bad_labels == ref["bad_labels"]
+    assert rep.doubled_bad_labels == ref["doubled_bad_labels"]
+    assert [(s["node"], s["label"]) for s in rep.bad_sites] == \
+        [(k, label) for k, label, _ in ref["bad_sites"]]
+    np.testing.assert_allclose([s["smallest_sv"] for s in rep.bad_sites],
+                               [sv for _, _, sv in ref["bad_sites"]], rtol=1e-15)
+    for field in ("constant", "threshold", "smin_margin"):
+        np.testing.assert_allclose(getattr(rep, field), ref[field], rtol=1e-15)
+    if case == "sin2pix":
+        assert rep.bad_sites
+
+
+@pytest.mark.parametrize("group", [li.torus(2), li.SU2], ids=str)
+def test_pointwise_coefficient_sampled_once_per_rule(group):
+    if group.kind == "torus":
+        coeff, w = li.torus_function(group, {(0, 0): 2.0, (1, 0): 0.4j})
+        grid, dual = li.haar_quadrature(group, 9), li.labels_for_band(group, 4)
+    else:
+        coeff, w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 1, 0.3)])
+        grid, dual = li.haar_quadrature(group, 4), li.labels_for_band(group, 4)
+    calls = []
+
+    def counted(rule):
+        calls.append(rule)
+        return coeff(rule)
+
+    sigma = li.pointwise_symbol(group, counted, w, {"k": "counted"})
+    li.ellipticity_check(sigma, 0.0, dual, grid)
+    assert calls == [grid]  # both censuses, every label: one sample
+    flowed = li.flow_rule(grid, li.lie_basis(group).generators[0], 0.1)
+    for rule in (grid, flowed, grid, flowed):
+        for xi in dual[:3]:
+            vals = sigma.evaluate_on_rule(rule, xi)
+            np.testing.assert_array_equal(vals, coeff(rule)[:, None, None]
+                                          * np.eye(xi.dim))
+    assert calls == [grid, flowed]
+
+
 # --- symbol class diagnostics ------------------------------------------------
 
 def test_diagnostic_identity_constants(t1, band):
