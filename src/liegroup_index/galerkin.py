@@ -3,10 +3,10 @@
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
 they are orthonormal under Haar quadrature at the documented level, which
 ``gram_matrix`` checks from the plane factors (``dual.rep_factors``), one
-Gram block per axis mode.  An operator is assembled label by label: the
-images of the d_xi^2 domain basis elements of a label are the entries of
-sqrt(d_xi) xi(x) sigma(x, xi), which one batched product evaluates on the
-grid and one matrix product projects onto the codomain basis by quadrature.
+Gram block per axis mode.  An operator is assembled the same way: the
+images sqrt(d_xi) xi(x) sigma(x, xi) of each label's domain entries are
+evaluated on the grid, one FFT along the axis splits them into modes, and
+one matrix product per codomain mode projects them onto the codomain.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -38,7 +38,7 @@ from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 class AliasingError(ValueError):
@@ -150,11 +150,14 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
 
     Invariant symbols are assembled exactly block by block; otherwise the
     columns of each domain label are evaluated together on the grid and
-    projected by quadrature.  The grid defaults to the automatically chosen
-    resolving level.  When a column's image leaks out of the codomain band
-    (its quadrature energy exceeds its captured energy by more than 1e-12 +
-    1e-8 of the energy), an AliasingError names the first such column and
-    the required band.
+    projected by quadrature: one FFT of a label's images along the Haar
+    rule's uniform axis, then one plane-weighted product per codomain mode
+    for all columns, shared by aliased charges.  The grid defaults to the
+    automatically chosen resolving level; a rule without a uniform axis, or
+    whose weights vary along it, raises ValueError.  When a column's image
+    leaks out of the codomain band (its quadrature energy over every node
+    exceeds its captured energy by more than 1e-12 + 1e-8 of the energy),
+    an AliasingError names the first such column and the required band.
     """
     group = sigma.group
     if dom.group != group or cod.group != group:
@@ -188,23 +191,30 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
             f"grid level {grid.level} does not resolve the assembly; "
             f"need level >= {level}", cod.band)
 
-    cod_rows = cod.values_on_rule(grid)          # (cod.size, n_nodes)
-    proj = cod_rows.conj() * grid.weights        # row r: integral against b_r
-    mat = np.empty((cod.size, dom.size), dtype=complex)
+    # codomain row r at node a * n_s + c is rows[r, a] times the axis
+    # character of mode modes[r], so its quadrature against the images is a
+    # plane sum over their DFT along the axis, taken at that mode
+    rows, modes, w_plane = _plane_rows(cod, grid)
+    proj = rows.conj() * w_plane
+    n_plane = len(w_plane)
+    spec = np.empty((n_plane, grid.axis_length, dom.size), dtype=complex)
+    total = np.empty(dom.size)
     for xi in dom.labels:
-        d = xi.dim
+        d, cols = xi.dim, slice(dom.offsets[xi], dom.offsets[xi] + xi.dim ** 2)
         # column (xi, i, j) is the image of sqrt(d) xi_ij, i.e. the entry
         # sqrt(d) (xi(x) sigma(x, xi))[i, j] of the quantization sum
         vals = math.sqrt(d) * (rep_matrices_on_rule(xi, grid)
                                @ sigma.evaluate_on_rule(grid, xi))
         vals = vals.reshape(grid.n_nodes, d * d)
-        cols = proj @ vals
-        off = dom.offsets[xi]
-        mat[:, off:off + d * d] = cols
-        if check_aliasing:
-            _check_leak(grid.weights @ np.abs(vals) ** 2,
-                        np.sum(np.abs(cols) ** 2, axis=0),
-                        np.arange(off, off + d * d), dom.band + w)
+        total[cols] = grid.weights @ np.abs(vals) ** 2
+        spec[:, :, cols] = np.fft.fft(vals.reshape(n_plane, -1, d * d), axis=1)
+    mat = np.empty((cod.size, dom.size), dtype=complex)
+    for m in np.unique(modes):
+        rows_m = np.flatnonzero(modes == m)
+        mat[rows_m] = proj[rows_m] @ spec[:, m, :]
+    if check_aliasing:
+        _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
+                    np.arange(dom.size), dom.band + w)
     meta = {"level": grid.level, "invariant_fast_path": False,
             "symbol": sigma.describe}
     return GalerkinOperator(dom, cod, mat, meta)
@@ -255,29 +265,41 @@ def gram_matrix(basis: PeterWeylBasis,
                                min_level_for_band(basis.group, basis.band))
     # row q: the DFT of the sampled charge-q character; on-mode entry q
     spec = np.fft.fft(axis_characters(grid), norm="ortho")
-    n_s = len(spec)
     on_char = spec.diagonal().copy()
     np.fill_diagonal(spec, 0.0)
     off_char = np.sum(np.abs(spec) ** 2, axis=1)
-    w = grid.weights.reshape(-1, n_s)
-    if np.any(w != w[:, :1]):
-        raise ValueError("rule weights vary along its uniform axis")
-    w = w[:, 0]
-    modes = np.empty(basis.size, dtype=int)
-    on_mode = np.empty((basis.size, len(w)), dtype=complex)
-    off_energy = np.empty(basis.size)
-    for xi in basis.labels:
-        d, pos = xi.dim, slice(basis.offsets[xi], basis.offsets[xi] + xi.dim ** 2)
-        plane, modes_xi = rep_factors(xi, grid)
-        plane = math.sqrt(d) * np.moveaxis(plane, 0, -1).reshape(d * d, len(w))
-        m = modes_xi.ravel()
-        modes[pos], on_mode[pos] = m, plane * on_char[m, None]
-        off_energy[pos] = (np.abs(plane) ** 2 @ w) * off_char[m]
+    plane, modes, w = _plane_rows(basis, grid)
+    on_mode = plane * on_char[modes, None]
+    off_energy = (np.abs(plane) ** 2 @ w) * off_char[modes]
     gram = np.zeros((basis.size, basis.size), dtype=complex)
     for m in np.unique(modes):
         rows = np.flatnonzero(modes == m)
         gram[np.ix_(rows, rows)] = (on_mode[rows] * w) @ on_mode[rows].conj().T
     return gram, off_energy
+
+
+def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
+    """(rows, modes, plane weights) of a basis on a Haar product rule.
+
+    Entry r of the basis at node a * n_s + c is rows[r, a] times the axis
+    character of mode modes[r] at c (``dual.rep_factors``, scaled by
+    sqrt(d)); the rule's weight at that node is the plane weight of a.  A
+    rule without a uniform axis, or whose weights vary along it, raises
+    ValueError.
+    """
+    n_s = axis_characters(grid).shape[0]
+    w = grid.weights.reshape(-1, n_s)
+    if np.any(w != w[:, :1]):
+        raise ValueError("rule weights vary along its uniform axis")
+    w = w[:, 0]
+    modes = np.empty(basis.size, dtype=int)
+    rows = np.empty((basis.size, len(w)), dtype=complex)
+    for xi in basis.labels:
+        d, pos = xi.dim, slice(basis.offsets[xi], basis.offsets[xi] + xi.dim ** 2)
+        plane, modes_xi = rep_factors(xi, grid)
+        rows[pos] = math.sqrt(d) * np.moveaxis(plane, 0, -1).reshape(d * d, len(w))
+        modes[pos] = modes_xi.ravel()
+    return rows, modes, w
 
 
 # ---------------------------------------------------------------------------

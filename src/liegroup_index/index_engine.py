@@ -113,13 +113,14 @@ def kernel_count_index(m: GalerkinOperator | np.ndarray,
 
 def _exp_trace_per_node(prod: np.ndarray, g: np.ndarray, tag: str) -> np.ndarray:
     """Tr exp(-g * prod) for a batch of Hermitian matrices, shape (len(g), n_nodes)."""
-    defect = np.abs(prod - prod.conj().transpose(0, 2, 1)).max()
+    prod_h = prod.conj().transpose(0, 2, 1)
+    defect = np.abs(prod - prod_h).max()
     scale = max(float(np.abs(prod).max()), 1.0)
     if defect > 1e-8 * scale:
         raise DensityError(
             f"{tag}: product is not Hermitian (defect {defect:.3e}); "
             "supply the adjoint symbol consistent with the operator")
-    evals = np.linalg.eigvalsh(0.5 * (prod + prod.conj().transpose(0, 2, 1)))
+    evals = np.linalg.eigvalsh(0.5 * (prod + prod_h))
     with np.errstate(over="ignore"):
         decay = np.exp(-g[:, None, None] * evals)
     if not np.isfinite(decay).all():
@@ -137,10 +138,8 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
     for xi in cutoff_labels:
         sa = sigma_a.evaluate_on_rule(grid, xi)
         sstar = sigma_astar.evaluate_on_rule(grid, xi)
-        left = _exp_trace_per_node(np.einsum("kij,kjl->kil", sstar, sa), g,
-                                   f"sigma_A* sigma_A at {xi}")
-        right = _exp_trace_per_node(np.einsum("kij,kjl->kil", sa, sstar), g,
-                                    f"sigma_A sigma_A* at {xi}")
+        left = _exp_trace_per_node(sstar @ sa, g, f"sigma_A* sigma_A at {xi}")
+        right = _exp_trace_per_node(sa @ sstar, g, f"sigma_A sigma_A* at {xi}")
         node_trace += xi.dim * (left - right)
     return np.sum(grid.weights * node_trace, axis=1)
 

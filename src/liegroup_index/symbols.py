@@ -490,19 +490,21 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     the band is doubled once (the finite-scale reading of "all but
     finitely many"), and the fitted constant to be finite.
     """
+    smin = {}
+
     def census(labels):
-        smin = {}
-        smax_global = 0.0
+        """Record the smallest singular values; return the largest one."""
+        smax = 0.0
         for xi in labels:
             sig = sigma.evaluate_on_rule(grid, xi)
             sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
                   else np.linalg.svd(sig, compute_uv=False))
             smin[xi] = sv[:, -1]
-            smax_global = max(smax_global, float(sv[:, 0].max()))
-        return smin, smax_global
+            smax = max(smax, float(sv[:, 0].max()))
+        return smax
 
     dual = list(dual)
-    smin, smax_global = census(dual)
+    smax_global = census(dual)
     threshold = rel_threshold * smax_global
     bad_sites = []
     bad_labels = []
@@ -530,10 +532,11 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     if sigma.max_band is None:
         from .dual import enumerate_dual
         doubled = enumerate_dual(sigma.group, 2.0 * max_weight)
-        smin2, smax2 = census(doubled)
+        # the doubled band contains the first: census only the new labels
+        smax2 = census([xi for xi in doubled if xi not in smin])
         threshold2 = rel_threshold * max(smax_global, smax2)
         doubled_bad = [xi.label for xi in doubled
-                       if (smin2[xi] <= threshold2).any()]
+                       if (smin[xi] <= threshold2).any()]
     stable = (doubled_bad is None
               or set(map(tuple, doubled_bad)) == set(map(tuple, bad_labels)))
     has_good_sites = math.isfinite(margin)

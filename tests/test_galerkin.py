@@ -434,3 +434,73 @@ def test_gram_rejects_varying_weights_on_haar_structure():
     bumped = dataclasses.replace(rule, weights=weights, _node_cache={})
     with pytest.raises(ValueError, match="weights vary"):
         li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
+
+
+def t1_pointwise():
+    t1 = li.torus(1)
+    coeff, w = li.torus_function(t1, {(0,): 2.0, (1,): 0.3 - 0.2j, (-1,): 0.4j})
+    return li.pointwise_symbol(t1, coeff, w, {"k": "t1"})
+
+
+@pytest.mark.parametrize("make, band", [
+    (lambda: li.winding_symbol(li.torus(1), 2), 6), (t1_pointwise, 6),
+    (t2_pointwise, 4), (su2_pointwise, 4), (su2_pointwise, 8)])
+def test_assemble_matches_dense_projection(make, band):
+    # the per-mode projection against the weighted sum over every node
+    sigma = make()
+    dom = li.basis_for_band(sigma.group, band)
+    cod = li.basis_for_band(sigma.group, band + sigma.x_bandwidth)
+    g = li.assemble(sigma, dom, cod)
+    grid = li.haar_quadrature(sigma.group, g.meta["level"])
+    vals = np.concatenate([
+        np.sqrt(xi.dim) * (li.rep_matrices_on_rule(xi, grid)
+                           @ sigma.evaluate_on_rule(grid, xi)).reshape(grid.n_nodes, -1)
+        for xi in dom.labels], axis=1)
+    ref = (cod.values_on_rule(grid).conj() * grid.weights) @ vals
+    assert np.abs(g.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make, band", [(t1_pointwise, 4), (su2_pointwise, 3)])
+def test_assemble_rejects_under_resolved_grid(make, band):
+    sigma = make()
+    dom = li.basis_for_band(sigma.group, band)
+    cod = li.basis_for_band(sigma.group, band + sigma.x_bandwidth)
+    level = li.galerkin.assembly_level(sigma.group, dom.band, cod.band,
+                                       sigma.x_bandwidth)
+    grid = li.haar_quadrature(sigma.group, level - 1)
+    with pytest.raises(li.AliasingError) as err:
+        li.assemble(sigma, dom, cod, grid)
+    assert err.value.required_band == cod.band
+
+
+def _flowed(rule):
+    return li.flow_rule(rule, li.lie_basis(rule.group).generators[0], 0.1)
+
+
+def _weights_bumped(rule):
+    weights = rule.weights.copy()
+    weights[0] *= 1.5
+    return dataclasses.replace(rule, weights=weights, _node_cache={})
+
+
+@pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2])
+@pytest.mark.parametrize("damage, message", [(_flowed, "uniform axis"),
+                                             (_weights_bumped, "weights vary")])
+def test_assemble_rejects_rules_without_separated_axis(group, damage, message):
+    # an x-independent symbol that does not declare itself invariant takes
+    # the quadrature path
+    sym = li.MatrixSymbol(group, 0.0, 0, False, {"kind": "slow"},
+                          li.identity_symbol(group)._on_rule)
+    basis = li.basis_for_band(group, 2)
+    grid = damage(li.haar_quadrature(group, 5))
+    with pytest.raises(ValueError, match=message) as err:
+        li.assemble(sym, basis, basis, grid)
+    assert not isinstance(err.value, li.AliasingError)
+
+
+def test_cache_key_covers_format(t1, monkeypatch):
+    sigma = li.winding_symbol(t1, 1)
+    dom, cod = li.basis_for_band(t1, 4), li.basis_for_band(t1, 5)
+    key = li.galerkin.cache_key_for(sigma.describe, dom, cod, 11)
+    monkeypatch.setattr(li.galerkin, "CACHE_FORMAT", li.galerkin.CACHE_FORMAT - 1)
+    assert li.galerkin.cache_key_for(sigma.describe, dom, cod, 11) != key

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,22 @@ def test_ellipticity_census_matches_svd_reference(case):
         np.testing.assert_allclose(getattr(rep, field), ref[field], rtol=1e-15)
     if case == "sin2pix":
         assert rep.bad_sites
+
+
+@pytest.mark.parametrize("case", sorted(_census_cases()))
+def test_ellipticity_evaluates_each_label_once(case):
+    # the doubled census contains the first one and reuses its values
+    sigma, m, dual, grid = _census_cases()[case]
+    calls = []
+
+    def counted(rule, xi):
+        calls.append(xi)
+        return sigma._on_rule(rule, xi)
+
+    li.ellipticity_check(dataclasses.replace(sigma, _on_rule=counted), m, dual, grid)
+    doubled = li.enumerate_dual(sigma.group, 2.0 * max(xi.weight for xi in dual))
+    assert set(dual) <= set(doubled)
+    assert sorted(calls, key=li.IrrepLabel.sort_key) == doubled
 
 
 @pytest.mark.parametrize("group", [li.torus(2), li.SU2], ids=str)
