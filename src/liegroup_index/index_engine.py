@@ -9,12 +9,10 @@
 * density route:       quadrature over x of
   sum_xi d_xi Tr[ exp(-g s_*(x,xi) s(x,xi)) - exp(-g s(x,xi) s_*(x,xi)) ],
   the phase-space density built from the frozen symbols of the operator
-  and its adjoint.  Each label's two frozen products are diagonalized once
-  and only the exponentials of their eigenvalues depend on g.  For square
-  frozen symbols the two products share their eigenvalues, so the density
-  is 0 (or an error when a product is not Hermitian): it vanishes for
-  invariant operators and reports 0 for the winding family while the
-  matrix routes report -k, a documented discrepancy of the frozen-argument
+  and its adjoint.  Square frozen products share their eigenvalues, so the
+  density is 0 (or an error when a product is not Hermitian or an
+  exponential not finite; only that is computed): the matrix routes report
+  -k for the winding family, a documented discrepancy of the frozen-argument
   composition.
 
 Order reduction composes with the multiplier <xi>^-m to produce the
@@ -33,8 +31,8 @@ import numpy as np
 
 from .dual import IrrepLabel
 from .galerkin import (GalerkinOperator, assemble, compose, index_truncation)
-from .groups import (GroupSpec, QuadratureRule, haar_quadrature,
-                     min_level_for_band)
+from .groups import (GroupSpec, QuadratureRule, haar_quadrature, identity,
+                     min_level_for_band, point_rule)
 from .symbols import MatrixSymbol, lambda_multiplier
 
 DEFAULT_REL_TOL = 1e-10
@@ -111,8 +109,8 @@ def kernel_count_index(m: GalerkinOperator | np.ndarray,
 # density route
 
 
-def _exp_trace_per_node(prod: np.ndarray, g: np.ndarray, tag: str) -> np.ndarray:
-    """Tr exp(-g * prod) for a batch of Hermitian matrices, shape (len(g), n_nodes)."""
+def _checked_adjoint(prod: np.ndarray, tag: str) -> np.ndarray:
+    """prod^* for a batch of products that must be Hermitian (DensityError)."""
     prod_h = prod.conj().transpose(0, 2, 1)
     defect = np.abs(prod - prod_h).max()
     scale = max(float(np.abs(prod).max()), 1.0)
@@ -120,28 +118,30 @@ def _exp_trace_per_node(prod: np.ndarray, g: np.ndarray, tag: str) -> np.ndarray
         raise DensityError(
             f"{tag}: product is not Hermitian (defect {defect:.3e}); "
             "supply the adjoint symbol consistent with the operator")
-    evals = np.linalg.eigvalsh(0.5 * (prod + prod_h))
-    with np.errstate(over="ignore"):
-        decay = np.exp(-g[:, None, None] * evals)
-    if not np.isfinite(decay).all():
-        raise DensityError(f"{tag}: non-finite exponential")
-    return decay.sum(axis=2)
+    return prod_h
 
 
 def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
                         gammas: Sequence[float],
                         cutoff_labels: Sequence[IrrepLabel],
                         grid: QuadratureRule) -> np.ndarray:
-    """Quadrature of the symbol-density integrand, one value per gamma."""
-    g = _positive_gammas(gammas)
-    node_trace = np.zeros((g.size, grid.n_nodes))
+    """Quadrature of the symbol-density integrand, one value per gamma: 0,
+    since s*s and s s* share their spectrum, or DensityError when a product
+    is not Hermitian or exp(-g l) is not finite (checked at the largest g,
+    where it peaks for l < 0).  Invariant pairs are checked on one node."""
+    g_max = _positive_gammas(gammas).max()
+    if sigma_a.is_invariant and sigma_astar.is_invariant:
+        grid = point_rule(identity(sigma_a.group))   # evaluate_at_any's node
     for xi in cutoff_labels:
         sa = sigma_a.evaluate_on_rule(grid, xi)
         sstar = sigma_astar.evaluate_on_rule(grid, xi)
-        left = _exp_trace_per_node(sstar @ sa, g, f"sigma_A* sigma_A at {xi}")
-        right = _exp_trace_per_node(sa @ sstar, g, f"sigma_A sigma_A* at {xi}")
-        node_trace += xi.dim * (left - right)
-    return np.sum(grid.weights * node_trace, axis=1)
+        left, tag = sstar @ sa, f"sigma_A* sigma_A at {xi}"
+        evals = np.linalg.eigvalsh(0.5 * (left + _checked_adjoint(left, tag)))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(-g_max * evals)).all():
+                raise DensityError(f"{tag}: non-finite exponential")
+        _checked_adjoint(sa @ sstar, f"sigma_A sigma_A* at {xi}")
+    return np.zeros(len(gammas))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                         cache=None) -> IndexReport:
     """Run all three index routes per (band, gamma) cell.
 
-    Each band's truncation, SVD and density eigenvalues are computed once
+    Each band's truncation, SVD and density-route checks are computed once
     for all gammas.  Verdict "stable" requires the kernel count to be
     constant across the two largest bands and the heat trace to match it
     within 1e-6 at every gamma.  Gammas must be finite and positive

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -186,8 +187,91 @@ def test_density_rejects_non_finite_exponential(t1):
     one = li.multiplier_symbol(t1, lambda xi: 1.0, 0.0, {"kind": "one"})
     minus = li.multiplier_symbol(t1, lambda xi: -1000.0, 0.0, {"kind": "minus"})
     grid = li.haar_quadrature(t1, 9)
-    with pytest.raises(li.DensityError, match="non-finite exponential"):
-        li.density_route_index(one, minus, [1.0], li.labels_for_band(t1, 4), grid)
+    labels = li.labels_for_band(t1, 4)
+    # exp(1000 g) overflows from g ~ 0.71 on: the largest gamma decides
+    np.testing.assert_array_equal(
+        li.density_route_index(one, minus, [0.5], labels, grid), [0.0])
+    for gammas in ([1.0], [0.5, 1.0], [1.0, 0.5]):
+        with pytest.raises(li.DensityError, match="non-finite exponential"):
+            li.density_route_index(one, minus, gammas, labels, grid)
+
+
+def reference_density(sigma_a, sigma_astar, gammas, labels, grid):
+    """The density integrand by its formula: both products diagonalized,
+    exponentials at every gamma, quadrature over the rule."""
+    g = np.asarray(gammas, dtype=float)
+    node_trace = np.zeros((g.size, grid.n_nodes))
+    for xi in labels:
+        sa = sigma_a.evaluate_on_rule(grid, xi)
+        sstar = sigma_astar.evaluate_on_rule(grid, xi)
+        for sign, prod in ((1.0, sstar @ sa), (-1.0, sa @ sstar)):
+            evals = np.linalg.eigvalsh(0.5 * (prod + prod.conj().transpose(0, 2, 1)))
+            node_trace += sign * xi.dim * np.exp(-g[:, None, None] * evals).sum(axis=2)
+    return np.sum(grid.weights * node_trace, axis=1)
+
+
+def density_cases(rng):
+    t1, t2 = li.torus(1), li.torus(2)
+    for k in (1, 2):
+        yield (li.winding_symbol(t1, k), li.winding_adjoint_symbol(t1, k),
+               li.labels_for_band(t1, 8), li.haar_quadrature(t1, 17))
+    coeff, bw = li.torus_function(t2, {(0, 0): 2.0, (1, 0): 0.3 - 0.2j,
+                                       (0, -1): 0.4j})
+    pt2 = li.pointwise_symbol(t2, coeff, bw, {"kind": "t2"})
+    yield (pt2, li.conjugate_transpose_symbol(pt2),
+           li.labels_for_band(t2, 3), li.haar_quadrature(t2, 9))
+    coeff, bw = li.su2_function([(0, 0, 0, 2.0), (1, 0, 1, 0.3 + 0.4j)])
+    psu2 = li.pointwise_symbol(li.SU2, coeff, bw, {"kind": "su2"})
+    labels = li.labels_for_band(li.SU2, 4)
+    grid = li.haar_quadrature(li.SU2, 5)
+    yield psu2, li.conjugate_transpose_symbol(psu2), labels, grid
+    table = {xi: rng.standard_normal((xi.dim, xi.dim))
+             + 1j * rng.standard_normal((xi.dim, xi.dim)) for xi in labels}
+    mixed = li.frozen_symbol_product(psu2, li.table_symbol(li.SU2, table))
+    assert not mixed.is_invariant
+    yield mixed, li.conjugate_transpose_symbol(mixed), labels, grid
+
+
+def test_density_route_matches_reference_formula(rng):
+    gammas = [0.1, 1.0, 10.0]
+    for sigma, sigma_star, labels, grid in density_cases(rng):
+        ref = reference_density(sigma, sigma_star, gammas, labels, grid)
+        assert np.abs(ref).max() <= 1e-10
+        got = li.density_route_index(sigma, sigma_star, gammas, labels, grid)
+        assert got.shape == (3,)
+        assert (got == 0.0).all()
+
+
+def test_density_names_the_non_hermitian_right_product():
+    # B A = diag(2, 1) is Hermitian, A B = A diag(2, 1) A^-1 is not
+    a = np.array([[1.0, 1.0], [0.0, 1.0]])
+    b = np.diag([2.0, 1.0]) @ np.linalg.inv(a)
+    scalar, spin_half = li.labels_for_band(li.SU2, 1)
+    sa = li.table_symbol(li.SU2, {scalar: np.eye(1), spin_half: a})
+    sb = li.table_symbol(li.SU2, {scalar: np.eye(1), spin_half: b})
+    grid = li.haar_quadrature(li.SU2, 2)
+    with pytest.raises(li.DensityError, match=r"sigma_A sigma_A\* at"):
+        li.density_route_index(sa, sb, [1.0], [scalar, spin_half], grid)
+
+
+def test_density_evaluates_invariant_pair_once_per_label(rng):
+    labels = li.labels_for_band(li.SU2, 4)
+    table = {xi: rng.standard_normal((xi.dim, xi.dim)) for xi in labels}
+    calls = []
+
+    def counted(sym, name):
+        def on_rule(rule, xi):
+            calls.append((name, xi, rule.n_nodes))
+            return sym._on_rule(rule, xi)
+        return dataclasses.replace(sym, _on_rule=on_rule)
+
+    sym = li.table_symbol(li.SU2, table)
+    sa = counted(sym, "a")
+    sstar = counted(li.conjugate_transpose_symbol(sym), "star")
+    assert sa.is_invariant and sstar.is_invariant
+    grid = li.haar_quadrature(li.SU2, 4)
+    li.density_route_index(sa, sstar, [0.1, 1.0], labels, grid)
+    assert calls == [(name, xi, 1) for xi in labels for name in ("a", "star")]
 
 
 # --- order reduction and traces ----------------------------------------------
