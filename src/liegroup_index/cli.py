@@ -42,7 +42,7 @@ from .index_engine import stabilization_sweep, trace_via_symbol
 from .operators import BuiltinOperator, ConfigError, parse_operator
 from .symbols import ellipticity_check
 
-SU3_LEVEL_CAP = 6  # level^8 nodes; level 7 already needs ~45M chart entries
+SU3_LEVEL_CAP = 6  # level^8 weights: 13 MB at level 6, 46 MB at level 7
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def _check_rows_plancherel(group: GroupSpec, band: int, level) -> list:
     labels = labels_for_band(group, band)
     coefs = {xi: rng.standard_normal((xi.dim, xi.dim))
              + 1j * rng.standard_normal((xi.dim, xi.dim)) for xi in labels}
-    values = fourier_inverse_on_rule(FourierCoefficients(coefs, labels[-1].weight), rule)
+    values = fourier_inverse_on_rule(FourierCoefficients(coefs), rule)
     f = SampledFunction(rule, values)
     fhat = fourier_forward(f, labels)
     recon = fourier_inverse_on_rule(fhat, rule)
@@ -314,7 +314,10 @@ def _check_rows_trace(group: GroupSpec, band: int, level) -> list:
 
 def _check_rows_quadrature(group: GroupSpec, band: int, level) -> list:
     if group.kind == "su3":
-        level = min(level or SU3_LEVEL_CAP, SU3_LEVEL_CAP)
+        if level is not None and level > SU3_LEVEL_CAP:
+            raise ConfigError("config.quadrature_level",
+                              f"SU(3) quadrature levels stop at {SU3_LEVEL_CAP}")
+        level = level or SU3_LEVEL_CAP
         tol = 1e-6
     else:
         level = level or min_level_for_band(group, max(band, 1))

@@ -1,8 +1,9 @@
-"""Group Fourier transform, inversion, Plancherel and Sobolev norms.
+"""Group Fourier transform, inversion and the Plancherel and L2 norms.
 
 Forward transform:   fhat(xi) = sum_k w_k f(x_k) xi(x_k)^*
 Inversion:           f(x)     = sum_xi d_xi Tr(xi(x) fhat(xi))
 Plancherel norm:     ( sum_xi d_xi ||fhat(xi)||_HS^2 )^(1/2)
+L2 norm:             ( sum_k w_k |f(x_k)|^2 )^(1/2)
 
 The quadrature level must resolve the band of f against the requested dual
 (see ``groups.min_level_for_band``).  The rule must be a Haar product rule:
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,17 +42,12 @@ class FourierCoefficients:
     """Map from labels to d_xi x d_xi coefficient matrices."""
 
     entries: dict  # IrrepLabel -> ndarray
-    cutoff: float
 
     def labels(self) -> list:
         return sorted(self.entries.keys(), key=IrrepLabel.sort_key)
 
     def __getitem__(self, xi: IrrepLabel) -> np.ndarray:
         return self.entries[xi]
-
-    def scaled(self, factor: Callable[[IrrepLabel], complex]) -> "FourierCoefficients":
-        return FourierCoefficients(
-            {xi: factor(xi) * m for xi, m in self.entries.items()}, self.cutoff)
 
 
 def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCoefficients:
@@ -66,12 +62,10 @@ def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCo
     # per plane node a and mode m: sum_c w f(a, c) conj(chi_m(c))
     axis = (rule.weights * f.values).reshape(-1, len(chars)) @ chars.conj().T
     entries = {}
-    cutoff = 1.0
     for xi in dual:
         plane, modes = rep_factors(xi, rule)
         entries[xi] = np.einsum("aij,aij->ji", plane.conj(), axis[:, modes])
-        cutoff = max(cutoff, xi.weight)
-    return FourierCoefficients(entries, cutoff)
+    return FourierCoefficients(entries)
 
 
 def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.ndarray:
@@ -96,28 +90,5 @@ def plancherel_norm(c: FourierCoefficients) -> float:
     return math.sqrt(total)
 
 
-def sobolev_norm(c: FourierCoefficients, s: float) -> float:
-    """Plancherel norm of the <xi>^s-scaled coefficients."""
-    if s == 0:
-        return plancherel_norm(c)
-    return plancherel_norm(c.scaled(lambda xi: xi.weight ** s))
-
-
-def l2_inner_product(f: SampledFunction, g: SampledFunction) -> complex:
-    if f.rule is not g.rule:
-        raise ValueError("samples must share a quadrature rule")
-    return complex(np.sum(f.rule.weights * f.values * np.conj(g.values)))
-
-
 def l2_norm(f: SampledFunction) -> float:
     return math.sqrt(max(float(np.sum(f.rule.weights * np.abs(f.values) ** 2)), 0.0))
-
-
-def spectral_inner_product(c: FourierCoefficients, d: FourierCoefficients) -> complex:
-    """sum_xi d_xi Tr(c(xi) d(xi)^*), over labels present in both."""
-    total = 0.0 + 0.0j
-    for xi, m in c.entries.items():
-        other = d.entries.get(xi)
-        if other is not None:
-            total += xi.dim * np.trace(m @ other.conj().T)
-    return complex(total)

@@ -95,16 +95,6 @@ def singular_value_census(mat: np.ndarray, rel_tol: float) -> dict:
     }
 
 
-def kernel_count_index(m: GalerkinOperator | np.ndarray,
-                       rel_tol: float = DEFAULT_REL_TOL) -> int:
-    """dim ker M - dim ker M^*, from one SVD."""
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError("rel_tol must lie in (0, 1)")
-    mat = m.matrix if isinstance(m, GalerkinOperator) else np.asarray(m)
-    census = singular_value_census(mat, rel_tol)
-    return census["ker_dim"] - census["coker_dim"]
-
-
 # ---------------------------------------------------------------------------
 # density route
 
@@ -124,11 +114,12 @@ def _checked_adjoint(prod: np.ndarray, tag: str) -> np.ndarray:
 def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
                         gammas: Sequence[float],
                         cutoff_labels: Sequence[IrrepLabel],
-                        grid: QuadratureRule) -> np.ndarray:
+                        grid: Optional[QuadratureRule]) -> np.ndarray:
     """Quadrature of the symbol-density integrand, one value per gamma: 0,
     since s*s and s s* share their spectrum, or DensityError when a product
     is not Hermitian or exp(-g l) is not finite (checked at the largest g,
-    where it peaks for l < 0).  Invariant pairs are checked on one node."""
+    where it peaks for l < 0).  Invariant pairs are checked on one node and
+    ignore ``grid``, which may then be None."""
     g_max = _positive_gammas(gammas).max()
     if sigma_a.is_invariant and sigma_astar.is_invariant:
         grid = point_rule(identity(sigma_a.group))   # evaluate_at_any's node
@@ -247,11 +238,12 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                                      gammas)
             kcount = census["ker_dim"] - census["coker_dim"]
             kernel_by_band[band] = kcount
-            level = trunc.meta.get("level")
             dlabels = [xi for xi in trunc.domain.labels
                        if sigma.max_band is None or xi.band <= sigma.max_band]
-            dgrid = haar_quadrature(
-                sigma.group, level or min_level_for_band(sigma.group, band))
+            dgrid = None   # an invariant pair is checked on one node
+            if not (sigma.is_invariant and sigma_astar.is_invariant):
+                dgrid = haar_quadrature(sigma.group, trunc.meta.get("level")
+                                        or min_level_for_band(sigma.group, band))
         except Exception as exc:  # pragma: no cover - aggregated per band
             report.errors.append({"cutoff": band, "error": str(exc)})
             continue

@@ -1,22 +1,14 @@
-"""Matrix-valued symbols: extraction, quantization, kernels, difference
-operators and ellipticity / symbol-class diagnostics.
+"""Matrix-valued symbols: constructors, quantization and the ellipticity
+census.
 
 A symbol assigns to every point x and label xi a d_xi x d_xi matrix
 sigma(x, xi), evaluated on whole quadrature rules; a single point is a
-one-node rule.  Extraction from an operator action A uses
+one-node rule.  The quantization of sigma is
 
-    sigma_A(x, xi) = xi(x)^* (A xi)(x)
+    A f(x) = sum_xi d_xi Tr( xi(x) sigma(x, xi) fhat(xi) ),
 
-with A applied entrywise to sampled representation entries, and the
-quantization reproducing A is
-
-    A f(x) = sum_xi d_xi Tr( xi(x) sigma_A(x, xi) fhat(xi) ).
-
-The frozen-x right-convolution kernel is R(x, y) = sum_xi d_xi
-Tr(xi(y) sigma(x, xi)) over the enumerated band.  Difference operators act
-on symbols through multiplication of this kernel by xi0(y)_{ij} - delta_ij;
-on the torus this reduces to the exact shift rule
-(D_j sigma)(x, l) = sigma(x, l - e_j) - sigma(x, l).
+The frozen product, the weighted sum and the pointwise adjoint build the
+symbols of operator trees (``operators.parse_operator``).
 """
 
 from __future__ import annotations
@@ -28,9 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dual import (IrrepLabel, UnsupportedFeatureError,
-                   left_invariant_derivative, rep_matrices_on_rule, torus_label)
-from .fourier import FourierCoefficients, SampledFunction, fourier_forward
+from .dual import IrrepLabel, UnsupportedFeatureError, rep_matrices_on_rule
+from .fourier import FourierCoefficients
 from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
                      identity, point_rule)
 
@@ -38,7 +29,7 @@ SINGULAR_REL_THRESHOLD = 1e-10
 
 
 class BandHeadroomError(ValueError):
-    """A symbol operation needs labels beyond the tabulated/declared band."""
+    """A symbol is evaluated at a label beyond its table or declared band."""
 
 
 @dataclass(eq=False)
@@ -80,14 +71,12 @@ class MatrixSymbol:
         return self.evaluate(identity(self.group), xi)
 
 
-def _values_sha256(tables: dict, *arrays: np.ndarray) -> str:
-    """SHA-256 of per-label matrices (in label order) and further arrays."""
+def _values_sha256(tables: dict) -> str:
+    """SHA-256 of per-label matrices, in label order."""
     digest = hashlib.sha256()
     for xi in sorted(tables, key=IrrepLabel.sort_key):
         digest.update(repr(xi.label).encode())
         digest.update(np.ascontiguousarray(tables[xi], dtype="<c16").tobytes())
-    for a in arrays:
-        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
     return digest.hexdigest()
 
 
@@ -315,52 +304,8 @@ def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
                         on_rule, max_band=sigma.max_band)
 
 
-def tabulated_symbol(group: GroupSpec, grid: QuadratureRule, tables: dict,
-                     order: float, x_bandwidth: int, describe: dict,
-                     is_invariant: bool = False) -> MatrixSymbol:
-    """Symbol stored as per-label arrays of shape (n_nodes, d, d).
-
-    Evaluable only on its grid (or a rule with the same nodes).  The
-    describe gains a SHA-256 of the tables and the grid's charts, so
-    tabulated symbols with different values get different cache keys.
-    """
-    max_band = max((xi.band for xi in tables), default=0)
-
-    def on_rule(rule, xi):
-        if rule is not grid and not np.array_equal(rule.charts, grid.charts):
-            raise ValueError("tabulated symbol evaluated on a different rule")
-        try:
-            return tables[xi]
-        except KeyError:
-            raise BandHeadroomError(f"label {xi} not tabulated")
-
-    describe = dict(describe, values_sha256=_values_sha256(tables, grid.charts))
-    sym = MatrixSymbol(group, order, x_bandwidth, is_invariant, describe,
-                       on_rule, max_band=max_band)
-    sym.grid = grid
-    return sym
-
-
 # ---------------------------------------------------------------------------
-# extraction / quantization / kernels
-
-
-def symbol_of_operator(apply: Callable[[SampledFunction], SampledFunction],
-                       grid: QuadratureRule, dual: Sequence[IrrepLabel],
-                       order: float = 0.0, x_bandwidth: int = 0,
-                       describe: Optional[dict] = None) -> MatrixSymbol:
-    """Tabulate sigma(x, xi) = xi(x)^* (A xi)(x) on the grid nodes."""
-    tables = {}
-    for xi in dual:
-        reps = rep_matrices_on_rule(xi, grid)
-        d = xi.dim
-        applied = np.empty_like(reps)
-        for i in range(d):
-            for j in range(d):
-                applied[:, i, j] = apply(SampledFunction(grid, reps[:, i, j])).values
-        tables[xi] = np.einsum("kji,kjl->kil", reps.conj(), applied)
-    return tabulated_symbol(grid.group, grid, tables, order, x_bandwidth,
-                            describe or {"kind": "extracted"})
+# quantization
 
 
 def quantize_on_rule(sigma: MatrixSymbol, fhat: FourierCoefficients,
@@ -374,93 +319,8 @@ def quantize_on_rule(sigma: MatrixSymbol, fhat: FourierCoefficients,
     return out
 
 
-def apply_symbol(sigma: MatrixSymbol, f: SampledFunction,
-                 dual: Sequence[IrrepLabel]) -> SampledFunction:
-    """Operator action on samples: forward transform, multiply, invert."""
-    fhat = fourier_forward(f, dual)
-    return SampledFunction(f.rule, quantize_on_rule(sigma, fhat, f.rule))
-
-
-def kernel_table(sigma: MatrixSymbol, rule_x: QuadratureRule,
-                 rule_y: QuadratureRule, dual: Sequence[IrrepLabel]) -> np.ndarray:
-    """Band-limited right-convolution kernels R(x_k, y_k') = sum_xi d_xi
-    Tr(xi(y_k') sigma(x_k, xi)) at frozen x, shape (n_x, n_y)."""
-    out = np.zeros((rule_x.n_nodes, rule_y.n_nodes), dtype=complex)
-    for xi in dual:
-        reps = rep_matrices_on_rule(xi, rule_y)
-        sig = sigma.evaluate_on_rule(rule_x, xi)
-        out += xi.dim * np.einsum("kij,mji->mk", reps, sig)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# difference operators
-
-
-def difference_apply(sigma: MatrixSymbol, xi0: IrrepLabel,
-                     entry: tuple = (0, 0),
-                     grid: Optional[QuadratureRule] = None,
-                     dual: Optional[Sequence[IrrepLabel]] = None,
-                     force_kernel_route: bool = False) -> MatrixSymbol:
-    """Difference operator D_{xi0, entry} applied to the symbol.
-
-    The output symbol's frozen-x kernel is (xi0(y)[i,j] - delta_ij) R(x, y);
-    its band shrinks by xi0's band.  The torus uses the exact shift rule
-    sigma(x, l - l0) - sigma(x, l); other groups (or
-    ``force_kernel_route``) recover the output by a forward transform of
-    the multiplied kernel, which needs ``grid`` and ``dual``.
-    """
-    group = sigma.group
-    i, j = entry
-    if xi0.group != group:
-        raise GroupMismatchError("difference label on the wrong group")
-    shrink = xi0.band
-    if sigma.max_band is not None and sigma.max_band - shrink < 0:
-        raise BandHeadroomError("no band headroom left for the difference")
-
-    if group.kind == "torus" and not force_kernel_route:
-        if entry != (0, 0):
-            raise ValueError("torus characters have a single entry (0, 0)")
-        l0 = np.asarray(xi0.label, dtype=int)
-
-        def on_rule(rule, xi):
-            shifted = torus_label(group, tuple(np.asarray(xi.label, int) - l0))
-            return (sigma.evaluate_on_rule(rule, shifted)
-                    - sigma.evaluate_on_rule(rule, xi))
-
-        max_band = None if sigma.max_band is None else sigma.max_band - shrink
-        return MatrixSymbol(group, sigma.order - 1.0,
-                            sigma.x_bandwidth, sigma.is_invariant,
-                            {"kind": "difference", "xi0": list(xi0.label),
-                             "entry": [i, j], "of": sigma.describe},
-                            on_rule, max_band=max_band)
-
-    # kernel route
-    if grid is None or dual is None:
-        grid = getattr(sigma, "grid", None) if grid is None else grid
-        if grid is None or dual is None:
-            raise ValueError("the kernel route needs a grid and a dual band")
-    dual = list(dual)
-    in_band = max(xi.band for xi in dual)
-    out_labels = [xi for xi in dual if xi.band <= in_band - shrink]
-    if not out_labels:
-        raise BandHeadroomError("no band headroom left for the difference")
-    q = rep_matrices_on_rule(xi0, grid)[:, i, j] - (1.0 if i == j else 0.0)
-    # a tabulated symbol is evaluated on its own grid
-    x_nodes = getattr(sigma, "grid", grid)
-    # row k: the multiplied kernel at x_k, weighted for the forward transform
-    wq = kernel_table(sigma, x_nodes, grid, dual) * (grid.weights * q)
-    tables = {eta: np.einsum("mk,kij->mji", wq, rep_matrices_on_rule(eta, grid).conj())
-              for eta in out_labels}
-    return tabulated_symbol(group, x_nodes, tables,
-                            sigma.order - 1.0, sigma.x_bandwidth,
-                            {"kind": "difference_kernel", "xi0": list(xi0.label),
-                             "entry": [i, j], "of": sigma.describe},
-                            is_invariant=False)
-
-
-# ---------------------------------------------------------------------------
-# ellipticity and symbol-class diagnostics
+# ellipticity
 
 
 @dataclass(eq=False)
@@ -544,80 +404,3 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     return EllipticityReport(m, constant, elliptic, bad_sites,
                              bad_labels, doubled_bad, threshold,
                              margin if has_good_sites else 0.0)
-
-
-@dataclass(eq=False)
-class DiagnosticTable:
-    """Symbol-class constants sup |d_x^alpha D^beta sigma| <xi>^(|beta|-m)."""
-
-    order: float
-    rows: list  # dicts: alpha, beta, constant
-
-    def constant(self, alpha, beta) -> float:
-        for row in self.rows:
-            if tuple(row["alpha"]) == tuple(alpha) and tuple(row["beta"]) == tuple(beta):
-                return row["constant"]
-        raise KeyError((alpha, beta))
-
-
-def _multi_indices(dim: int, total_max: int):
-    if dim == 0:
-        yield ()
-        return
-    for head in range(total_max + 1):
-        for tail in _multi_indices(dim - 1, total_max - head):
-            yield (head,) + tail
-
-
-def _x_derivative_sup(sigma: MatrixSymbol, alpha: tuple, xi: IrrepLabel,
-                      grid: QuadratureRule, h: float) -> float:
-    """sup over grid nodes of the operator norm of d_x^alpha sigma(., xi)."""
-    def derivative(f, j):
-        return lambda rule: left_invariant_derivative(f, j, rule, h=h)
-
-    # nested central differences of the whole d x d matrices on the whole
-    # grid, the first direction outermost
-    f = lambda rule: sigma.evaluate_on_rule(rule, xi)
-    for j in reversed([j for j, count in enumerate(alpha) for _ in range(count)]):
-        f = derivative(f, j)
-    return float(np.linalg.norm(f(grid), 2, axis=(1, 2)).max())
-
-
-def symbol_class_diagnostic(sigma: MatrixSymbol, m: float, alpha_max: int,
-                            beta_max: int, grid: QuadratureRule,
-                            dual: Sequence[IrrepLabel],
-                            h: float = 1e-5) -> DiagnosticTable:
-    """Table of constants for the symbol-class inequalities up to the caps.
-
-    Differences (beta) use the torus shift rule, so beta_max > 0 requires a
-    torus group; derivatives (alpha) use nested central differences of the
-    analytic evaluator.  Fails with BandHeadroomError when the requested
-    beta exhausts the band of the dual.
-    """
-    group = sigma.group
-    dim = group.manifold_dim
-    if beta_max > 0 and group.kind != "torus":
-        raise UnsupportedFeatureError(
-            "difference diagnostics beyond beta = 0 are torus-only")
-    dual = list(dual)
-    rows = []
-    for beta in _multi_indices(dim if group.kind == "torus" else 0, beta_max):
-        tau = sigma
-        shrink = sum(beta)
-        for jdir, count in enumerate(beta):
-            for _ in range(count):
-                unit = [0] * group.n
-                unit[jdir] = 1
-                tau = difference_apply(tau, torus_label(group, unit))
-        labels = [xi for xi in dual
-                  if tau.max_band is None or xi.band <= tau.max_band]
-        if not labels:
-            raise BandHeadroomError("band exhausted by the requested beta")
-        for alpha in _multi_indices(dim, alpha_max):
-            sup = 0.0
-            for xi in labels:
-                val = _x_derivative_sup(tau, alpha, xi, grid, h)
-                sup = max(sup, val * xi.weight ** (shrink - m))
-            rows.append({"alpha": list(alpha), "beta": list(beta) or [0],
-                         "constant": sup})
-    return DiagnosticTable(m, rows)

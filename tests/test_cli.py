@@ -210,6 +210,15 @@ def test_check_su3_quadrature_level_six(tmp_path):
     assert mass_row["error"] <= 1e-6
 
 
+def test_check_su3_quadrature_rejects_levels_above_the_cap(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su3"},
+                                              "quadrature_level": 9})
+    assert main(["check", "--config", cfg, "--which", "quadrature",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "config.quadrature_level" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_check_su3_quadrature_builds_no_rule(tmp_path, monkeypatch):
     # the mass check sums the rule's own weights; the 6^8 x 8 charts of the
     # SU(3) level-6 rule are never built

@@ -95,6 +95,10 @@ def test_assemble_invariant_blocks(rng):
                 expected = np.zeros(basis.size, dtype=complex)
                 expected[base + i * d:base + (i + 1) * d] = table[lab][:, j]
                 np.testing.assert_allclose(g.matrix[:, col], expected, atol=1e-10)
+    # the table ends at twice-spin 3
+    wide = li.basis_for_band(li.SU2, 4)
+    with pytest.raises(li.BandHeadroomError):
+        li.assemble(sym, wide, wide)
 
 
 def test_assemble_fast_path_matches_quadrature(rng):
@@ -246,7 +250,7 @@ def test_frozen_product_matches_block_composition(rng):
 
 def test_frozen_product_winding_discrepancy(t1):
     # frozen product of the adjoint pair: 1 away from l = 0 but 0 there,
-    # while the symbol of A* A is the identity symbol (A is an isometry)
+    # while A* A is the identity (A is an isometry)
     w = li.winding_symbol(t1, 1)
     wstar = li.winding_adjoint_symbol(t1, 1)
     prod = li.frozen_symbol_product(wstar, w)
@@ -255,24 +259,9 @@ def test_frozen_product_winding_discrepancy(t1):
     assert prod.evaluate(x, li.torus_label(t1, [3]))[0, 0] == pytest.approx(1.0)
     assert prod.evaluate(x, li.torus_label(t1, [-2]))[0, 0] == pytest.approx(1.0)
 
-    rule = li.haar_quadrature(t1, 21)
-    band = li.labels_for_band(t1, 4)
-    trunc = li.index_truncation(w, 8)
-
-    def apply_astar_a(f):
-        fhat = li.fourier_forward(f, list(trunc.domain.labels))
-        coeffs = np.array([fhat[xi][0, 0] for xi, _, _ in trunc.domain.entries])
-        out_coeffs = trunc.matrix.conj().T @ (trunc.matrix @ coeffs)
-        vals = np.zeros(f.rule.n_nodes, dtype=complex)
-        for pos, (xi, _, _) in enumerate(trunc.domain.entries):
-            vals += out_coeffs[pos] * np.exp(
-                2j * np.pi * xi.label[0] * f.rule.charts[:, 0])
-        return li.SampledFunction(f.rule, vals)
-
-    extracted = li.symbol_of_operator(apply_astar_a, rule, band)
-    for lab in band:
-        np.testing.assert_allclose(extracted.evaluate_on_rule(rule, lab),
-                                   np.ones((rule.n_nodes, 1, 1)), atol=1e-8)
+    # and the truncation of the isometry is isometric
+    m = li.index_truncation(w, 8).matrix
+    np.testing.assert_allclose(m.conj().T @ m, np.eye(m.shape[1]), atol=1e-12)
 
 
 def test_cache_round_trip_and_verify(t1, tmp_path):
@@ -306,7 +295,7 @@ def column_by_column(sigma, dom, cod, grid):
     for xi, i, j in dom.entries:
         coef = np.zeros((xi.dim, xi.dim), dtype=complex)
         coef[j, i] = 1.0 / np.sqrt(xi.dim)
-        fhat = li.FourierCoefficients({xi: coef}, xi.weight)
+        fhat = li.FourierCoefficients({xi: coef})
         cols.append(proj @ li.quantize_on_rule(sigma, fhat, grid))
     return np.stack(cols, axis=1)
 
@@ -394,22 +383,6 @@ def test_damaged_cache_entry_is_a_miss(t1, tmp_path, damage):
     np.testing.assert_array_equal(again.matrix, first.matrix)
 
 
-def test_extracted_symbols_with_equal_describe_get_distinct_keys(t1, tmp_path):
-    # identity and 2 * identity, extracted on one grid, share the caller's
-    # describe; their tables must still keep their cache entries apart
-    grid = li.haar_quadrature(t1, 11)
-    dual = li.labels_for_band(t1, 5)
-    one = li.symbol_of_operator(lambda f: f, grid, dual, x_bandwidth=1)
-    two = li.symbol_of_operator(lambda f: li.SampledFunction(grid, 2.0 * f.values),
-                                grid, dual, x_bandwidth=1)
-    assert one.describe["values_sha256"] != two.describe["values_sha256"]
-    cache = li.OperatorCache(str(tmp_path))
-    m1 = li.index_truncation(one, 3, cache=cache)
-    m2 = li.index_truncation(two, 3, cache=cache)
-    assert cache.hits == 0
-    np.testing.assert_allclose(m2.matrix, 2.0 * m1.matrix, atol=1e-12)
-
-
 @pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2])
 def test_separated_sums_reject_flowed_rule(group):
     # a flowed rule keeps the level and the weights of the Haar rule
@@ -422,7 +395,7 @@ def test_separated_sums_reject_flowed_rule(group):
         li.gram_matrix(li.basis_for_band(group, 2), flowed)
     with pytest.raises(ValueError, match="uniform axis"):
         li.fourier_forward(li.SampledFunction(flowed, np.ones(flowed.n_nodes)), labels)
-    coefs = li.FourierCoefficients({lab: np.eye(lab.dim) for lab in labels}, 1.0)
+    coefs = li.FourierCoefficients({lab: np.eye(lab.dim) for lab in labels})
     with pytest.raises(ValueError, match="uniform axis"):
         li.fourier_inverse_on_rule(coefs, flowed)
 

@@ -26,38 +26,6 @@ def multiplication_by_sin(t1):
     return li.pointwise_symbol(t1, coeff, bw, {"kind": "sin2pix"})
 
 
-# --- extraction -------------------------------------------------------------
-
-def test_extract_identity_operator(t1, rule, band):
-    sym = li.symbol_of_operator(lambda f: f, rule, band)
-    for lab in band:
-        np.testing.assert_allclose(sym.evaluate_on_rule(rule, lab),
-                                   np.ones((rule.n_nodes, 1, 1)), atol=1e-10)
-
-
-def test_extract_heat_multiplier(t1, rule, band):
-    heat = li.multiplier_symbol(t1, lambda xi: np.exp(-xi.casimir), 0.0, {"k": "heat"})
-    ext = li.symbol_of_operator(lambda f: li.apply_symbol(heat, f, band), rule, band)
-    for lab in band:
-        np.testing.assert_allclose(ext.evaluate_on_rule(rule, lab),
-                                   np.exp(-lab.casimir) * np.ones((rule.n_nodes, 1, 1)),
-                                   atol=1e-8)
-
-
-def test_extract_pointwise_multiplication(t1, rule, band):
-    coeff, bw = li.torus_function(t1, {(0,): 1.0, (2,): 0.3, (-2,): 0.3})
-    c_vals = coeff(rule)
-
-    def apply(f):
-        return li.SampledFunction(rule, c_vals * f.values)
-
-    # extraction only sees the interior band without aliasing
-    ext = li.symbol_of_operator(apply, rule, li.labels_for_band(t1, 4))
-    for lab in li.labels_for_band(t1, 4):
-        got = ext.evaluate_on_rule(rule, lab)[:, 0, 0]
-        np.testing.assert_allclose(got, c_vals, atol=1e-8)
-
-
 # --- quantization -----------------------------------------------------------
 
 def test_quantize_identity_reproduces_inverse(t1, rule, band, rng):
@@ -79,8 +47,8 @@ def test_quantize_weight_multiplier_single_mode(t1, rule, band):
     assert abs(got - want) <= 1e-8
 
 
-def test_quantize_extraction_round_trip(t1, rule, band, rng):
-    # builtin family: extraction then quantization reproduces the action
+def test_quantize_pointwise_symbol_multiplies(t1, rule, band, rng):
+    # the quantization of c(x) I multiplies a band-limited f by c
     coeff, bw = li.torus_function(t1, {(1,): 0.4, (-1,): 0.4, (0,): 1.0})
     sym = li.pointwise_symbol(t1, coeff, bw, {"kind": "c"})
     inner = li.labels_for_band(t1, 4)
@@ -90,123 +58,8 @@ def test_quantize_extraction_round_trip(t1, rule, band, rng):
             * np.exp(2j * np.pi * l * rule.charts[:, 0])
     f = li.SampledFunction(rule, vals)
     direct = coeff(rule) * vals
-    ext = li.symbol_of_operator(
-        lambda g: li.SampledFunction(rule, coeff(rule) * g.values), rule, inner)
-    via = li.quantize_on_rule(ext, li.fourier_forward(f, inner), rule)
+    via = li.quantize_on_rule(sym, li.fourier_forward(f, inner), rule)
     np.testing.assert_allclose(via, direct, atol=1e-8 * np.abs(direct).max())
-
-
-# --- kernels ----------------------------------------------------------------
-
-def test_kernel_identity_at_identity(t1, rule, band):
-    val = li.kernel_table(li.identity_symbol(t1), rule,
-                          li.point_rule(li.identity(t1)), band)[0, 0]
-    assert val == pytest.approx(sum(l.dim ** 2 for l in band))
-
-
-def test_kernel_multiplier_matches_idft(t1, rule, band, rng):
-    table = {l: np.array([[rng.standard_normal() + 0j]]) for l in band}
-    sym = li.table_symbol(t1, table)
-    y = rule.node(7)
-    got = li.kernel_table(sym, rule, rule, band)[0, 7]
-    want = sum(table[l][0, 0] * np.exp(2j * np.pi * l.label[0] * y.chart[0])
-               for l in band)
-    assert abs(got - want) <= 1e-10
-
-
-def test_kernel_pointwise_factorizes(t1, rule, band):
-    sym = multiplication_by_sin(t1)
-    x = rule.node(3)
-    got = li.kernel_table(sym, rule, rule, band)[3, 9]
-    dirichlet = li.kernel_table(li.identity_symbol(t1), rule, rule, band)[3, 9]
-    c_x = np.sin(2 * np.pi * x.chart[0])
-    assert abs(got - c_x * dirichlet) <= 1e-8
-
-
-def test_kernel_table_shape(t1, band):
-    small = li.haar_quadrature(t1, 5)
-    table = li.kernel_table(li.identity_symbol(t1), small, small,
-                            li.labels_for_band(t1, 2))
-    assert table.shape == (5, 5)
-
-
-def test_forward_transform_of_kernel_recovers_symbol(rng):
-    # R(x, .) -> fourier_forward in y gives back sigma(x, .) on the band
-    grid = li.haar_quadrature(li.SU2, 4)
-    dual = li.labels_for_band(li.SU2, 4)
-    table = {}
-    for lab in dual:
-        d = lab.dim
-        table[lab] = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    sym = li.table_symbol(li.SU2, table)
-    r = li.kernel_table(sym, grid, grid, dual)[11]
-    back = li.fourier_forward(li.SampledFunction(grid, r), dual)
-    for lab in dual:
-        assert np.abs(back[lab] - table[lab]).max() <= 1e-8
-
-
-# --- difference operators ---------------------------------------------------
-
-def test_difference_of_constant_symbol_is_zero(t1, rule, band):
-    d = li.difference_apply(li.identity_symbol(t1), li.torus_label(t1, [1]))
-    for lab in li.labels_for_band(t1, 4):
-        np.testing.assert_allclose(d.evaluate(rule.node(0), lab), 0.0, atol=1e-14)
-    assert d.is_invariant
-
-
-def test_difference_of_delta_two_frequencies(t1, rule, band):
-    table = {l: np.array([[1.0 + 0j]]) if l.label == (0,) else np.array([[0j]])
-             for l in band}
-    delta = li.table_symbol(t1, table)
-    d = li.difference_apply(delta, li.torus_label(t1, [1]))
-    x = rule.node(0)
-    vals = {l.label[0]: d.evaluate(x, l)[0, 0] for l in li.labels_for_band(t1, 5)}
-    assert vals[1] == pytest.approx(1.0)
-    assert vals[0] == pytest.approx(-1.0)
-    assert all(abs(v) <= 1e-12 for k, v in vals.items() if k not in (0, 1))
-
-
-def test_difference_kernel_route_matches_shift_rule(t1, rule, band, rng):
-    table = {l: np.array([[rng.standard_normal() + 1j * rng.standard_normal()]])
-             for l in band}
-    sym = li.table_symbol(t1, table)
-    fast = li.difference_apply(sym, li.torus_label(t1, [1]))
-    brute = li.difference_apply(sym, li.torus_label(t1, [1]), grid=rule,
-                                dual=band, force_kernel_route=True)
-    for lab in li.labels_for_band(t1, 5):
-        assert abs(fast.evaluate_on_rule(rule, lab)[4, 0, 0]
-                   - brute.evaluate_on_rule(rule, lab)[4, 0, 0]) <= 1e-10
-
-
-def test_difference_kernel_route_su2_identity():
-    # the kernel route annihilates the identity symbol on the shrunk band
-    grid = li.haar_quadrature(li.SU2, 6)
-    dual = li.labels_for_band(li.SU2, 4)
-    d = li.difference_apply(li.identity_symbol(li.SU2), li.su2_label(1),
-                            entry=(0, 0), grid=grid, dual=dual)
-    for lab in li.labels_for_band(li.SU2, 3):
-        np.testing.assert_allclose(d.evaluate_on_rule(grid, lab)[2],
-                                   np.zeros((lab.dim, lab.dim)), atol=1e-10)
-
-
-def test_difference_weight_symbol_decay(t1, rule):
-    # |D <l>| <l>^{1-1} stays bounded as the band grows
-    lam = li.lambda_multiplier(t1, 1.0)
-    d = li.difference_apply(lam, li.torus_label(t1, [1]))
-    x = rule.node(0)
-    sups = []
-    for b in (4, 8, 16):
-        sup = max(abs(d.evaluate(x, l)[0, 0]) for l in li.labels_for_band(t1, b))
-        sups.append(sup)
-    assert sups[2] <= sups[0] * 1.5 + 1e-9
-    assert sups[2] <= 2 * np.pi + 0.1  # derivative bound of sqrt(1 + 4 pi^2 l^2)
-
-
-def test_difference_band_headroom_error(t1, rule, band):
-    table = {l: np.array([[1.0 + 0j]]) for l in li.labels_for_band(t1, 0)}
-    tiny = li.table_symbol(t1, table)
-    with pytest.raises(li.BandHeadroomError):
-        li.difference_apply(tiny, li.torus_label(t1, [1]))
 
 
 # --- ellipticity ------------------------------------------------------------
@@ -357,93 +210,6 @@ def test_pointwise_coefficient_sampled_once_per_rule(group):
             np.testing.assert_array_equal(vals, coeff(rule)[:, None, None]
                                           * np.eye(xi.dim))
     assert calls == [grid, flowed]
-
-
-# --- symbol class diagnostics ------------------------------------------------
-
-def test_diagnostic_identity_constants(t1, band):
-    grid = li.haar_quadrature(t1, 9)
-    table = li.symbol_class_diagnostic(li.identity_symbol(t1), 0.0, 2, 2,
-                                       grid, li.labels_for_band(t1, 6))
-    assert table.constant([0], [0]) == pytest.approx(1.0, abs=1e-12)
-    for row in table.rows:
-        if tuple(row["alpha"]) != (0,) or tuple(row["beta"]) != (0,):
-            assert row["constant"] <= 1e-8
-
-
-def test_diagnostic_weight_symbol_difference_constant(t1):
-    grid = li.haar_quadrature(t1, 5)
-    consts = []
-    for b in (6, 12):
-        table = li.symbol_class_diagnostic(li.lambda_multiplier(t1, 1.0), 1.0,
-                                           0, 1, grid, li.labels_for_band(t1, b))
-        consts.append(table.constant([0], [1]))
-    assert consts[1] <= consts[0] * 1.2 + 1e-9  # stable as the band grows
-
-
-def test_diagnostic_x_derivative_ratio(t1):
-    # sigma(x, l) = e^{2 pi i x} <l>: the x-derivative scales by 2 pi
-    coeff, bw = li.torus_function(t1, {(1,): 1.0})
-    phase = li.pointwise_symbol(t1, coeff, bw, {"kind": "e"})
-    sym = li.frozen_symbol_product(phase, li.lambda_multiplier(t1, 1.0))
-    grid = li.haar_quadrature(t1, 7)
-    table = li.symbol_class_diagnostic(sym, 1.0, 1, 0, grid,
-                                       li.labels_for_band(t1, 5))
-    ratio = table.constant([1], [0]) / table.constant([0], [0])
-    assert ratio == pytest.approx(2 * np.pi, rel=0.05)
-
-
-def test_diagnostic_mixed_x_derivative_matches_per_node_reference():
-    # d_{Y_0} d_{Y_1} sigma (first direction outermost) differenced node by
-    # node on one-node rules; left-invariant fields do not commute, so the
-    # order of the nested differences shows in the constant (0.595 against
-    # 0.593 the other way round)
-    coeff, w = li.su2_function([(2, 0, 0, 1.0), (2, 1, 2, 0.5)])
-    sym = li.pointwise_symbol(li.SU2, coeff, w, {"kind": "t"})
-    grid = li.haar_quadrature(li.SU2, 2)
-    lab = li.su2_label(1)
-    h = 1e-5
-    y0, y1, _ = li.lie_basis(li.SU2).generators
-    ref = 0.0
-    for k in range(grid.n_nodes):
-        x = li.point_rule(grid.node(k))
-        val = sum(a * b * sym.evaluate_on_rule(
-            li.flow_rule(li.flow_rule(x, y0, a * h), y1, b * h), lab)[0]
-            for a in (1, -1) for b in (1, -1)) / (4 * h * h)
-        ref = max(ref, float(np.linalg.norm(val, 2)))
-    table = li.symbol_class_diagnostic(sym, 0.0, 2, 0, grid, [lab], h=h)
-    assert table.constant([1, 1, 0], [0]) == pytest.approx(ref, rel=1e-5)
-
-
-def test_diagnostic_beta_requires_torus():
-    grid = li.haar_quadrature(li.SU2, 2)
-    with pytest.raises(li.UnsupportedFeatureError):
-        li.symbol_class_diagnostic(li.identity_symbol(li.SU2), 0.0, 0, 1,
-                                   grid, li.labels_for_band(li.SU2, 2))
-
-
-def test_diagnostic_exports(t1):
-    grid = li.haar_quadrature(t1, 5)
-    table = li.symbol_class_diagnostic(li.identity_symbol(t1), 0.0, 1, 1,
-                                       grid, li.labels_for_band(t1, 3))
-    assert [(row["alpha"], row["beta"]) for row in table.rows] == [
-        ([0], [0]), ([1], [0]), ([0], [1]), ([1], [1])]
-
-
-@pytest.mark.parametrize("j", [0, 1, 2])
-def test_diagnostic_su2_x_derivative_is_exact(j):
-    # sigma = c t_1(x)[0, 0] I has d_{Y_j} sigma = c (x Y_j)[0, 0] I exactly
-    c = 0.35 + 0.1j
-    coeff, w = li.su2_function([(1, 0, 0, c)])
-    sym = li.pointwise_symbol(li.SU2, coeff, w, {"kind": "t1"})
-    grid = li.haar_quadrature(li.SU2, 3)
-    alpha = [0, 0, 0]
-    alpha[j] = 1
-    table = li.symbol_class_diagnostic(sym, 0.0, 1, 0, grid,
-                                       li.labels_for_band(li.SU2, 2))
-    y = li.lie_basis(li.SU2).generators[j]
-    want = np.abs(c * (grid.defining_matrices() @ y)[:, 0, 0]).max()
-    assert table.constant(alpha, [0]) == pytest.approx(want, rel=1e-7)
 
 
 # --- point evaluation through the one evaluator -------------------------------
