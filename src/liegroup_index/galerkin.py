@@ -38,7 +38,7 @@ from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 
 class AliasingError(ValueError):
@@ -105,8 +105,9 @@ class PeterWeylBasis:
     def positions(self, labels) -> np.ndarray:
         """Positions of the entries whose label is in ``labels``, in order."""
         keep = set(labels)
-        return np.array([pos for pos, (xi, _, _) in enumerate(self.entries)
-                         if xi in keep], dtype=int)
+        blocks = [np.arange(pos, pos + xi.dim ** 2)
+                  for xi, pos in self.offsets.items() if xi in keep]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
 
 
 def basis_for_band(group: GroupSpec, band: int) -> PeterWeylBasis:
@@ -152,9 +153,11 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     columns of each domain label are evaluated together on the grid and
     projected by quadrature: one FFT of a label's images along the Haar
     rule's uniform axis, then one plane-weighted product per codomain mode
-    for all columns, shared by aliased charges.  The grid defaults to the
-    automatically chosen resolving level; a rule without a uniform axis, or
-    whose weights vary along it, raises ValueError.  When a column's image
+    for all columns, shared by aliased charges.  A pointwise symbol c(x) I
+    has the images sqrt(d) c(x) xi(x): c is sampled once per assembly and
+    scales the representation matrices by broadcasting.  The grid defaults
+    to the automatically chosen resolving level; a rule without a uniform
+    axis, or whose weights vary along it, raises ValueError.  When a column's image
     leaks out of the codomain band (its quadrature energy over every node
     exceeds its captured energy by more than 1e-12 + 1e-8 of the energy),
     an AliasingError names the first such column and the required band.
@@ -199,12 +202,15 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     n_plane = len(w_plane)
     spec = np.empty((n_plane, grid.axis_length, dom.size), dtype=complex)
     total = np.empty(dom.size)
+    # a pointwise c(x) I scales xi(x) by c(x): sample c once for all labels
+    coef = sigma.coefficient_on_rule(grid) if sigma.is_pointwise else None
     for xi in dom.labels:
         d, cols = xi.dim, slice(dom.offsets[xi], dom.offsets[xi] + xi.dim ** 2)
         # column (xi, i, j) is the image of sqrt(d) xi_ij, i.e. the entry
         # sqrt(d) (xi(x) sigma(x, xi))[i, j] of the quantization sum
-        vals = math.sqrt(d) * (rep_matrices_on_rule(xi, grid)
-                               @ sigma.evaluate_on_rule(grid, xi))
+        reps = rep_matrices_on_rule(xi, grid)
+        vals = math.sqrt(d) * (reps * coef if coef is not None
+                               else reps @ sigma.evaluate_on_rule(grid, xi))
         vals = vals.reshape(grid.n_nodes, d * d)
         total[cols] = grid.weights @ np.abs(vals) ** 2
         spec[:, :, cols] = np.fft.fft(vals.reshape(n_plane, -1, d * d), axis=1)

@@ -119,13 +119,22 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
     since s*s and s s* share their spectrum, or DensityError when a product
     is not Hermitian or exp(-g l) is not finite (checked at the largest g,
     where it peaks for l < 0).  Invariant pairs are checked on one node and
-    ignore ``grid``, which may then be None."""
+    ignore ``grid``, which may then be None.  For a pointwise pair, c(x) I
+    and c*(x) I, the products are the same c* c at every label: they are
+    checked once, as 1x1 products on ``grid``, and a failure names the first
+    cutoff label."""
     g_max = _positive_gammas(gammas).max()
     if sigma_a.is_invariant and sigma_astar.is_invariant:
         grid = point_rule(identity(sigma_a.group))   # evaluate_at_any's node
-    for xi in cutoff_labels:
-        sa = sigma_a.evaluate_on_rule(grid, xi)
-        sstar = sigma_astar.evaluate_on_rule(grid, xi)
+    if sigma_a.is_pointwise and sigma_astar.is_pointwise:
+        checks = [(xi, sigma_a.coefficient_on_rule(grid),
+                   sigma_astar.coefficient_on_rule(grid))
+                  for xi in list(cutoff_labels)[:1]]
+    else:
+        checks = ((xi, sigma_a.evaluate_on_rule(grid, xi),
+                   sigma_astar.evaluate_on_rule(grid, xi))
+                  for xi in cutoff_labels)
+    for xi, sa, sstar in checks:
         left, tag = sstar @ sa, f"sigma_A* sigma_A at {xi}"
         evals = np.linalg.eigvalsh(0.5 * (left + _checked_adjoint(left, tag)))
         with np.errstate(over="ignore"):

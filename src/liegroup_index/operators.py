@@ -66,6 +66,24 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _finite_array(value, path: str) -> np.ndarray:
+    """A config number (or nested list of numbers) that must be finite."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, f"must be a number ({exc})")
+    _require(bool(np.isfinite(arr).all()), path,
+             "must be finite (not NaN or Infinity)")
+    return arr
+
+
+def _finite_float(item: dict, key: str, path: str) -> float:
+    """The optional number item[key] (default 0), which must be finite."""
+    arr = _finite_array(item.get(key, 0.0), f"{path}.{key}")
+    _require(arr.ndim == 0, f"{path}.{key}", "must be a number")
+    return float(arr)
+
+
 def _label_from_list(group: GroupSpec, values, path: str) -> IrrepLabel:
     _require(isinstance(values, list) and all(isinstance(v, int) for v in values),
              path, "label must be a list of integers")
@@ -136,13 +154,13 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
              "multiplier needs exactly one of 'formula' or 'table'")
     if formula is not None:
         if formula == "weight_power":
-            s = tree.get("s")
-            _require(isinstance(s, (int, float)), path + ".s",
+            _require(isinstance(tree.get("s"), (int, float)), path + ".s",
                      "weight_power needs a numeric exponent s")
-            sym = lambda_multiplier(group, float(s))
-            desc = {"op": "multiplier", "formula": "weight_power", "s": float(s)}
+            s = _finite_float(tree, "s", path)
+            sym = lambda_multiplier(group, s)
+            desc = {"op": "multiplier", "formula": "weight_power", "s": s}
             return BuiltinOperator(group, sym, conjugate_transpose_symbol(sym),
-                                   float(s), desc)
+                                   s, desc)
         _require(formula in MULTIPLIER_FORMULAS, path + ".formula",
                  f"unknown multiplier formula {formula!r}; known: "
                  f"{sorted(MULTIPLIER_FORMULAS) + ['weight_power']}")
@@ -158,15 +176,15 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
         ipath = f"{path}.table[{i}]"
         _require(isinstance(item, dict), ipath, "table entry must be an object")
         lab = _label_from_list(group, item.get("label"), ipath + ".label")
-        re = np.asarray(item.get("re", 0.0), dtype=float)
-        im = np.asarray(item.get("im", 0.0), dtype=float)
+        re = _finite_array(item.get("re", 0.0), ipath + ".re")
+        im = _finite_array(item.get("im", 0.0), ipath + ".im")
         m = re + 1j * im
         if m.ndim == 0:
             m = m * np.eye(lab.dim)
         _require(m.shape == (lab.dim, lab.dim), ipath,
                  f"matrix must be {lab.dim}x{lab.dim}")
         entries[lab] = m
-    order = float(tree.get("order", 0.0))
+    order = _finite_float(tree, "order", path)
     sym = table_symbol(group, entries, order)
     desc = {"op": "multiplier", "table": sorted(str(l.label) for l in entries),
             "order": order}
@@ -186,7 +204,8 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             _require(isinstance(freq, list) and len(freq) == group.n
                      and all(isinstance(v, int) for v in freq),
                      ipath + ".freq", f"freq must be {group.n} integers")
-            c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            c = complex(_finite_float(item, "re", ipath),
+                        _finite_float(item, "im", ipath))
             cdict[tuple(freq)] = cdict.get(tuple(freq), 0.0) + c
             neg = tuple(-v for v in freq)
             cdict_conj[neg] = cdict_conj.get(neg, 0.0) + c.conjugate()
@@ -212,7 +231,8 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             ii, jj = item.get("i", 0), item.get("j", 0)
             _require(0 <= ii <= n and 0 <= jj <= n, ipath,
                      "entry indices must lie within the representation")
-            c = complex(float(item.get("re", 0.0)), float(item.get("im", 0.0)))
+            c = complex(_finite_float(item, "re", ipath),
+                        _finite_float(item, "im", ipath))
             terms.append((n, ii, jj, c))
         coeff, band = su2_function(terms)
         # conj(t_n[i,j]) = (t_n^*)[j,i] evaluated through the inverse; keep the

@@ -20,7 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dual import IrrepLabel, UnsupportedFeatureError, rep_matrices_on_rule
+from .dual import (IrrepLabel, UnsupportedFeatureError, rep_matrices_on_rule,
+                   trivial_label)
 from .fourier import FourierCoefficients
 from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
                      identity, point_rule)
@@ -40,7 +41,9 @@ class MatrixSymbol:
     node, shape (n_nodes, d, d); a single point is a one-node rule.
     ``x_bandwidth`` is in band units (torus frequency, SU(2) twice-spin); 0
     for x-independent symbols.  ``max_band`` bounds the labels on which the
-    symbol is defined (None = any label).  Evaluators must be pure.
+    symbol is defined (None = any label).  ``is_pointwise`` marks
+    sigma(x, xi) = c(x) I with c independent of xi; c is then sigma at the
+    trivial label, shape (n_nodes, 1, 1).  Evaluators must be pure.
     """
 
     group: GroupSpec
@@ -50,6 +53,7 @@ class MatrixSymbol:
     describe: dict
     _on_rule: Callable[[QuadratureRule, IrrepLabel], np.ndarray]
     max_band: Optional[int] = None
+    is_pointwise: bool = False
 
     def evaluate_on_rule(self, rule: QuadratureRule, xi: IrrepLabel) -> np.ndarray:
         """sigma at every node, shape (n_nodes, d, d)."""
@@ -69,6 +73,12 @@ class MatrixSymbol:
         if not self.is_invariant:
             raise ValueError("symbol is not x-independent")
         return self.evaluate(identity(self.group), xi)
+
+    def coefficient_on_rule(self, rule: QuadratureRule) -> np.ndarray:
+        """c at every node of a pointwise symbol c(x) I, shape (n_nodes, 1, 1)."""
+        if not self.is_pointwise:
+            raise ValueError("symbol is not pointwise")
+        return self.evaluate_on_rule(rule, trivial_label(self.group))
 
 
 def _values_sha256(tables: dict) -> str:
@@ -139,7 +149,9 @@ def pointwise_symbol(group: GroupSpec,
 
     ``coeff_on_rule`` samples c at every node of a rule.  c(x) does not
     depend on the label, so the samples are memoized on the rule, keyed by
-    ``coeff_on_rule``: a census over many labels samples c once.
+    ``coeff_on_rule``: a census over many labels samples c once.  The
+    symbol is marked ``is_pointwise``: assembly and the density route read
+    c once, at the trivial label, instead of forming c(x) I per label.
     """
 
     def on_rule(rule, xi):
@@ -149,7 +161,8 @@ def pointwise_symbol(group: GroupSpec,
             vals.setflags(write=False)
         return vals[:, None, None] * np.eye(xi.dim)[None, :, :]
 
-    return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, on_rule)
+    return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, on_rule,
+                        is_pointwise=True)
 
 
 def torus_function(group: GroupSpec, coeffs: dict) -> tuple:
@@ -263,7 +276,8 @@ def symbol_sum(symbols: Sequence[MatrixSymbol],
         all(s.is_invariant for s in symbols),
         {"kind": "sum", "terms": [s.describe for s in symbols],
          "weights": [repr(w) for w in weights]},
-        on_rule, max_band=max_band)
+        on_rule, max_band=max_band,
+        is_pointwise=all(s.is_pointwise for s in symbols))
 
 
 def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> MatrixSymbol:
@@ -288,7 +302,8 @@ def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> Matri
         sigma_a.x_bandwidth + sigma_b.x_bandwidth,
         sigma_a.is_invariant and sigma_b.is_invariant,
         {"kind": "product", "factors": [sigma_a.describe, sigma_b.describe]},
-        on_rule, max_band=max_band)
+        on_rule, max_band=max_band,
+        is_pointwise=sigma_a.is_pointwise and sigma_b.is_pointwise)
 
 
 def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
@@ -301,7 +316,8 @@ def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
     return MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth,
                         sigma.is_invariant,
                         {"kind": "conjugate_transpose", "of": sigma.describe},
-                        on_rule, max_band=sigma.max_band)
+                        on_rule, max_band=sigma.max_band,
+                        is_pointwise=sigma.is_pointwise)
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,45 @@ def test_index_rejects_non_finite_gammas(tmp_path, capsys, gammas):
     assert not (tmp_path / "out").exists()
 
 
+def _torus_pointwise(value):
+    return {"op": "pointwise", "coefficients": [
+        {"freq": [0], "re": 2.0}, {"freq": [1], "re": 0.5, "im": value}]}
+
+
+def _su2_entry(value):
+    return {"op": "pointwise", "entries": [
+        {"twice_spin": 0, "re": 2.0}, {"twice_spin": 1, "i": 0, "j": 1, "re": value}]}
+
+
+def _table_value(value):
+    return {"op": "multiplier", "table": [
+        {"label": [0], "re": 1.0}, {"label": [1], "re": [[value]]}]}
+
+
+def _weight_power(value):
+    return {"op": "multiplier", "formula": "weight_power", "s": value}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("group,operator,path", [
+    ({"kind": "torus", "n": 1}, _torus_pointwise, "config.operator.coefficients[1].im"),
+    ({"kind": "su2"}, _su2_entry, "config.operator.entries[1].re"),
+    ({"kind": "torus", "n": 1}, _table_value, "config.operator.table[1].re"),
+    ({"kind": "su2"}, _weight_power, "config.operator.s"),
+], ids=["torus-pointwise", "su2-entry", "table", "weight-power"])
+def test_index_rejects_non_finite_operator_numbers(tmp_path, capsys, value, group,
+                                                   operator, path):
+    # json.loads accepts NaN and Infinity; they used to reach the SVD
+    cfg = write_config(tmp_path, "bad.json", {
+        "group": group, "operator": operator(value), "cutoffs": [2, 4]})
+    text = (tmp_path / "bad.json").read_text()
+    assert "NaN" in text or "Infinity" in text
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: must be finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("group", [{"kind": "torus", "n": 1}, {"kind": "su2"}])
 @pytest.mark.parametrize("patch,fragment", [
     ({"quadrature_level": 2.5}, "config.quadrature_level"),

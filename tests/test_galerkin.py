@@ -67,6 +67,22 @@ def test_gram_rejects_weights_varying_on_uniform_axis():
         li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
 
 
+@pytest.mark.parametrize("group,band", [(li.torus(2), 4), (li.SU2, 6)], ids=str)
+def test_positions_equal_entry_scan(group, band, rng):
+    basis = li.basis_for_band(group, band)
+    labels = list(basis.labels)
+    subsets = [labels, [], labels[:1], labels[::-1], labels[1::3],
+               [labels[i] for i in rng.permutation(len(labels))[:len(labels) // 2]],
+               labels[:3] + li.labels_for_band(group, band + 2)[-2:]]
+    for subset in subsets:
+        keep = set(subset)
+        scan = np.array([pos for pos, (xi, _, _) in enumerate(basis.entries)
+                         if xi in keep], dtype=int)
+        got = basis.positions(subset)
+        assert got.dtype == scan.dtype and got.shape == scan.shape
+        np.testing.assert_array_equal(got, scan)
+
+
 def test_basis_ordering_deterministic(t1):
     basis = li.basis_for_band(li.SU2, 2)
     weights = [xi.weight for xi, _, _ in basis.entries]
@@ -415,19 +431,29 @@ def t1_pointwise():
     return li.pointwise_symbol(t1, coeff, w, {"k": "t1"})
 
 
+def _inline_matrices(sigma, grid, xi):
+    """sigma on the grid; for a pointwise symbol c(x) I built from c's samples."""
+    if sigma.is_pointwise:
+        return sigma.coefficient_on_rule(grid) * np.eye(xi.dim)
+    return sigma.evaluate_on_rule(grid, xi)
+
+
 @pytest.mark.parametrize("make, band", [
     (lambda: li.winding_symbol(li.torus(1), 2), 6), (t1_pointwise, 6),
-    (t2_pointwise, 4), (su2_pointwise, 4), (su2_pointwise, 8)])
+    (t2_pointwise, 4), (su2_pointwise, 4), (su2_pointwise, 8),
+    (t1_pointwise, 4), (t1_pointwise, 8), (t2_pointwise, 8)])
 def test_assemble_matches_dense_projection(make, band):
-    # the per-mode projection against the weighted sum over every node
+    # the per-mode projection against the weighted sum over every node; the
+    # pointwise symbols' reference is sqrt(d) rep @ c(x) I
     sigma = make()
+    assert sigma.is_pointwise != (sigma.describe.get("kind") == "winding")
     dom = li.basis_for_band(sigma.group, band)
     cod = li.basis_for_band(sigma.group, band + sigma.x_bandwidth)
     g = li.assemble(sigma, dom, cod)
     grid = li.haar_quadrature(sigma.group, g.meta["level"])
     vals = np.concatenate([
         np.sqrt(xi.dim) * (li.rep_matrices_on_rule(xi, grid)
-                           @ sigma.evaluate_on_rule(grid, xi)).reshape(grid.n_nodes, -1)
+                           @ _inline_matrices(sigma, grid, xi)).reshape(grid.n_nodes, -1)
         for xi in dom.labels], axis=1)
     ref = (cod.values_on_rule(grid).conj() * grid.weights) @ vals
     assert np.abs(g.matrix - ref).max() <= 1e-13 * np.abs(ref).max()

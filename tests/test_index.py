@@ -254,24 +254,97 @@ def test_density_names_the_non_hermitian_right_product():
         li.density_route_index(sa, sb, [1.0], [scalar, spin_half], grid)
 
 
+def counted(sym, name, calls):
+    """sym with an evaluator that records (name, label, n_nodes) per call."""
+    def on_rule(rule, xi):
+        calls.append((name, xi, rule.n_nodes))
+        return sym._on_rule(rule, xi)
+    return dataclasses.replace(sym, _on_rule=on_rule)
+
+
 def test_density_evaluates_invariant_pair_once_per_label(rng):
     labels = li.labels_for_band(li.SU2, 4)
     table = {xi: rng.standard_normal((xi.dim, xi.dim)) for xi in labels}
     calls = []
-
-    def counted(sym, name):
-        def on_rule(rule, xi):
-            calls.append((name, xi, rule.n_nodes))
-            return sym._on_rule(rule, xi)
-        return dataclasses.replace(sym, _on_rule=on_rule)
-
     sym = li.table_symbol(li.SU2, table)
-    sa = counted(sym, "a")
-    sstar = counted(li.conjugate_transpose_symbol(sym), "star")
+    sa = counted(sym, "a", calls)
+    sstar = counted(li.conjugate_transpose_symbol(sym), "star", calls)
     assert sa.is_invariant and sstar.is_invariant
     grid = li.haar_quadrature(li.SU2, 4)
     li.density_route_index(sa, sstar, [0.1, 1.0], labels, grid)
     assert calls == [(name, xi, 1) for xi in labels for name in ("a", "star")]
+
+
+def su2_pointwise_symbol(entries=((0, 0, 0, 2.0), (1, 0, 1, 0.3 + 0.4j))):
+    coeff, bw = li.su2_function(list(entries))
+    return li.pointwise_symbol(li.SU2, coeff, bw, {"kind": "su2"})
+
+
+def test_density_evaluates_pointwise_pair_once_per_call():
+    sym = su2_pointwise_symbol()
+    calls = []
+    sa = counted(sym, "a", calls)
+    sstar = counted(li.conjugate_transpose_symbol(sym), "star", calls)
+    assert sa.is_pointwise and sstar.is_pointwise
+    grid = li.haar_quadrature(li.SU2, 5)
+    labels = li.labels_for_band(li.SU2, 4)
+    got = li.density_route_index(sa, sstar, [0.1, 1.0, 10.0], labels, grid)
+    np.testing.assert_array_equal(got, [0.0, 0.0, 0.0])
+    trivial = li.trivial_label(li.SU2)
+    assert calls == [("a", trivial, grid.n_nodes), ("star", trivial, grid.n_nodes)]
+    calls.clear()
+    li.density_route_index(sa, sstar, [1.0], [], grid)
+    assert calls == []
+
+
+def per_label(sym):
+    """The same symbol without the pointwise mark: checked label by label."""
+    return dataclasses.replace(sym, is_pointwise=False)
+
+
+@pytest.mark.parametrize("first", [0, -1])
+def test_density_pointwise_non_real_product_message(first):
+    # c * c with c = 2 + 0.4i + 0.3 t_1[0, 1] is not real: c is passed as
+    # its own adjoint symbol
+    sym = su2_pointwise_symbol([(0, 0, 0, 2.0 + 0.4j), (1, 0, 1, 0.3)])
+    grid = li.haar_quadrature(li.SU2, 5)
+    labels = li.labels_for_band(li.SU2, 4)
+    labels = labels if first == 0 else labels[::-1]
+    with pytest.raises(li.DensityError) as slow:
+        li.density_route_index(per_label(sym), per_label(sym), [1.0], labels, grid)
+    with pytest.raises(li.DensityError) as fast:
+        li.density_route_index(sym, sym, [1.0], labels, grid)
+    assert str(fast.value) == str(slow.value)
+    prod = sym.coefficient_on_rule(grid)[:, 0, 0] ** 2
+    defect = 2.0 * np.abs(prod.imag).max()
+    assert str(fast.value) == (
+        f"sigma_A* sigma_A at {labels[0]}: product is not Hermitian "
+        f"(defect {defect:.3e}); supply the adjoint symbol consistent with "
+        "the operator")
+
+
+def test_density_pointwise_failures_match_label_by_label():
+    grid = li.haar_quadrature(li.SU2, 5)
+    labels = li.labels_for_band(li.SU2, 3)
+    one = su2_pointwise_symbol([(0, 0, 0, 1.0)])
+    minus = su2_pointwise_symbol([(0, 0, 0, -1000.0)])
+    c = su2_pointwise_symbol()
+    cases = [(one, minus, [0.5]), (one, minus, [0.5, 1.0]),
+             (minus, one, [10.0]), (one, one, [1.0]), (c, c, [1.0]),
+             (c, li.conjugate_transpose_symbol(c), [0.1, 10.0])]
+    for sa, sstar, gammas in cases:
+        outcomes = []
+        for pair in ((sa, sstar), (per_label(sa), per_label(sstar))):
+            try:
+                outcomes.append(li.density_route_index(*pair, gammas, labels, grid))
+            except li.DensityError as exc:
+                outcomes.append(str(exc))
+        if isinstance(outcomes[0], str):
+            assert outcomes[0] == outcomes[1]
+        else:
+            np.testing.assert_array_equal(outcomes[0], outcomes[1])
+    with pytest.raises(li.DensityError, match="non-finite exponential"):
+        li.density_route_index(one, minus, [1.0], labels, grid)
 
 
 # --- order reduction and traces ----------------------------------------------

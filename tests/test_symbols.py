@@ -212,6 +212,32 @@ def test_pointwise_coefficient_sampled_once_per_rule(group):
     assert calls == [grid, flowed]
 
 
+def test_is_pointwise_propagates_through_pointwise_trees(t1):
+    coeff, w = li.torus_function(t1, {(0,): 2.0, (1,): 0.4j})
+    c = li.pointwise_symbol(t1, coeff, w, {"k": "c"})
+    c2 = li.pointwise_symbol(t1, coeff, w, {"k": "c2"})
+    adj = li.conjugate_transpose_symbol(c)
+    pointwise = [c, adj, li.symbol_sum([c, adj], [1.0, 0.5j]),
+                 li.frozen_symbol_product(c, c2),
+                 li.conjugate_transpose_symbol(li.frozen_symbol_product(adj, c))]
+    assert all(s.is_pointwise for s in pointwise)
+    table = li.table_symbol(t1, {lab: np.eye(1) for lab in li.labels_for_band(t1, 3)})
+    for other in (table, li.winding_symbol(t1, 1), li.winding_adjoint_symbol(t1, 1)):
+        assert not other.is_pointwise
+        for mixed in (li.symbol_sum([c, other]), li.symbol_sum([other, c]),
+                      li.frozen_symbol_product(c, other),
+                      li.frozen_symbol_product(other, c),
+                      li.conjugate_transpose_symbol(li.symbol_sum([adj, other]))):
+            assert not mixed.is_pointwise
+    # c is read at the trivial label, through the one evaluator
+    grid = li.haar_quadrature(t1, 5)
+    got = pointwise[3].coefficient_on_rule(grid)
+    assert got.shape == (grid.n_nodes, 1, 1)
+    assert np.abs(got[:, 0, 0] - coeff(grid) ** 2).max() <= 1e-14
+    with pytest.raises(ValueError, match="not pointwise"):
+        table.coefficient_on_rule(grid)
+
+
 # --- point evaluation through the one evaluator -------------------------------
 
 @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
