@@ -8,17 +8,17 @@ interface and the conventions used throughout.
 __version__ = "0.1.0"
 
 from .groups import (GroupSpec, GroupPoint, QuadratureRule, SU2, SU3, torus,
-                     identity, su2_point, su3_point, torus_point, group_mul,
-                     group_inv, haar_quadrature, min_level_for_band, point_rule,
+                     identity, su2_point, su3_point, torus_point,
+                     haar_quadrature, min_level_for_band, point_rule,
                      flow_rule, GroupMismatchError, ChartDomainError)
 from .dual import (IrrepLabel, LieBasis, enumerate_dual, labels_for_band,
-                   rep_matrix, rep_matrices_on_rule, rep_factors, lie_basis,
+                   rep_matrices_on_rule, rep_factors, lie_basis,
                    left_invariant_derivative, left_invariant_second_derivative,
                    laplacian_fd, torus_label, su2_label, su3_label,
                    trivial_label, UnsupportedFeatureError)
 from .fourier import (SampledFunction, FourierCoefficients, fourier_forward,
                       fourier_inverse_on_rule, plancherel_norm, l2_norm)
-from .symbols import (MatrixSymbol, identity_symbol, lambda_multiplier,
+from .symbols import (MatrixSymbol, lambda_multiplier,
                       multiplier_symbol, table_symbol, pointwise_symbol,
                       winding_symbol, winding_adjoint_symbol, symbol_sum,
                       frozen_symbol_product, conjugate_transpose_symbol,
@@ -27,6 +27,7 @@ from .symbols import (MatrixSymbol, identity_symbol, lambda_multiplier,
 from .galerkin import (PeterWeylBasis, GalerkinOperator, basis_for_band,
                        assemble, assemble_cached, adjoint, compose,
                        gram_matrix, index_codomain_labels, index_truncation,
+                       sweep_operator,
                        AliasingError, OperatorCache, save_operator,
                        read_cache_entry)
 from .index_engine import (heat_trace_index, density_route_index,

@@ -30,8 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
-                     _su2_matrices, flow_rule, point_rule)
+from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
+                     _su2_matrices, flow_rule)
 
 
 class UnsupportedFeatureError(NotImplementedError):
@@ -214,11 +214,6 @@ def su2_rep_matrices(twice_spin: int, g: np.ndarray) -> np.ndarray:
     for j, k, coeff, e11, e21, e12, e22 in _su2_expansion_terms(n):
         out[j, k] += coeff * p11[e11] * p21[e21] * p12[e12] * p22[e22]
     return np.moveaxis(out, (0, 1), (-2, -1))
-
-
-def rep_matrix(xi: IrrepLabel, x: GroupPoint) -> np.ndarray:
-    """Unitary matrix xi(x); torus characters are 1x1."""
-    return rep_matrices_on_rule(xi, point_rule(x))[0]
 
 
 def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:

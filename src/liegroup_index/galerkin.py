@@ -13,7 +13,10 @@ computations use rectangular truncations: the codomain of a sweep cell is
 the domain band extended by the labels actually hit by the operator, minus
 "artifact" labels that are reachable only from modes outside the domain
 truncation (see ``index_codomain_labels``).  For the circle winding family
-this makes the finite-rank index exactly -k at every cutoff.
+this makes the finite-rank index exactly -k at every cutoff.  A sweep
+assembles one operator, from band N + w to band N + 2w for its largest
+cutoff N and the symbol's x-bandwidth w (``sweep_operator``); the bases
+nest, so every cutoff's truncation is a row/column slice of it.
 """
 
 from __future__ import annotations
@@ -59,28 +62,15 @@ class PeterWeylBasis:
     def __post_init__(self):
         labels = tuple(sorted(self.labels, key=IrrepLabel.sort_key))
         object.__setattr__(self, "labels", labels)
-        entries = []
-        for xi in labels:
-            for i in range(xi.dim):
-                for j in range(xi.dim):
-                    entries.append((xi, i, j))
-        self.entries = tuple(entries)
-        self.offsets = {}
-        pos = 0
-        for xi in labels:
-            self.offsets[xi] = pos
-            pos += xi.dim * xi.dim
+        self.entries = tuple((xi, i, j) for xi in labels
+                             for i in range(xi.dim) for j in range(xi.dim))
+        self.sizes = [xi.dim ** 2 for xi in labels]
+        self.offsets = dict(zip(labels, np.cumsum([0] + self.sizes[:-1]).tolist()))
+        self.band = max((xi.band for xi in labels), default=0)
 
     @property
     def size(self) -> int:
         return len(self.entries)
-
-    @property
-    def band(self) -> int:
-        return max((xi.band for xi in self.labels), default=0)
-
-    def index_of(self, xi: IrrepLabel, i: int, j: int) -> int:
-        return self.offsets[xi] + i * xi.dim + j
 
     def __eq__(self, other):
         return (isinstance(other, PeterWeylBasis)
@@ -105,9 +95,8 @@ class PeterWeylBasis:
     def positions(self, labels) -> np.ndarray:
         """Positions of the entries whose label is in ``labels``, in order."""
         keep = set(labels)
-        blocks = [np.arange(pos, pos + xi.dim ** 2)
-                  for xi, pos in self.offsets.items() if xi in keep]
-        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=int)
+        return np.flatnonzero(np.repeat([xi in keep for xi in self.labels],
+                                        self.sizes))
 
 
 def basis_for_band(group: GroupSpec, band: int) -> PeterWeylBasis:
@@ -359,12 +348,16 @@ def assemble_cached(sigma: MatrixSymbol, dom: PeterWeylBasis,
     return g
 
 
-def _wide_operator(sigma: MatrixSymbol, dom: PeterWeylBasis, w: int,
-                   cache: Optional[OperatorCache]) -> GalerkinOperator:
-    """The operator from band dom.band + w to band dom.band + 2w."""
-    group = sigma.group
-    return assemble_cached(sigma, basis_for_band(group, dom.band + w),
-                           basis_for_band(group, dom.band + 2 * w), cache=cache)
+def sweep_operator(sigma: MatrixSymbol, band: int,
+                   cache: Optional[OperatorCache] = None) -> GalerkinOperator:
+    """The operator from band + w to band + 2w (w the symbol's x-bandwidth).
+
+    Every cutoff up to ``band`` is a slice of it, since the bases nest; for
+    w = 0 it is the square band-``band`` matrix.  Assembled through ``cache``.
+    """
+    group, w = sigma.group, int(math.ceil(sigma.x_bandwidth))
+    return assemble_cached(sigma, basis_for_band(group, band + w),
+                           basis_for_band(group, band + 2 * w), cache=cache)
 
 
 def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
@@ -377,59 +370,67 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
     themselves; labels that are reachable only from modes *outside* the
     domain band (truncation artifacts, detected by extending the domain by
     the symbol's x-bandwidth w) are dropped.  For x-independent symbols the
-    codomain equals the domain.  ``wide`` is the operator from band
-    dom.band + w to dom.band + 2w; it is assembled through ``cache`` when
-    not given.
+    codomain equals the domain.  The hits are read from ``wide``, the
+    operator of a sweep whose largest cutoff is at least dom.band
+    (``sweep_operator``; assembled through ``cache`` for dom.band when not
+    given): its columns of band dom.band + w and its rows of band at most
+    dom.band + 2w, the largest of which sets the hit threshold's scale.
     """
     w = int(math.ceil(sigma.x_bandwidth))
     if w == 0:
         return list(dom.labels)
     if wide is None:
-        wide = _wide_operator(sigma, dom, w, cache)
-    cod_wide = wide.codomain
-    scale = float(np.abs(wide.matrix).max()) or 1.0
+        wide = sweep_operator(sigma, dom.band, cache)
+    band, cod_wide = dom.band, wide.codomain
+    cod_labels = [xi for xi in cod_wide.labels if xi.band <= band + 2 * w]
+    mag = np.abs(wide.matrix[cod_wide.positions(cod_labels)])
+    starts = np.cumsum([0] + [xi.dim ** 2 for xi in cod_labels[:-1]])
+    extended = wide.domain.positions(
+        [xi for xi in wide.domain.labels if xi.band <= band + w])
+    threshold = tol * (float(mag[:, extended].max()) or 1.0)
 
     def hit_labels(col_positions):
-        hits = set()
-        sub = np.abs(wide.matrix[:, col_positions])
-        row_max = sub.max(axis=1)
-        for xi in cod_wide.labels:
-            base = cod_wide.offsets[xi]
-            if row_max[base:base + xi.dim ** 2].max() > tol * scale:
-                hits.add(xi)
-        return hits
+        row_hit = mag[:, col_positions].max(axis=1) > threshold
+        return {xi for xi, h in zip(cod_labels, np.logical_or.reduceat(row_hit, starts))
+                if h}
 
     hit = hit_labels(wide.domain.positions(dom.labels))
-    hit_plus = hit_labels(np.arange(wide.domain.size))
-    artifacts = hit_plus - hit
+    artifacts = hit_labels(extended) - hit
     keep = (set(dom.labels) | hit) - artifacts
     return sorted(keep, key=IrrepLabel.sort_key)
 
 
 def index_truncation(sigma: MatrixSymbol, band: int,
-                     cache: Optional[OperatorCache] = None) -> GalerkinOperator:
+                     cache: Optional[OperatorCache] = None,
+                     wide: Optional[GalerkinOperator] = None) -> GalerkinOperator:
     """Rectangular truncation of the operator used by the index sweeps.
 
-    For x-dependent symbols the matrix is a row/column slice of the wide
-    operator that codomain selection assembles, so a cutoff costs one
-    assembly and one cache entry.  The slice records the quadrature level
-    that assembling it on its own would use, and its codomain is checked
-    for aliasing against the energies of the wide matrix's columns.
+    The matrix is a row/column slice of ``wide``, the operator of a sweep
+    whose largest cutoff is at least ``band`` (``sweep_operator``): the
+    columns of band ``band`` and the rows of its selected codomain.  When
+    ``wide`` is not given it is assembled through ``cache`` for ``band``
+    itself.  The slice records the quadrature level that assembling it on
+    its own would use (None for an invariant symbol).  Its codomain is
+    checked for aliasing against the energies of the wide matrix's columns,
+    except for an invariant symbol, whose matrix is block diagonal.
     """
     group = sigma.group
-    dom = basis_for_band(group, band)
     w = int(math.ceil(sigma.x_bandwidth))
-    if w == 0:
-        return assemble_cached(sigma, dom, dom, cache=cache)
-    wide = _wide_operator(sigma, dom, w, cache)
-    cod = PeterWeylBasis(group, tuple(
-        index_codomain_labels(sigma, dom, cache=cache, wide=wide)))
-    columns = wide.matrix[:, wide.domain.positions(dom.labels)]
-    mat = columns[wide.codomain.positions(cod.labels)]
-    _check_leak(np.sum(np.abs(columns) ** 2, axis=0),
-                np.sum(np.abs(mat) ** 2, axis=0), range(dom.size), band + w)
-    meta = {"level": assembly_level(group, dom.band, cod.band, w),
-            "invariant_fast_path": False, "symbol": sigma.describe}
+    if wide is None:
+        wide = sweep_operator(sigma, band, cache)
+    dom = basis_for_band(group, band)
+    cod = PeterWeylBasis(group, tuple(index_codomain_labels(sigma, dom, wide=wide)))
+    rows = wide.codomain.positions(cod.labels)
+    cols = wide.domain.positions(dom.labels)
+    mat = wide.matrix[np.ix_(rows, cols)]
+    invariant = sigma.is_invariant and w == 0
+    if not invariant:   # an invariant symbol's matrix is block diagonal
+        energy = np.abs(wide.matrix[:, cols]) ** 2
+        _check_leak(energy.sum(axis=0), energy[rows].sum(axis=0),
+                    range(dom.size), band + w)
+    meta = {"level": None if invariant else
+            assembly_level(group, dom.band, cod.band, w),
+            "invariant_fast_path": invariant, "symbol": sigma.describe}
     return GalerkinOperator(dom, cod, mat, meta)
 
 
@@ -467,11 +468,7 @@ def operator_cache_blob(g: GalerkinOperator) -> tuple:
     the lookup fields alone.
     Payload: little-endian float64 pairs (re, im) in column-major order.
     """
-    flat = np.asfortranarray(g.matrix).ravel(order="F")
-    interleaved = np.empty(flat.size * 2)
-    interleaved[0::2] = np.real(flat)
-    interleaved[1::2] = np.imag(flat)
-    payload = interleaved.astype("<f8").tobytes()
+    payload = np.asarray(g.matrix, dtype="<c16").tobytes(order="F")
     level, symbol = g.meta.get("level"), g.meta.get("symbol")
     key = cache_key_for(symbol, g.domain, g.codomain, level)
     header = _lookup_header(g.domain.describe(), g.codomain.describe(),
@@ -500,7 +497,8 @@ def save_operator(g: GalerkinOperator, directory: str) -> str:
 
 
 def read_cache_entry(path: str, verify_payload: bool = True) -> tuple:
-    """(header dict, matrix or None) from a cache file.
+    """(header dict, matrix or None) from a cache file; the matrix is a
+    read-only view of the payload.
 
     Raises ValueError on a corrupt entry: bad magic, a file too short for
     its header, an undecodable header or one missing the shape or payload
@@ -526,7 +524,6 @@ def read_cache_entry(path: str, verify_payload: bool = True) -> tuple:
         raise ValueError(f"{path}: payload hash mismatch")
     if len(payload) != rows * cols * 16:
         raise ValueError(f"{path}: truncated payload")
-    interleaved = np.frombuffer(payload, dtype="<f8")
-    flat = interleaved[0::2] + 1j * interleaved[1::2]
-    matrix = flat.reshape((rows, cols), order="F")
+    # little-endian (re, im) float64 pairs are complex128 in memory
+    matrix = np.frombuffer(payload, dtype="<c16").reshape((rows, cols), order="F")
     return header, matrix

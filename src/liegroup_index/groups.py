@@ -216,21 +216,6 @@ def su3_point(thetas: Sequence[float], phis: Sequence[float]) -> GroupPoint:
     return GroupPoint(SU3, chart, _su3_matrices(np.array([chart], dtype=float))[0])
 
 
-def group_mul(a: GroupPoint, b: GroupPoint) -> GroupPoint:
-    """Group product; matrix-group results carry the matrix only."""
-    if a.group != b.group:
-        raise GroupMismatchError(f"cannot multiply points of {a.group} and {b.group}")
-    if a.group.kind == "torus":
-        return GroupPoint(a.group, tuple(x + y for x, y in zip(a.chart, b.chart)))
-    return GroupPoint(a.group, None, a.matrix @ b.matrix)
-
-
-def group_inv(a: GroupPoint) -> GroupPoint:
-    if a.group.kind == "torus":
-        return GroupPoint(a.group, tuple(-x for x in a.chart))
-    return GroupPoint(a.group, None, a.matrix.conj().T)
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 

@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dual import IrrepLabel
-from .galerkin import (GalerkinOperator, assemble, compose, index_truncation)
+from .galerkin import (GalerkinOperator, assemble, compose, index_truncation,
+                       sweep_operator)
 from .groups import (GroupSpec, QuadratureRule, haar_quadrature, identity,
                      min_level_for_band, point_rule)
 from .symbols import MatrixSymbol, lambda_multiplier
@@ -148,10 +149,12 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
 # order reduction and traces
 
 
-def order_reduce(sigma: MatrixSymbol, band: int, cache=None) -> GalerkinOperator:
-    """Finite-rank realization of the order-zero operator Lambda_{-m} A."""
+def order_reduce(sigma: MatrixSymbol, band: int, cache=None,
+                 wide: Optional[GalerkinOperator] = None) -> GalerkinOperator:
+    """Finite-rank realization of the order-zero operator Lambda_{-m} A;
+    ``cache`` and ``wide`` are passed to ``index_truncation``."""
     m = sigma.order
-    a = index_truncation(sigma, band, cache=cache)
+    a = index_truncation(sigma, band, cache=cache, wide=wide)
     lam = assemble(lambda_multiplier(sigma.group, -m), a.codomain, a.codomain)
     return compose(lam, a)
 
@@ -223,8 +226,12 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                         cache=None) -> IndexReport:
     """Run all three index routes per (band, gamma) cell.
 
-    Each band's truncation, SVD and density-route checks are computed once
-    for all gammas.  Verdict "stable" requires the kernel count to be
+    The sweep assembles one operator, ``sweep_operator`` at the largest
+    band (one cache entry), and every band's truncation is a slice of it;
+    if that assembly fails, each band assembles its own, so the bands that
+    resolve keep their rows and the others record their own errors.  Each
+    band's truncation, SVD and density-route checks are computed once for
+    all gammas.  Verdict "stable" requires the kernel count to be
     constant across the two largest bands and the heat trace to match it
     within 1e-6 at every gamma.  Gammas must be finite and positive
     (ValueError).  Per-band and per-cell failures are recorded without
@@ -237,11 +244,15 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
     report = IndexReport(operator_desc or sigma.describe, sigma.group)
     kernel_by_band = {}
     heat_ok = True
+    try:
+        wide = sweep_operator(sigma, bands[-1], cache=cache)
+    except Exception:
+        wide = None   # each band assembles its own and records its own error
     for band in bands:
         try:
-            trunc = (order_reduce(sigma, band, cache=cache)
+            trunc = (order_reduce(sigma, band, cache=cache, wide=wide)
                      if reduce_order and sigma.order != 0
-                     else index_truncation(sigma, band, cache=cache))
+                     else index_truncation(sigma, band, cache=cache, wide=wide))
             census = singular_value_census(trunc.matrix, rel_tol)
             heats = heat_trace_index(census["singular_values"], trunc.matrix.shape,
                                      gammas)

@@ -106,11 +106,6 @@ def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
     return MatrixSymbol(group, order, 0, True, describe, on_rule, max_band=max_band)
 
 
-def identity_symbol(group: GroupSpec) -> MatrixSymbol:
-    return invariant_symbol(group, lambda xi: np.eye(xi.dim), 0.0,
-                            {"kind": "identity"})
-
-
 def lambda_multiplier(group: GroupSpec, s: float) -> MatrixSymbol:
     """Symbol <xi>^s I of the Sobolev-scale multiplier."""
     return invariant_symbol(group, lambda xi: (xi.weight ** s) * np.eye(xi.dim),

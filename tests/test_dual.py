@@ -6,6 +6,11 @@ from conftest import random_su2_point
 from liegroup_index.dual import su2_rep_matrices
 
 
+def rep_at(xi, x):
+    """xi(x) from the batched evaluator on a one-node rule."""
+    return li.rep_matrices_on_rule(xi, li.point_rule(x))[0]
+
+
 def test_enumerate_torus_cutoff_one(t1):
     labels = li.enumerate_dual(t1, 1.0)
     assert [l.label for l in labels] == [(0,)]
@@ -43,21 +48,21 @@ def test_casimir_conventions(t2):
 def test_rep_identity_matrix(t1):
     x = li.identity(li.SU2)
     for n in range(5):
-        np.testing.assert_allclose(li.rep_matrix(li.su2_label(n), x),
+        np.testing.assert_allclose(rep_at(li.su2_label(n), x),
                                    np.eye(n + 1), atol=1e-14)
     np.testing.assert_allclose(
-        li.rep_matrix(li.torus_label(t1, [3]), li.identity(t1)), [[1.0]])
+        rep_at(li.torus_label(t1, [3]), li.identity(t1)), [[1.0]])
 
 
 def test_rep_defining_is_matrix_itself(rng):
     g = random_su2_point(rng)
-    np.testing.assert_allclose(li.rep_matrix(li.su2_label(1), g), g.matrix, atol=1e-15)
+    np.testing.assert_allclose(rep_at(li.su2_label(1), g), g.matrix, atol=1e-15)
 
 
 def test_rep_trace_at_identity_is_dimension():
     # character value 2l + 1
     for n in range(7):
-        tr = np.trace(li.rep_matrix(li.su2_label(n), li.identity(li.SU2)))
+        tr = np.trace(rep_at(li.su2_label(n), li.identity(li.SU2)))
         assert tr == pytest.approx(n + 1)
 
 
@@ -65,7 +70,7 @@ def test_rep_unitarity(rng):
     for n in range(9):  # l <= 4
         lab = li.su2_label(n)
         for _ in range(10):
-            m = li.rep_matrix(lab, random_su2_point(rng))
+            m = rep_at(lab, random_su2_point(rng))
             defect = np.abs(m @ m.conj().T - np.eye(n + 1)).max()
             assert defect <= 1e-10
 
@@ -75,14 +80,14 @@ def test_rep_homomorphism(rng):
         lab = li.su2_label(n)
         for _ in range(100):
             a, b = random_su2_point(rng), random_su2_point(rng)
-            lhs = li.rep_matrix(lab, li.group_mul(a, b))
-            rhs = li.rep_matrix(lab, a) @ li.rep_matrix(lab, b)
+            lhs = rep_at(lab, li.GroupPoint(li.SU2, None, a.matrix @ b.matrix))
+            rhs = rep_at(lab, a) @ rep_at(lab, b)
             assert np.abs(lhs - rhs).max() <= 1e-9
 
 
 def test_su3_rep_unsupported():
     with pytest.raises(li.UnsupportedFeatureError):
-        li.rep_matrix(li.su3_label(1, 0), li.identity(li.SU3))
+        rep_at(li.su3_label(1, 0), li.identity(li.SU3))
 
 
 def test_schur_orthogonality_su2(rule_su2):

@@ -92,7 +92,7 @@ def test_basis_ordering_deterministic(t1):
 
 def test_assemble_identity(t1):
     basis = li.basis_for_band(t1, 6)
-    g = li.assemble(li.identity_symbol(t1), basis, basis)
+    g = li.assemble(li.lambda_multiplier(t1, 0.0), basis, basis)
     assert np.abs(g.matrix - np.eye(basis.size)).max() <= 1e-8
 
 
@@ -135,7 +135,7 @@ def test_assemble_winding_shift_matrix(t1):
     for pos, (xi, _, _) in enumerate(m.domain.entries):
         l = xi.label[0]
         target = li.torus_label(t1, [l + 1 if l >= 0 else l])
-        expected[m.codomain.index_of(target, 0, 0), pos] = 1.0
+        expected[m.codomain.offsets[target], pos] = 1.0
     np.testing.assert_allclose(m.matrix, expected, atol=1e-10)
 
 
@@ -196,7 +196,7 @@ def test_adjoint_matches_adjoint_symbol_assembly(t1):
 def test_compose_with_identity(t1):
     basis = li.basis_for_band(t1, 5)
     g = li.assemble(li.lambda_multiplier(t1, 1.0), basis, basis)
-    ident = li.assemble(li.identity_symbol(t1), basis, basis)
+    ident = li.assemble(li.lambda_multiplier(t1, 0.0), basis, basis)
     np.testing.assert_allclose(li.compose(g, ident).matrix, g.matrix, atol=1e-10)
     np.testing.assert_allclose(li.compose(ident, g).matrix, g.matrix, atol=1e-10)
 
@@ -225,9 +225,9 @@ def test_compose_winding_pair_interior_identity(t1):
         l = xi.label[0]
         col = comp.matrix[:, pos]
         if l == 0:
-            target = comp.codomain.index_of(li.torus_label(t1, [-1]), 0, 0)
+            target = comp.codomain.offsets[li.torus_label(t1, [-1])]
         else:
-            target = comp.codomain.index_of(xi, 0, 0)
+            target = comp.codomain.offsets[xi]
         expected = np.zeros(len(col))
         expected[target] = 1.0
         np.testing.assert_allclose(col, expected, atol=1e-10)
@@ -236,8 +236,8 @@ def test_compose_winding_pair_interior_identity(t1):
 def test_compose_requires_matching_bases(t1):
     b1 = li.basis_for_band(t1, 3)
     b2 = li.basis_for_band(t1, 4)
-    g1 = li.assemble(li.identity_symbol(t1), b1, b1)
-    g2 = li.assemble(li.identity_symbol(t1), b2, b2)
+    g1 = li.assemble(li.lambda_multiplier(t1, 0.0), b1, b1)
+    g2 = li.assemble(li.lambda_multiplier(t1, 0.0), b2, b2)
     with pytest.raises(li.GroupMismatchError):
         li.compose(g1, g2)
 
@@ -245,7 +245,7 @@ def test_compose_requires_matching_bases(t1):
 def test_frozen_product_identity_factor(t1, rng):
     table = random_invariant_table(t1, 4, rng)
     sym = li.table_symbol(t1, table)
-    prod = li.frozen_symbol_product(li.identity_symbol(t1), sym)
+    prod = li.frozen_symbol_product(li.lambda_multiplier(t1, 0.0), sym)
     x = li.identity(t1)
     for lab in li.labels_for_band(t1, 4):
         np.testing.assert_allclose(prod.evaluate(x, lab), table[lab])
@@ -286,6 +286,9 @@ def test_cache_round_trip_and_verify(t1, tmp_path):
     header, matrix = li.read_cache_entry(path)
     np.testing.assert_array_equal(matrix, m.matrix)
     assert header["shape"] == list(m.matrix.shape)
+    # the payload is little-endian float64 (re, im) pairs in column-major order
+    pairs = np.stack([m.matrix.real, m.matrix.imag], axis=-1).transpose(1, 0, 2)
+    assert li.galerkin.operator_cache_blob(m)[1] == pairs.astype("<f8").tobytes()
 
     blob = bytearray(open(path, "rb").read())
     blob[-5] ^= 0xFF  # flip one payload bit
@@ -340,15 +343,56 @@ def test_assemble_matches_column_by_column(make, dom_band):
     assert np.abs(g.matrix - ref).max() <= 1e-12
 
 
-@pytest.mark.parametrize("make, band", [
-    (lambda: li.winding_symbol(li.torus(1), 2), 6),
-    (t2_pointwise, 3), (su2_pointwise, 4)])
-def test_index_truncation_is_slice_of_fresh_assembly(make, band):
-    sigma = make()
-    trunc = li.index_truncation(sigma, band)
+def loop_codomain_labels(sigma, band):
+    """Reference codomain selection: a label-by-label scan of the wide matrix
+    assembled for this band alone."""
     w = sigma.x_bandwidth
-    assert trunc.meta["level"] == li.galerkin.assembly_level(
-        sigma.group, trunc.domain.band, trunc.codomain.band, w)
+    dom = li.basis_for_band(sigma.group, band)
+    if w == 0:
+        return dom.labels
+    wide = li.assemble(sigma, li.basis_for_band(sigma.group, band + w),
+                       li.basis_for_band(sigma.group, band + 2 * w))
+    mag = np.abs(wide.matrix)
+    threshold = li.galerkin.HIT_ROW_TOL * mag.max()
+
+    def hits(labels):
+        cols = [wide.domain.offsets[xi] + k for xi in labels for k in range(xi.dim ** 2)]
+        return {xi for xi in wide.codomain.labels
+                if any(mag[wide.codomain.offsets[xi] + k, cols].max() > threshold
+                       for k in range(xi.dim ** 2))}
+
+    hit = hits(dom.labels)
+    keep = (set(dom.labels) | hit) - (hits(wide.domain.labels) - hit)
+    return tuple(sorted(keep, key=li.IrrepLabel.sort_key))
+
+
+def su2_laplacian_plus_one():
+    return li.multiplier_symbol(li.SU2, lambda xi: xi.casimir + 1.0, 2.0,
+                                {"kind": "laplacian_plus_one"})
+
+
+@pytest.mark.parametrize("make, band, sweep_band", [
+    (lambda: li.winding_symbol(li.torus(1), 2), 6, None),
+    (t2_pointwise, 3, None), (su2_pointwise, 4, None),
+    (lambda: li.winding_symbol(li.torus(1), 2), 6, 16),
+    (lambda: li.winding_symbol(li.torus(1), -3), 5, 12),
+    (t2_pointwise, 3, 6), (su2_pointwise, 4, 8), (su2_laplacian_plus_one, 4, 8)],
+    ids=["<lambda>-6", "t2_pointwise-3", "su2_pointwise-4", "winding2-6-of-16",
+         "winding-3-5-of-12", "t2_pointwise-3-of-6", "su2_pointwise-4-of-8",
+         "su2_invariant-4-of-8"])
+def test_index_truncation_is_slice_of_fresh_assembly(make, band, sweep_band):
+    # a cutoff sliced from a larger cutoff's sweep operator is the cutoff's
+    # own truncation: same codomain labels, same matrix to 1e-13
+    sigma = make()
+    own = li.index_truncation(sigma, band)
+    trunc = own if sweep_band is None else li.index_truncation(
+        sigma, band, wide=li.sweep_operator(sigma, sweep_band))
+    assert trunc.codomain.labels == own.codomain.labels
+    assert own.codomain.labels == loop_codomain_labels(sigma, band)
+    assert np.abs(trunc.matrix - own.matrix).max() <= 1e-13
+    level = None if sigma.is_invariant else li.galerkin.assembly_level(
+        sigma.group, trunc.domain.band, trunc.codomain.band, sigma.x_bandwidth)
+    assert trunc.meta["level"] == level
     fresh = li.assemble(sigma, trunc.domain, trunc.codomain)
     assert fresh.meta["level"] == trunc.meta["level"]
     assert np.abs(trunc.matrix - fresh.matrix).max() <= 1e-13
@@ -489,7 +533,7 @@ def test_assemble_rejects_rules_without_separated_axis(group, damage, message):
     # an x-independent symbol that does not declare itself invariant takes
     # the quadrature path
     sym = li.MatrixSymbol(group, 0.0, 0, False, {"kind": "slow"},
-                          li.identity_symbol(group)._on_rule)
+                          li.lambda_multiplier(group, 0.0)._on_rule)
     basis = li.basis_for_band(group, 2)
     grid = damage(li.haar_quadrature(group, 5))
     with pytest.raises(ValueError, match=message) as err:

@@ -60,41 +60,9 @@ def test_su3_point_range_rejected():
         li.su3_point((0.0, 0.0, 0.0), (7.0, 0.0, 0.0, 0.0, 0.0))
 
 
-def test_group_mul_inverse_identity(rng):
-    a = random_su2_point(rng)
-    prod = li.group_mul(a, li.group_inv(a))
-    np.testing.assert_allclose(prod.matrix, np.eye(2), atol=1e-12)
-
-
-def test_torus_addition_mod_one(t1):
-    a = li.torus_point(t1, [0.3])
-    b = li.torus_point(t1, [0.9])
-    np.testing.assert_allclose(li.group_mul(a, b).chart, (0.2,), atol=1e-12)
-
-
-def test_inverse_antihomomorphism(rng):
-    g, h = random_su2_point(rng), random_su2_point(rng)
-    lhs = li.group_inv(li.group_mul(g, h)).matrix
-    rhs = li.group_mul(li.group_inv(h), li.group_inv(g)).matrix
-    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_mul_associative_sampled(rng):
-    for _ in range(20):
-        a, b, c = (random_su2_point(rng) for _ in range(3))
-        lhs = li.group_mul(li.group_mul(a, b), c).matrix
-        rhs = li.group_mul(a, li.group_mul(b, c)).matrix
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_group_mismatch_rejected(t1, t2):
-    with pytest.raises(li.GroupMismatchError):
-        li.group_mul(li.torus_point(t1, [0.1]), li.torus_point(t2, [0.1, 0.2]))
-
-
 def test_chart_recovery_after_mul(rng):
     a, b = random_su2_point(rng), random_su2_point(rng)
-    ab = li.group_mul(a, b)
+    ab = li.GroupPoint(li.SU2, None, a.matrix @ b.matrix)
     rebuilt = li.su2_point(*ab.chart)
     np.testing.assert_allclose(rebuilt.matrix, ab.matrix, atol=1e-12)
 
@@ -102,7 +70,8 @@ def test_chart_recovery_after_mul(rng):
 def test_su3_chart_recovery_unavailable(rng):
     th = rng.uniform(0, np.pi / 2, 3)
     ph = rng.uniform(0, 2 * np.pi, 5)
-    prod = li.group_mul(li.su3_point(th, ph), li.su3_point(th, ph))
+    p = li.su3_point(th, ph)
+    prod = li.GroupPoint(li.SU3, None, p.matrix @ p.matrix)
     with pytest.raises(NotImplementedError):
         prod.chart
 

@@ -95,7 +95,7 @@ def test_mckean_singer_identity(rng):
 
 def test_kernel_count_identity_assembly(t1):
     basis = li.basis_for_band(t1, 6)
-    g = li.assemble(li.identity_symbol(t1), basis, basis)
+    g = li.assemble(li.lambda_multiplier(t1, 0.0), basis, basis)
     assert kernel_count(g) == 0
 
 
@@ -377,7 +377,7 @@ def test_trace_via_symbol_identity_partial_sum(t1):
     grid = li.haar_quadrature(t1, 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        val = li.trace_via_symbol(li.identity_symbol(t1), labels, grid)
+        val = li.trace_via_symbol(li.lambda_multiplier(t1, 0.0), labels, grid)
     assert val == pytest.approx(sum(l.dim ** 2 for l in labels))
 
 
@@ -444,6 +444,46 @@ def test_sweep_builds_no_rule_for_an_invariant_pair(monkeypatch):
     rep = li.stabilization_sweep(op.symbol, op.adjoint_symbol, [4, 6, 8], [1.0])
     assert rep.verdict == "stable" and not rep.errors
     assert calls == []
+
+
+@pytest.mark.parametrize("operator", [
+    {"op": "pointwise", "entries": [
+        {"twice_spin": 0, "i": 0, "j": 0, "re": 2.0, "im": 0.0},
+        {"twice_spin": 1, "i": 0, "j": 0, "re": 0.3, "im": -0.2}]},
+    {"op": "multiplier", "formula": "laplacian_plus_one"}],
+    ids=["pointwise", "invariant"])
+def test_sweep_assembles_once_and_stores_one_entry(tmp_path, monkeypatch, operator):
+    # every cutoff is a slice of the largest cutoff's operator
+    assemble, calls = li.galerkin.assemble, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(li.galerkin, "assemble", counted)
+    op = li.parse_operator(operator, li.SU2)
+    reports = []
+    for expected in ((0, 1), (1, 0)):
+        cache = li.OperatorCache(str(tmp_path))
+        reports.append(li.stabilization_sweep(op.symbol, op.adjoint_symbol,
+                                              [4, 6, 8], [0.1, 1.0], cache=cache))
+        assert (cache.hits, cache.misses) == expected
+        assert len(calls) == 1 and len(list(tmp_path.glob("*.lgidx"))) == 1
+    assert reports[0].to_dict() == reports[1].to_dict()
+    assert not reports[0].errors and len(reports[0].rows) == 6
+
+
+def test_sweep_keeps_the_cutoffs_below_a_failing_one():
+    # the largest cutoff needs labels beyond the table: the cutoffs below it
+    # keep their rows and the largest records the table's own error
+    table = {li.su2_label(n): (1.0 + n) * np.eye(n + 1) for n in range(5)}
+    sym = li.table_symbol(li.SU2, table)
+    rep = li.stabilization_sweep(sym, li.conjugate_transpose_symbol(sym),
+                                 [2, 4, 6], [0.1, 1.0])
+    assert [row["cutoff"] for row in rep.rows] == [2, 2, 4, 4]
+    assert {row["kernel_count"] for row in rep.rows} == {0}
+    assert rep.errors == [{"cutoff": 6, "error": "label l=5/2 beyond the symbol band 4"}]
+    assert rep.verdict == "unstable"
 
 
 def test_sweep_heat_constant_across_gammas(t1):

@@ -34,7 +34,7 @@ def test_quantize_identity_reproduces_inverse(t1, rule, band, rng):
         vals += (rng.standard_normal() + 1j * rng.standard_normal()) \
             * np.exp(2j * np.pi * l * rule.charts[:, 0])
     fhat = li.fourier_forward(li.SampledFunction(rule, vals), band)
-    out = li.quantize_on_rule(li.identity_symbol(t1), fhat, rule)
+    out = li.quantize_on_rule(li.lambda_multiplier(t1, 0.0), fhat, rule)
     np.testing.assert_allclose(out, li.fourier_inverse_on_rule(fhat, rule), atol=1e-10)
 
 
@@ -282,9 +282,9 @@ def test_winding_adjoint_closed_form(t1, rule, k):
 def test_invariant_symbol_at_matrix_only_su3_point():
     # products of SU(3) points carry no chart; invariant symbols ignore x
     p = li.su3_point([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5])
-    x = li.group_mul(p, p)
+    x = li.GroupPoint(li.SU3, None, p.matrix @ p.matrix)
     lab = li.su3_label(1, 0)
-    np.testing.assert_array_equal(li.identity_symbol(li.SU3).evaluate(x, lab),
+    np.testing.assert_array_equal(li.lambda_multiplier(li.SU3, 0.0).evaluate(x, lab),
                                   np.eye(3))
     lam = li.lambda_multiplier(li.SU3, 1.0)
     np.testing.assert_array_equal(lam.evaluate(x, lab), lam.evaluate_at_any(lab))
