@@ -6,7 +6,10 @@ they are orthonormal under Haar quadrature at the documented level, which
 Gram block per axis mode.  An operator is assembled the same way: the
 images sqrt(d_xi) xi(x) sigma(x, xi) of each label's domain entries are
 evaluated on the grid, one FFT along the axis splits them into modes, and
-one matrix product per codomain mode projects them onto the codomain.
+one matrix product per codomain mode projects them onto the codomain.  For
+a pointwise symbol c(x) I the images need no grid: by the convolution
+theorem along the axis, an image's modes are its plane factor times the
+DFT of c shifted by the entry's mode, so one FFT of c serves every label.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -41,7 +44,7 @@ from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 
 
 class AliasingError(ValueError):
@@ -143,13 +146,14 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     projected by quadrature: one FFT of a label's images along the Haar
     rule's uniform axis, then one plane-weighted product per codomain mode
     for all columns, shared by aliased charges.  A pointwise symbol c(x) I
-    has the images sqrt(d) c(x) xi(x): c is sampled once per assembly and
-    scales the representation matrices by broadcasting.  The grid defaults
-    to the automatically chosen resolving level; a rule without a uniform
-    axis, or whose weights vary along it, raises ValueError.  When a column's image
-    leaks out of the codomain band (its quadrature energy over every node
-    exceeds its captured energy by more than 1e-12 + 1e-8 of the energy),
-    an AliasingError names the first such column and the required band.
+    samples no label on the grid: at mode m, a column of mode q is its
+    plane factor times c-hat at m - q mod n_s, from one FFT of c along the
+    axis.  The grid defaults to the automatically chosen resolving level; a
+    rule without a uniform axis, or whose weights vary along it, raises
+    ValueError.  When a column's image leaks out of the codomain band (its
+    quadrature energy over every node exceeds its captured energy by more
+    than 1e-12 + 1e-8 of the energy), an AliasingError names the first such
+    column and the required band.
     """
     group = sigma.group
     if dom.group != group or cod.group != group:
@@ -188,25 +192,35 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     # plane sum over their DFT along the axis, taken at that mode
     rows, modes, w_plane = _plane_rows(cod, grid)
     proj = rows.conj() * w_plane
-    n_plane = len(w_plane)
-    spec = np.empty((n_plane, grid.axis_length, dom.size), dtype=complex)
-    total = np.empty(dom.size)
-    # a pointwise c(x) I scales xi(x) by c(x): sample c once for all labels
-    coef = sigma.coefficient_on_rule(grid) if sigma.is_pointwise else None
-    for xi in dom.labels:
-        d, cols = xi.dim, slice(dom.offsets[xi], dom.offsets[xi] + xi.dim ** 2)
-        # column (xi, i, j) is the image of sqrt(d) xi_ij, i.e. the entry
-        # sqrt(d) (xi(x) sigma(x, xi))[i, j] of the quantization sum
-        reps = rep_matrices_on_rule(xi, grid)
-        vals = math.sqrt(d) * (reps * coef if coef is not None
-                               else reps @ sigma.evaluate_on_rule(grid, xi))
-        vals = vals.reshape(grid.n_nodes, d * d)
-        total[cols] = grid.weights @ np.abs(vals) ** 2
-        spec[:, :, cols] = np.fft.fft(vals.reshape(n_plane, -1, d * d), axis=1)
+    n_plane, n_s = len(w_plane), grid.axis_length
     mat = np.empty((cod.size, dom.size), dtype=complex)
-    for m in np.unique(modes):
-        rows_m = np.flatnonzero(modes == m)
-        mat[rows_m] = proj[rows_m] @ spec[:, m, :]
+    if sigma.is_pointwise:
+        # a column of mode q is plane[col, a] times chi_q at node (a, c), so
+        # its image's DFT along the axis at mode m is plane[col, a] times
+        # c-hat[a, m - q]: the convolution theorem for c and one character
+        coef = sigma.coefficient_on_rule(grid).reshape(n_plane, n_s)
+        chat = np.fft.fft(coef, axis=1)
+        plane, dmodes, _ = _plane_rows(dom, grid)
+        for m in np.unique(modes):
+            rows_m = np.flatnonzero(modes == m)
+            mat[rows_m] = proj[rows_m] @ (plane.T * chat[:, (m - dmodes) % n_s])
+        # every character has modulus 1
+        total = np.abs(plane) ** 2 @ (w_plane * np.sum(np.abs(coef) ** 2, axis=1))
+    else:
+        spec = np.empty((n_plane, n_s, dom.size), dtype=complex)
+        total = np.empty(dom.size)
+        for xi in dom.labels:
+            d, cols = xi.dim, slice(dom.offsets[xi], dom.offsets[xi] + xi.dim ** 2)
+            # column (xi, i, j) is the image of sqrt(d) xi_ij, i.e. the entry
+            # sqrt(d) (xi(x) sigma(x, xi))[i, j] of the quantization sum
+            vals = math.sqrt(d) * (rep_matrices_on_rule(xi, grid)
+                                   @ sigma.evaluate_on_rule(grid, xi))
+            vals = vals.reshape(grid.n_nodes, d * d)
+            total[cols] = grid.weights @ np.abs(vals) ** 2
+            spec[:, :, cols] = np.fft.fft(vals.reshape(n_plane, n_s, d * d), axis=1)
+        for m in np.unique(modes):
+            rows_m = np.flatnonzero(modes == m)
+            mat[rows_m] = proj[rows_m] @ spec[:, m, :]
     if check_aliasing:
         _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
                     np.arange(dom.size), dom.band + w)

@@ -228,14 +228,14 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
 
     The sweep assembles one operator, ``sweep_operator`` at the largest
     band (one cache entry), and every band's truncation is a slice of it;
-    if that assembly fails, each band assembles its own, so the bands that
-    resolve keep their rows and the others record their own errors.  Each
-    band's truncation, SVD and density-route checks are computed once for
-    all gammas.  Verdict "stable" requires the kernel count to be
-    constant across the two largest bands and the heat trace to match it
-    within 1e-6 at every gamma.  Gammas must be finite and positive
-    (ValueError).  Per-band and per-cell failures are recorded without
-    aborting the sweep.
+    if that assembly fails, the largest band records its error and each
+    other band assembles its own, so the bands that resolve keep their rows
+    and the others record their own errors.  Each band's truncation, SVD
+    and density-route checks are computed once for all gammas.  Verdict
+    "stable" requires the kernel count to be constant across the two
+    largest bands and the heat trace to match it within 1e-6 at every
+    gamma.  Gammas must be finite and positive (ValueError).  Per-band and
+    per-cell failures are recorded without aborting the sweep.
     """
     if not bands:
         raise ValueError("bands must be nonempty")
@@ -246,10 +246,13 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
     heat_ok = True
     try:
         wide = sweep_operator(sigma, bands[-1], cache=cache)
-    except Exception:
-        wide = None   # each band assembles its own and records its own error
+    except Exception as exc:
+        # the largest band records this error; the others assemble their own
+        wide, wide_error = None, exc
     for band in bands:
         try:
+            if wide is None and band == bands[-1]:
+                raise wide_error
             trunc = (order_reduce(sigma, band, cache=cache, wide=wide)
                      if reduce_order and sigma.order != 0
                      else index_truncation(sigma, band, cache=cache, wide=wide))

@@ -356,20 +356,26 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     A site is non-invertible when its smallest singular value falls below
     rel_threshold times the largest singular value over the whole band.
     At a label of dimension 1 the singular value is the modulus |sigma|;
-    larger labels take a batched SVD.
+    larger labels take a batched SVD.  A pointwise symbol c(x) I has the
+    singular values |c(x)| at every label: its coefficient is read once.
     The verdict requires the non-invertible label set to be unchanged when
     the band is doubled once (the finite-scale reading of "all but
     finitely many"), and the fitted constant to be finite.
     """
     smin = {}
+    modulus = (np.abs(sigma.coefficient_on_rule(grid)[:, :, 0])
+               if sigma.is_pointwise else None)
 
     def census(labels):
         """Record the smallest singular values; return the largest one."""
         smax = 0.0
         for xi in labels:
-            sig = sigma.evaluate_on_rule(grid, xi)
-            sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
-                  else np.linalg.svd(sig, compute_uv=False))
+            if modulus is not None:
+                sv = modulus
+            else:
+                sig = sigma.evaluate_on_rule(grid, xi)
+                sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
+                      else np.linalg.svd(sig, compute_uv=False))
             smin[xi] = sv[:, -1]
             smax = max(smax, float(sv[:, 0].max()))
         return smax

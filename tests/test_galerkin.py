@@ -400,15 +400,17 @@ def test_index_truncation_is_slice_of_fresh_assembly(make, band, sweep_band):
 
 def test_assemble_aliasing_names_first_column_su2():
     # (t1[0,0] * t1[i,j]) has a trivial-label part only for (i, j) = (1, 1),
-    # which sits at position 1 + 3 of the band-1 basis
+    # which sits at position 1 + 3 of the band-1 basis; the pointwise and
+    # the per-label branch name the same column
     coeff, w = li.su2_function([(1, 0, 0, 1.0)])
     sigma = li.pointwise_symbol(li.SU2, coeff, w, {"k": "t1"})
     dom = li.basis_for_band(li.SU2, 1)
     cod = li.PeterWeylBasis(li.SU2, (li.su2_label(1), li.su2_label(2)))
-    with pytest.raises(li.AliasingError) as err:
-        li.assemble(sigma, dom, cod)
-    assert "column 4 leaks" in str(err.value)
-    assert err.value.required_band == 2
+    for sym in (sigma, dataclasses.replace(sigma, is_pointwise=False)):
+        with pytest.raises(li.AliasingError) as err:
+            li.assemble(sym, dom, cod)
+        assert "column 4 leaks" in str(err.value)
+        assert err.value.required_band == 2
 
 
 def _truncate_to_6_bytes(blob):
@@ -475,6 +477,20 @@ def t1_pointwise():
     return li.pointwise_symbol(t1, coeff, w, {"k": "t1"})
 
 
+def su2_charged_pointwise():
+    # entries (0, 2) and (2, 0) of t_2 have axis charges +2 and -2
+    coeff, w = li.su2_function([(0, 0, 0, 2.0), (2, 0, 2, 0.3 + 0.1j),
+                                (2, 2, 0, -0.25j)])
+    return li.pointwise_symbol(li.SU2, coeff, w, {"k": "su2-charged"})
+
+
+def t2_charged_pointwise():
+    t2 = li.torus(2)
+    coeff, w = li.torus_function(t2, {(0, 0): 2.0, (1, 2): 0.3 - 0.2j,
+                                      (0, -1): 0.4j})
+    return li.pointwise_symbol(t2, coeff, w, {"k": "t2-charged"})
+
+
 def _inline_matrices(sigma, grid, xi):
     """sigma on the grid; for a pointwise symbol c(x) I built from c's samples."""
     if sigma.is_pointwise:
@@ -485,7 +501,8 @@ def _inline_matrices(sigma, grid, xi):
 @pytest.mark.parametrize("make, band", [
     (lambda: li.winding_symbol(li.torus(1), 2), 6), (t1_pointwise, 6),
     (t2_pointwise, 4), (su2_pointwise, 4), (su2_pointwise, 8),
-    (t1_pointwise, 4), (t1_pointwise, 8), (t2_pointwise, 8)])
+    (t1_pointwise, 4), (t1_pointwise, 8), (t2_pointwise, 8),
+    (su2_charged_pointwise, 5), (t2_charged_pointwise, 4)])
 def test_assemble_matches_dense_projection(make, band):
     # the per-mode projection against the weighted sum over every node; the
     # pointwise symbols' reference is sqrt(d) rep @ c(x) I
@@ -501,6 +518,20 @@ def test_assemble_matches_dense_projection(make, band):
         for xi in dom.labels], axis=1)
     ref = (cod.values_on_rule(grid).conj() * grid.weights) @ vals
     assert np.abs(g.matrix - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("make, band", [
+    (t1_pointwise, 6), (t2_pointwise, 4), (t2_charged_pointwise, 5),
+    (su2_pointwise, 8), (su2_charged_pointwise, 5)])
+def test_assemble_pointwise_branch_matches_per_label_branch(make, band):
+    # the shifted DFT of c against the per-label images xi(x) c(x) I
+    sigma = make()
+    dom = li.basis_for_band(sigma.group, band)
+    cod = li.basis_for_band(sigma.group, band + sigma.x_bandwidth)
+    g = li.assemble(sigma, dom, cod)
+    ref = li.assemble(dataclasses.replace(sigma, is_pointwise=False), dom, cod)
+    assert g.meta == ref.meta
+    assert np.abs(g.matrix - ref.matrix).max() <= 1e-13 * np.abs(ref.matrix).max()
 
 
 @pytest.mark.parametrize("make, band", [(t1_pointwise, 4), (su2_pointwise, 3)])

@@ -486,6 +486,27 @@ def test_sweep_keeps_the_cutoffs_below_a_failing_one():
     assert rep.verdict == "unstable"
 
 
+def test_sweep_assembles_a_failing_largest_cutoff_once(tmp_path, monkeypatch):
+    # the failed sweep assembly is the largest cutoff's error; the cutoffs
+    # below it assemble their own, one call and one miss each
+    assemble, calls = li.galerkin.assemble, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    table = {li.su2_label(n): (1.0 + n) * np.eye(n + 1) for n in range(5)}
+    sym = li.table_symbol(li.SU2, table)
+    adj = li.conjugate_transpose_symbol(sym)
+    resolved = li.stabilization_sweep(sym, adj, [2, 4], [0.1, 1.0])
+    monkeypatch.setattr(li.galerkin, "assemble", counted)
+    cache = li.OperatorCache(str(tmp_path))
+    rep = li.stabilization_sweep(sym, adj, [2, 4, 6], [0.1, 1.0], cache=cache)
+    assert len(calls) == 3 and (cache.hits, cache.misses) == (0, 3)
+    assert rep.rows == resolved.rows
+    assert rep.errors == [{"cutoff": 6, "error": "label l=5/2 beyond the symbol band 4"}]
+
+
 def test_sweep_heat_constant_across_gammas(t1):
     w = li.winding_symbol(t1, 1)
     rep = li.stabilization_sweep(w, li.winding_adjoint_symbol(t1, 1),

@@ -172,7 +172,8 @@ def test_ellipticity_census_matches_svd_reference(case):
 
 @pytest.mark.parametrize("case", sorted(_census_cases()))
 def test_ellipticity_evaluates_each_label_once(case):
-    # the doubled census contains the first one and reuses its values
+    # the doubled census contains the first one and reuses its values; a
+    # pointwise symbol is read once, at the trivial label
     sigma, m, dual, grid = _census_cases()[case]
     calls = []
 
@@ -183,7 +184,8 @@ def test_ellipticity_evaluates_each_label_once(case):
     li.ellipticity_check(dataclasses.replace(sigma, _on_rule=counted), m, dual, grid)
     doubled = li.enumerate_dual(sigma.group, 2.0 * max(xi.weight for xi in dual))
     assert set(dual) <= set(doubled)
-    assert sorted(calls, key=li.IrrepLabel.sort_key) == doubled
+    expected = [li.trivial_label(sigma.group)] if sigma.is_pointwise else doubled
+    assert sorted(calls, key=li.IrrepLabel.sort_key) == expected
 
 
 @pytest.mark.parametrize("group", [li.torus(2), li.SU2], ids=str)
@@ -288,3 +290,42 @@ def test_invariant_symbol_at_matrix_only_su3_point():
                                   np.eye(3))
     lam = li.lambda_multiplier(li.SU3, 1.0)
     np.testing.assert_array_equal(lam.evaluate(x, lab), lam.evaluate_at_any(lab))
+
+
+def _pointwise_census_cases():
+    t2 = li.torus(2)
+    c, w = li.torus_function(t2, {(0, 0): 2.0, (1, 0): 0.4 - 0.1j, (0, 1): -0.2 + 0.3j})
+    sin, ws = li.torus_function(t2, {(1, 0): -0.5j, (-1, 0): 0.5j})
+    # the trace of the defining matrix, 2 Re a, vanishes on a whole plane
+    su2_c, su2_w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.35 + 0.1j),
+                                    (2, 1, 0, -0.2j)])
+    trace, wt = li.su2_function([(1, 0, 0, 1.0), (1, 1, 1, 1.0)])
+    t2_grid, su2_grid = li.haar_quadrature(t2, 9), li.haar_quadrature(li.SU2, 6)
+    return {
+        "t2_elliptic": (li.pointwise_symbol(t2, c, w, {"k": "c"}), t2_grid),
+        "t2_sin": (li.pointwise_symbol(t2, sin, ws, {"k": "sin"}), t2_grid),
+        "su2_elliptic": (li.pointwise_symbol(li.SU2, su2_c, su2_w, {"k": "c"}), su2_grid),
+        "su2_trace": (li.pointwise_symbol(li.SU2, trace, wt, {"k": "trace"}), su2_grid),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_pointwise_census_cases()))
+def test_ellipticity_pointwise_census_matches_general_census(case):
+    # |c(x)| once against the per-label census of the same symbol
+    sigma, grid = _pointwise_census_cases()[case]
+    dual = li.labels_for_band(sigma.group, 4)
+    rep = li.ellipticity_check(sigma, 0.0, dual, grid)
+    ref = li.ellipticity_check(dataclasses.replace(sigma, is_pointwise=False),
+                               0.0, dual, grid)
+    assert rep.elliptic == ref.elliptic == case.endswith("elliptic")
+    assert rep.bad_labels == ref.bad_labels
+    assert rep.doubled_bad_labels == ref.doubled_bad_labels
+    assert [(s["node"], s["chart"], s["label"]) for s in rep.bad_sites] == \
+        [(s["node"], s["chart"], s["label"]) for s in ref.bad_sites]
+    assert bool(rep.bad_sites) != case.endswith("elliptic")
+    np.testing.assert_allclose([s["smallest_sv"] for s in rep.bad_sites],
+                               [s["smallest_sv"] for s in ref.bad_sites],
+                               rtol=0, atol=1e-14)
+    for field in ("constant", "threshold", "smin_margin"):
+        np.testing.assert_allclose(getattr(rep, field), getattr(ref, field),
+                                   rtol=1e-14)
