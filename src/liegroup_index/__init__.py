@@ -12,7 +12,7 @@ from .groups import (GroupSpec, GroupPoint, QuadratureRule, SU2, SU3, torus,
                      haar_quadrature, min_level_for_band, point_rule,
                      flow_rule, GroupMismatchError, ChartDomainError)
 from .dual import (IrrepLabel, LieBasis, enumerate_dual, labels_for_band,
-                   rep_matrices_on_rule, rep_factors, lie_basis,
+                   rep_matrices_on_rule, rep_factors, axis_charges, lie_basis,
                    left_invariant_derivative, left_invariant_second_derivative,
                    laplacian_fd, torus_label, su2_label, su3_label,
                    trivial_label, UnsupportedFeatureError)

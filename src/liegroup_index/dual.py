@@ -261,15 +261,26 @@ def _roots_of_unity(n: int) -> np.ndarray:
     return np.exp(2j * math.pi * np.arange(n) / n)
 
 
+def axis_charges(xi: IrrepLabel) -> np.ndarray:
+    """Integer axis charge of each entry of xi, shape (d, d): j - i for SU(2)
+    entry (i, j), l[-1] for a torus label.  Entry (i, j) depends on the
+    uniform axis of a Haar product rule only through the character of this
+    charge (``rep_factors``)."""
+    if xi.group.kind == "torus":
+        return np.array([[xi.label[-1]]])
+    if xi.group.kind == "su2":
+        return np.arange(xi.dim)[None, :] - np.arange(xi.dim)[:, None]
+    raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+
+
 def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     """(plane, modes) of xi on a Haar product rule (Kostelec & Rockmore).
 
     With n_s = rule.axis_length, entry (i, j) of xi at node a * n_s + c is
     plane[a, i, j] * axis_characters(rule)[modes[i, j], c], where the mode
-    is the entry's charge mod n_s: j - i for SU(2) entry (i, j), l[-1] for
-    a torus label.  plane is xi on the nodes whose axis coordinate is 0:
-    the SU(2) polynomial on (level+1)^2 matrices, torus characters from the
-    reduced integer phase (k.l) mod level.  Memoized on the rule; any other
+    is the entry's ``axis_charges`` mod n_s.  plane is xi on the nodes whose
+    axis coordinate is 0: the SU(2) polynomial on (level+1)^2 matrices,
+    torus characters from the reduced integer phase (k.l) mod level.  Memoized on the rule; any other
     rule raises ValueError.
     """
     if xi.group != rule.group:
@@ -279,17 +290,14 @@ def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     hit = cache.get(xi.label)
     if hit is not None:
         return hit
+    modes = axis_charges(xi) % n_s
     if xi.group.kind == "torus":
         k = np.rint(rule.charts[::n_s] * n_s).astype(int)
         plane = _roots_of_unity(n_s)[(k @ np.asarray(xi.label)) % n_s][:, None, None]
-        charges = np.array([[xi.label[-1]]])
-    elif xi.group.kind == "su2":
-        plane = su2_rep_matrices(xi.label[0], _su2_matrices(rule.charts[::n_s]))
-        charges = np.arange(xi.dim)[None, :] - np.arange(xi.dim)[:, None]
     else:
-        raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+        plane = su2_rep_matrices(xi.label[0], _su2_matrices(rule.charts[::n_s]))
     plane.setflags(write=False)
-    cache[xi.label] = plane, charges % n_s
+    cache[xi.label] = plane, modes
     return cache[xi.label]
 
 

@@ -36,15 +36,15 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dual import (IrrepLabel, axis_characters, labels_for_band, rep_factors,
-                   rep_matrices_on_rule)
+from .dual import (IrrepLabel, axis_characters, axis_charges, labels_for_band,
+                   rep_factors, rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
                      haar_quadrature, min_level_for_band)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 
 
 class AliasingError(ValueError):
@@ -57,7 +57,10 @@ class AliasingError(ValueError):
 
 @dataclass(eq=False)
 class PeterWeylBasis:
-    """Ordered orthonormal family sqrt(d_xi) xi_ij for an explicit label set."""
+    """Ordered orthonormal family sqrt(d_xi) xi_ij for an explicit label set.
+
+    ``charges`` holds each entry's integer axis charge (``dual.axis_charges``).
+    """
 
     group: GroupSpec
     labels: tuple
@@ -70,6 +73,8 @@ class PeterWeylBasis:
         self.sizes = [xi.dim ** 2 for xi in labels]
         self.offsets = dict(zip(labels, np.cumsum([0] + self.sizes[:-1]).tolist()))
         self.band = max((xi.band for xi in labels), default=0)
+        self.charges = np.concatenate([np.zeros(0, dtype=int)]
+                                      + [axis_charges(xi).ravel() for xi in labels])
 
     @property
     def size(self) -> int:
@@ -148,12 +153,15 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     for all columns, shared by aliased charges.  A pointwise symbol c(x) I
     samples no label on the grid: at mode m, a column of mode q is its
     plane factor times c-hat at m - q mod n_s, from one FFT of c along the
-    axis.  The grid defaults to the automatically chosen resolving level; a
-    rule without a uniform axis, or whose weights vary along it, raises
-    ValueError.  When a column's image leaks out of the codomain band (its
+    axis; c has axis charges within its x-bandwidth w, so only the columns
+    whose mode is within w of m (mod n_s) are multiplied and the other
+    entries are 0.  The grid defaults to the automatically chosen resolving
+    level; a rule without a uniform axis, or whose weights vary along it,
+    raises ValueError.  When a column's image leaks out of the codomain band (its
     quadrature energy over every node exceeds its captured energy by more
     than 1e-12 + 1e-8 of the energy), an AliasingError names the first such
-    column and the required band.
+    column and the required band.  A pointwise c with a charge beyond its
+    declared w leaks the same way, since its energy counts all of c.
     """
     group = sigma.group
     if dom.group != group or cod.group != group:
@@ -193,20 +201,25 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     rows, modes, w_plane = _plane_rows(cod, grid)
     proj = rows.conj() * w_plane
     n_plane, n_s = len(w_plane), grid.axis_length
-    mat = np.empty((cod.size, dom.size), dtype=complex)
     if sigma.is_pointwise:
         # a column of mode q is plane[col, a] times chi_q at node (a, c), so
         # its image's DFT along the axis at mode m is plane[col, a] times
-        # c-hat[a, m - q]: the convolution theorem for c and one character
+        # c-hat[a, m - q]: the convolution theorem for c and one character;
+        # c-hat is zero, up to rounding, beyond the axis modes |k| <= w
         coef = sigma.coefficient_on_rule(grid).reshape(n_plane, n_s)
         chat = np.fft.fft(coef, axis=1)
         plane, dmodes, _ = _plane_rows(dom, grid)
+        mat = np.zeros((cod.size, dom.size), dtype=complex)
         for m in np.unique(modes):
             rows_m = np.flatnonzero(modes == m)
-            mat[rows_m] = proj[rows_m] @ (plane.T * chat[:, (m - dmodes) % n_s])
+            shift = (m - dmodes) % n_s
+            cols = np.flatnonzero(np.minimum(shift, n_s - shift) <= w)
+            mat[np.ix_(rows_m, cols)] = proj[rows_m] @ (plane[cols].T
+                                                        * chat[:, shift[cols]])
         # every character has modulus 1
         total = np.abs(plane) ** 2 @ (w_plane * np.sum(np.abs(coef) ** 2, axis=1))
     else:
+        mat = np.empty((cod.size, dom.size), dtype=complex)
         spec = np.empty((n_plane, n_s, dom.size), dtype=complex)
         total = np.empty(dom.size)
         for xi in dom.labels:
@@ -291,24 +304,22 @@ def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
     """(rows, modes, plane weights) of a basis on a Haar product rule.
 
     Entry r of the basis at node a * n_s + c is rows[r, a] times the axis
-    character of mode modes[r] at c (``dual.rep_factors``, scaled by
-    sqrt(d)); the rule's weight at that node is the plane weight of a.  A
-    rule without a uniform axis, or whose weights vary along it, raises
-    ValueError.
+    character of mode modes[r] = basis.charges[r] mod n_s at c
+    (``dual.rep_factors``, scaled by sqrt(d)); the rule's weight at that
+    node is the plane weight of a.  A rule without a uniform axis, or whose
+    weights vary along it, raises ValueError.
     """
     n_s = axis_characters(grid).shape[0]
     w = grid.weights.reshape(-1, n_s)
     if np.any(w != w[:, :1]):
         raise ValueError("rule weights vary along its uniform axis")
     w = w[:, 0]
-    modes = np.empty(basis.size, dtype=int)
     rows = np.empty((basis.size, len(w)), dtype=complex)
     for xi in basis.labels:
         d, pos = xi.dim, slice(basis.offsets[xi], basis.offsets[xi] + xi.dim ** 2)
-        plane, modes_xi = rep_factors(xi, grid)
+        plane, _ = rep_factors(xi, grid)
         rows[pos] = math.sqrt(d) * np.moveaxis(plane, 0, -1).reshape(d * d, len(w))
-        modes[pos] = modes_xi.ravel()
-    return rows, modes, w
+    return rows, basis.charges % n_s, w
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +334,9 @@ class OperatorCache:
         self.hits = 0
         self.misses = 0
 
-    def fetch(self, key: str):
+    def fetch(self, key: str, shape: tuple):
+        """The stored matrix of ``key``, or None, counted as a miss, when the
+        entry is absent, corrupt or not of ``shape``."""
         path = os.path.join(self.directory, f"{key}.lgidx")
         if not os.path.isfile(path):
             self.misses += 1
@@ -331,6 +344,9 @@ class OperatorCache:
         try:
             _, matrix = read_cache_entry(path)
         except (ValueError, OSError):
+            self.misses += 1
+            return None
+        if matrix.shape != tuple(shape):
             self.misses += 1
             return None
         self.hits += 1
@@ -351,8 +367,8 @@ def assemble_cached(sigma: MatrixSymbol, dom: PeterWeylBasis,
         else:
             level = assembly_level(sigma.group, dom.band, cod.band, w)
         key = cache_key_for(sigma.describe, dom, cod, level)
-        matrix = cache.fetch(key)
-        if matrix is not None and matrix.shape == (cod.size, dom.size):
+        matrix = cache.fetch(key, (cod.size, dom.size))
+        if matrix is not None:
             return GalerkinOperator(dom, cod, matrix,
                                     {"level": level, "symbol": sigma.describe,
                                      "cached": True})

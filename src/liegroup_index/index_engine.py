@@ -4,8 +4,11 @@
   one SVD: the spectra of M^*M and MM^* are the squared singular values
   padded with zeros, so the route equals q - p (the number of columns minus
   the number of rows) at every finite truncation and for every g > 0.
-* kernel-count route:  dim ker M - dim ker M^* from one SVD with a
-  relative rank threshold and an audited spectral gap.
+* kernel-count route:  dim ker M - dim ker M^* from the singular values of
+  M with a relative rank threshold and an audited spectral gap.  They come
+  from one SVD per axis charge when M conserves the charge (the entries
+  between different charges are below the census's rounding budget), and
+  from one SVD of the whole matrix otherwise.
 * density route:       quadrature over x of
   sum_xi d_xi Tr[ exp(-g s_*(x,xi) s(x,xi)) - exp(-g s(x,xi) s_*(x,xi)) ],
   the phase-space density built from the frozen symbols of the operator
@@ -38,6 +41,7 @@ from .symbols import MatrixSymbol, lambda_multiplier
 
 DEFAULT_REL_TOL = 1e-10
 MARGINAL_GAP = 1e3
+_EPS = np.finfo(float).eps
 
 
 class DensityError(ValueError):
@@ -67,11 +71,58 @@ def heat_trace_index(sv: np.ndarray, shape: tuple,
     return (decay + (q - k)) - (decay + (p - k))
 
 
-def singular_value_census(mat: np.ndarray, rel_tol: float) -> dict:
-    """Rank decision data from one SVD: kernel/cokernel dimensions, the
-    spectral gap and the singular values themselves."""
+def _charge_blocks(mat: np.ndarray, row_charges, col_charges):
+    """[(rows, cols)] of every charge on both sides of ``mat``, or None
+    unless the entries between different charges have a finite Frobenius
+    norm of at most sqrt(k) eps ||M||_F, k = min(p, q)."""
+    if row_charges is None or col_charges is None:
+        return None
+    budget = (math.sqrt(min(mat.shape)) * _EPS * np.linalg.norm(mat)) ** 2
+    if not math.isfinite(budget):
+        return None
+    blocks, off = [], 0.0
+    for charge in np.unique(row_charges):
+        rows = np.flatnonzero(row_charges == charge)
+        same = col_charges == charge
+        sub = mat[rows]        # one charge's rows: a small copy
+        sub[:, same] = 0.0
+        off += np.vdot(sub, sub).real
+        if not off <= budget:
+            return None
+        if same.any():
+            blocks.append((rows, np.flatnonzero(same)))
+    return blocks
+
+
+def singular_value_census(mat: np.ndarray, rel_tol: float,
+                          row_charges: Optional[np.ndarray] = None,
+                          col_charges: Optional[np.ndarray] = None) -> dict:
+    """Rank decision data from the singular values of a p x q matrix M:
+    kernel/cokernel dimensions, the spectral gap and the k = min(p, q)
+    singular values themselves, in descending order.
+
+    ``row_charges`` and ``col_charges`` are the axis charges of M's rows and
+    columns (``PeterWeylBasis.charges``).  When the entries between
+    different charges have a finite Frobenius norm of at most
+    sqrt(k) eps ||M||_F (eps the float64 epsilon), they are dropped and M
+    splits into one SVD per charge; a charge on one side only adds zero
+    singular values.  Since ||M||_F <= sqrt(k) ||M||_2, the dropped part has
+    norm at most k eps smax, so by Weyl's inequality no singular value moves
+    further, which is within the backward error of LAPACK's own SVD.
+    Otherwise (no charges given, an operator that does not conserve the
+    charge, a non-finite entry) the whole matrix is the one block: the
+    singular values are ``np.linalg.svd(mat)``'s.
+    """
     p, q = mat.shape
-    sv = np.linalg.svd(mat, compute_uv=False) if min(p, q) else np.zeros(0)
+    k = min(p, q)
+    blocks = _charge_blocks(mat, row_charges, col_charges) if k else None
+    if blocks is None:
+        sv = np.linalg.svd(mat, compute_uv=False) if k else np.zeros(0)
+    else:
+        # the blocks give at most k values; zeros pad them to k
+        parts = [np.linalg.svd(mat[np.ix_(rows, cols)], compute_uv=False)
+                 for rows, cols in blocks]
+        sv = np.sort(np.concatenate(parts + [np.zeros(k)]))[::-1][:k]
     smax = float(sv[0]) if sv.size else 0.0
     if smax == 0.0:
         rank = 0
@@ -231,10 +282,11 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
     if that assembly fails, the largest band records its error and each
     other band assembles its own, so the bands that resolve keep their rows
     and the others record their own errors.  Each band's truncation, SVD
-    and density-route checks are computed once for all gammas.  Verdict
-    "stable" requires the kernel count to be constant across the two
-    largest bands and the heat trace to match it within 1e-6 at every
-    gamma.  Gammas must be finite and positive (ValueError).  Per-band and
+    and density-route checks are computed once for all gammas; the SVD
+    splits by axis charge when the truncation conserves it
+    (``singular_value_census``).  Verdict "stable" requires the kernel
+    count to be constant across the two largest bands and the heat trace to
+    match it within 1e-6 at every gamma.  Gammas must be finite and positive (ValueError).  Per-band and
     per-cell failures are recorded without aborting the sweep.
     """
     if not bands:
@@ -256,7 +308,9 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
             trunc = (order_reduce(sigma, band, cache=cache, wide=wide)
                      if reduce_order and sigma.order != 0
                      else index_truncation(sigma, band, cache=cache, wide=wide))
-            census = singular_value_census(trunc.matrix, rel_tol)
+            census = singular_value_census(trunc.matrix, rel_tol,
+                                           trunc.codomain.charges,
+                                           trunc.domain.charges)
             heats = heat_trace_index(census["singular_values"], trunc.matrix.shape,
                                      gammas)
             kcount = census["ker_dim"] - census["coker_dim"]

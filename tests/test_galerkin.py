@@ -413,6 +413,59 @@ def test_assemble_aliasing_names_first_column_su2():
         assert err.value.required_band == 2
 
 
+def test_assemble_pointwise_charge_beyond_declared_bandwidth_leaks():
+    # t2[0, 2] has axis charge 2: declared as x-bandwidth 1, the band-limited
+    # assembly drops that charge and the leak check names it, although the
+    # codomain holds the true image
+    coeff, _ = li.su2_function([(0, 0, 0, 2.0), (2, 0, 2, 0.3 + 0.1j)])
+    dom = li.basis_for_band(li.SU2, 4)
+    cod = li.basis_for_band(li.SU2, 4 + 2)
+    li.assemble(li.pointwise_symbol(li.SU2, coeff, 2, {"k": "declared-2"}), dom, cod)
+    with pytest.raises(li.AliasingError, match="leaks"):
+        li.assemble(li.pointwise_symbol(li.SU2, coeff, 1, {"k": "declared-1"}),
+                    dom, cod)
+
+
+@pytest.mark.parametrize("group, band", [(li.torus(1), 3), (li.torus(2), 2),
+                                         (li.SU2, 4)])
+def test_basis_charges_match_the_axis_modes(group, band):
+    # one axis charge per entry: j - i on SU(2), l[-1] on the torus; the
+    # rule's modes are the charges mod its axis length
+    basis = li.basis_for_band(group, band)
+    expected = [j - i if group.kind == "su2" else xi.label[-1]
+                for xi, i, j in basis.entries]
+    np.testing.assert_array_equal(basis.charges, expected)
+    rule = li.haar_quadrature(group, 3)
+    modes = np.concatenate([li.rep_factors(xi, rule)[1].ravel()
+                            for xi in basis.labels])
+    np.testing.assert_array_equal(basis.charges % rule.axis_length, modes)
+    np.testing.assert_array_equal(li.galerkin._plane_rows(basis, rule)[1], modes)
+
+
+def _reverse_shape(blob):
+    hlen = int.from_bytes(blob[4:8], "little")
+    header = json.loads(blob[8:8 + hlen])
+    header["shape"] = header["shape"][::-1]
+    text = json.dumps(header).encode()
+    return blob[:4] + len(text).to_bytes(4, "little") + text + blob[8 + hlen:]
+
+
+def test_cache_entry_of_the_wrong_shape_is_a_miss(t1, tmp_path):
+    # payload and hash are intact, so the entry reads; its shape does not fit
+    cache = li.OperatorCache(str(tmp_path))
+    sym = li.winding_symbol(t1, 1)
+    first = li.sweep_operator(sym, 4, cache=cache)
+    assert first.shape[0] != first.shape[1]
+    (path,) = tmp_path.glob("*.lgidx")
+    path.write_bytes(_reverse_shape(path.read_bytes()))
+    assert li.read_cache_entry(str(path))[1].shape == first.shape[::-1]
+    cache = li.OperatorCache(str(tmp_path))
+    again = li.sweep_operator(sym, 4, cache=cache)
+    assert (cache.hits, cache.misses) == (0, 1)
+    assert "cached" not in again.meta
+    np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
 def _truncate_to_6_bytes(blob):
     return blob[:6]
 

@@ -132,6 +132,121 @@ def test_singular_value_census_margins(rng):
     assert census["gap"] == math.inf or census["gap"] > 1e3
 
 
+def charge_block_matrix(rng, row_counts, col_counts, first_charge=-2):
+    """Random matrix that conserves charge, with its row and column charges.
+
+    Charge first_charge + c has row_counts[c] rows and col_counts[c] columns,
+    shuffled; each block has a random rank, so kernels and cokernels occur.
+    """
+    charges = np.arange(len(row_counts)) + first_charge
+    row_charges = rng.permutation(np.repeat(charges, row_counts))
+    col_charges = rng.permutation(np.repeat(charges, col_counts))
+    mat = np.zeros((row_charges.size, col_charges.size), dtype=complex)
+    for charge, n, m in zip(charges, row_counts, col_counts):
+        r = int(rng.integers(0, min(n, m) + 1))
+        left = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+        right = rng.standard_normal((r, m)) + 1j * rng.standard_normal((r, m))
+        mat[np.ix_(row_charges == charge, col_charges == charge)] = left @ right
+    return mat, row_charges, col_charges
+
+
+CHARGE_LAYOUTS = [
+    ([3, 4, 2, 5], [2, 4, 3, 5]),        # square, k = 14
+    ([3, 0, 6, 2, 4], [5, 3, 2, 0, 4]),  # charges on one side only, k = 14
+    ([1, 2, 7, 0], [4, 4, 9, 3]),        # wide, k = 10
+    ([6, 5, 3, 2], [1, 0, 3, 2]),        # tall, k = 6
+]
+
+
+@pytest.mark.parametrize("row_counts, col_counts", CHARGE_LAYOUTS)
+def test_census_charge_blocks_match_one_block(rng, row_counts, col_counts):
+    for _ in range(5):
+        mat, rc, cc = charge_block_matrix(rng, row_counts, col_counts)
+        k = min(mat.shape)
+        blocks = li.index_engine._charge_blocks(mat, rc, cc)
+        assert blocks is not None
+        assert len(blocks) == sum(1 for n, m in zip(row_counts, col_counts)
+                                  if n and m)
+        split = li.singular_value_census(mat, 1e-10, rc, cc)
+        whole = li.singular_value_census(mat, 1e-10)
+        for key in ("rank", "ker_dim", "coker_dim", "marginal"):
+            assert split[key] == whole[key]
+        assert split["singular_values"].shape == (k,)
+        scale = 1e-13 * whole["smax"]
+        for key in ("smax", "retained_min", "discarded_max"):
+            assert abs(split[key] - whole[key]) <= scale
+        np.testing.assert_allclose(split["singular_values"],
+                                   whole["singular_values"], rtol=0, atol=scale)
+        assert np.all(np.diff(split["singular_values"]) <= 0)
+
+
+def test_census_off_charge_entry_above_the_budget_takes_one_block(rng):
+    mat, rc, cc = charge_block_matrix(rng, [3, 4, 2, 5], [2, 4, 3, 5])
+    budget = math.sqrt(min(mat.shape)) * np.finfo(float).eps * np.linalg.norm(mat)
+    row, col = np.argwhere(rc[:, None] != cc[None, :])[0]
+    below, above = mat.copy(), mat.copy()
+    below[row, col] = 0.5 * budget
+    above[row, col] = 2.0 * budget
+    assert li.index_engine._charge_blocks(below, rc, cc) is not None
+    assert li.index_engine._charge_blocks(above, rc, cc) is None
+    census = li.singular_value_census(above, 1e-10, rc, cc)
+    np.testing.assert_array_equal(census["singular_values"],
+                                  np.linalg.svd(above, compute_uv=False))
+
+
+def test_census_non_finite_entry_takes_one_block(rng):
+    mat, rc, cc = charge_block_matrix(rng, [3, 4, 2, 5], [2, 4, 3, 5])
+    on = tuple(np.argwhere(rc[:, None] == cc[None, :])[0])
+    off = tuple(np.argwhere(rc[:, None] != cc[None, :])[0])
+    for where in (on, off):
+        bad = mat.copy()
+        bad[where] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            li.singular_value_census(bad, 1e-10)
+        with pytest.raises(np.linalg.LinAlgError):
+            li.singular_value_census(bad, 1e-10, rc, cc)
+        bad[where] = np.inf
+        split = li.singular_value_census(bad, 1e-10, rc, cc)
+        whole = li.singular_value_census(bad, 1e-10)
+        np.testing.assert_array_equal(split["singular_values"],
+                                      whole["singular_values"])
+
+
+@pytest.mark.parametrize("operator", [
+    *({"op": "pointwise", "entries": [
+        {"twice_spin": 0, "i": 0, "j": 0, "re": 2.0, "im": 0.0},
+        {"twice_spin": 1, "i": 0, "j": 0, "re": c.real, "im": c.imag}]}
+      for c in (0.45 * np.exp(0.3j), 0.2 * np.exp(2.5j), 0.35 * np.exp(4.4j))),
+    {"op": "multiplier", "formula": "laplacian_plus_one"}],
+    ids=["pointwise-0", "pointwise-1", "pointwise-2", "invariant"])
+def test_sweep_charge_blocks_keep_the_one_block_results(monkeypatch, operator):
+    # t1[0, 0] has axis charge 0 and the multiplier is scalar, so every
+    # cutoff splits; the counts are those of one SVD of the whole matrix
+    op = li.parse_operator(operator, li.SU2)
+    census, blocks = li.singular_value_census, li.index_engine._charge_blocks
+    splits = []
+
+    def spied(*args):
+        found = blocks(*args)
+        splits.append(found is not None)
+        return found
+
+    monkeypatch.setattr(li.index_engine, "_charge_blocks", spied)
+    split = li.stabilization_sweep(op.symbol, op.adjoint_symbol, [4, 6, 8],
+                                   [0.1, 1.0, 10.0])
+    assert splits == [True] * 3
+    monkeypatch.setattr(li.index_engine, "singular_value_census",
+                        lambda mat, rel_tol, *charges: census(mat, rel_tol))
+    whole = li.stabilization_sweep(op.symbol, op.adjoint_symbol, [4, 6, 8],
+                                   [0.1, 1.0, 10.0])
+    assert splits == [True] * 3 + [False] * 3 and not split.errors
+    assert split.verdict == whole.verdict and len(split.rows) == 9
+    for a, b in zip(split.rows, whole.rows):
+        for key in ("kernel_count", "ker_dim", "coker_dim", "marginal"):
+            assert a[key] == b[key]
+        assert abs(a["heat_trace"] - b["heat_trace"]) <= 1e-13
+
+
 # --- density route ----------------------------------------------------------
 
 def test_density_invariant_symbol_is_zero(rng):
