@@ -26,7 +26,7 @@ from .symbols import (MatrixSymbol, lambda_multiplier,
                       BandHeadroomError, torus_function, su2_function)
 from .galerkin import (PeterWeylBasis, GalerkinOperator, basis_for_band,
                        assemble, assemble_cached, adjoint, compose,
-                       gram_matrix, index_codomain_labels, index_truncation,
+                       gram_blocks, index_codomain_labels, index_truncation,
                        sweep_operator,
                        AliasingError, OperatorCache, save_operator,
                        read_cache_entry)

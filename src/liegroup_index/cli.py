@@ -35,7 +35,7 @@ from .dual import enumerate_dual, labels_for_band
 from .fourier import (FourierCoefficients, SampledFunction, fourier_forward,
                       fourier_inverse_on_rule, l2_norm, plancherel_norm)
 from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
-                       gram_matrix, read_cache_entry)
+                       gram_blocks, read_cache_entry)
 from .groups import (GroupSpec, haar_quadrature, haar_weights, min_level_for_band,
                      torus)
 from .index_engine import stabilization_sweep, trace_via_symbol
@@ -269,11 +269,13 @@ def _check_rows_schur(group: GroupSpec, band: int, level) -> list:
         raise ConfigError("config.group", "schur check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
     basis = basis_for_band(group, band)
-    gram, off_energy = gram_matrix(basis, haar_quadrature(group, level))
-    # Cauchy-Schwarz bound on the dense max|G - I|, off-mode parts included
-    off, on = float(off_energy.max()), float(gram.diagonal().real.max())
-    gram[np.diag_indices(basis.size)] -= 1.0
-    err = float(np.abs(gram).max()) + 2.0 * math.sqrt(off * on) + off
+    blocks, off_energy = gram_blocks(basis, haar_quadrature(group, level))
+    # Cauchy-Schwarz bound on the dense max|G - I|, off-mode parts included;
+    # G is 0 between modes and every diagonal entry lies in some block
+    off = float(off_energy.max())
+    on = max(float(g.diagonal().real.max()) for _, g in blocks)
+    dev = max(float(np.abs(g - np.eye(len(rows))).max()) for rows, g in blocks)
+    err = dev + 2.0 * math.sqrt(off * on) + off
     return [{"name": f"schur_band_{band}_level_{level}", "error": err,
              "tolerance": 1e-8},
             {"name": "off_mode_energy", "error": off, "tolerance": 1e-18}]

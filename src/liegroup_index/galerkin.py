@@ -2,14 +2,15 @@
 
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
 they are orthonormal under Haar quadrature at the documented level, which
-``gram_matrix`` checks from the plane factors (``dual.rep_factors``), one
-Gram block per axis mode.  An operator is assembled the same way: the
-images sqrt(d_xi) xi(x) sigma(x, xi) of each label's domain entries are
-evaluated on the grid, one FFT along the axis splits them into modes, and
-one matrix product per codomain mode projects them onto the codomain.  For
-a pointwise symbol c(x) I the images need no grid: by the convolution
-theorem along the axis, an image's modes are its plane factor times the
-DFT of c shifted by the entry's mode, so one FFT of c serves every label.
+``gram_blocks`` checks from the plane factors (``dual.rep_factors``), one
+Gram block per axis mode, never a dense Gram matrix.  An operator is
+assembled the same way: the images sqrt(d_xi) xi(x) sigma(x, xi) of each
+label's domain entries are evaluated on the grid, one FFT along the axis
+splits them into modes, and one matrix product per codomain mode projects
+them onto the codomain.  For a pointwise symbol c(x) I the images need no
+grid: by the convolution theorem along the axis, an image's modes are its
+plane factor times the DFT of c shifted by the entry's mode, so one FFT of
+c serves every label.
 
 Square truncations of an index-k operator always have index 0, so index
 computations use rectangular truncations: the codomain of a sweep cell is
@@ -270,17 +271,18 @@ def compose(g1: GalerkinOperator, g2: GalerkinOperator) -> GalerkinOperator:
                             {"compose": [g1.meta, g2.meta]})
 
 
-def gram_matrix(basis: PeterWeylBasis,
+def gram_blocks(basis: PeterWeylBasis,
                 grid: Optional[QuadratureRule] = None) -> tuple:
-    """(Gram matrix of the basis under the rule, off-mode energy of each row).
+    """([(rows, Gram block)] one pair per mode, off-mode energy of each row).
 
     On a Haar product rule each basis entry is a plane factor times one
     axis character (``dual.rep_factors``), so by Parseval along the axis the
     Gram matrix is one weighted block of plane factors per mode, charge mod
-    n_s, shared by aliased charges (Kostelec & Rockmore).  Only the returned
-    off-mode energy is dropped: the plane energy times the off-mode DFT
-    energy of the row's sampled character, summed directly.  Any other rule,
-    or one whose weights vary along its axis, raises ValueError.
+    n_s, shared by aliased charges (Kostelec & Rockmore), and 0 between
+    modes.  Only the returned off-mode energy is dropped: the plane energy
+    times the off-mode DFT energy of the row's sampled character, summed
+    directly.  Any other rule, or one whose weights vary along its axis,
+    raises ValueError.
     """
     if grid is None:
         grid = haar_quadrature(basis.group,
@@ -293,11 +295,11 @@ def gram_matrix(basis: PeterWeylBasis,
     plane, modes, w = _plane_rows(basis, grid)
     on_mode = plane * on_char[modes, None]
     off_energy = (np.abs(plane) ** 2 @ w) * off_char[modes]
-    gram = np.zeros((basis.size, basis.size), dtype=complex)
+    blocks = []
     for m in np.unique(modes):
         rows = np.flatnonzero(modes == m)
-        gram[np.ix_(rows, rows)] = (on_mode[rows] * w) @ on_mode[rows].conj().T
-    return gram, off_energy
+        blocks.append((rows, (on_mode[rows] * w) @ on_mode[rows].conj().T))
+    return blocks, off_energy
 
 
 def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:

@@ -80,18 +80,11 @@ def _charge_blocks(mat: np.ndarray, row_charges, col_charges):
     budget = (math.sqrt(min(mat.shape)) * _EPS * np.linalg.norm(mat)) ** 2
     if not math.isfinite(budget):
         return None
-    blocks, off = [], 0.0
-    for charge in np.unique(row_charges):
-        rows = np.flatnonzero(row_charges == charge)
-        same = col_charges == charge
-        sub = mat[rows]        # one charge's rows: a small copy
-        sub[:, same] = 0.0
-        off += np.vdot(sub, sub).real
-        if not off <= budget:
-            return None
-        if same.any():
-            blocks.append((rows, np.flatnonzero(same)))
-    return blocks
+    off = mat[row_charges[:, None] != col_charges[None, :]]
+    if not np.vdot(off, off).real <= budget:
+        return None
+    return [(np.flatnonzero(row_charges == q), np.flatnonzero(col_charges == q))
+            for q in np.intersect1d(row_charges, col_charges)]
 
 
 def singular_value_census(mat: np.ndarray, rel_tol: float,

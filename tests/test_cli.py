@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,20 @@ def test_check_schur_reports_off_mode_energy(tmp_path):
     assert [r["name"] for r in rows] == ["schur_band_8_level_8", "off_mode_energy"]
     assert rows[0]["error"] <= 1e-13
     assert rows[1]["error"] <= rows[1]["tolerance"] == 1e-18
+
+
+def test_check_schur_builds_no_dense_gram():
+    # a dense complex Gram matrix of the band-16 basis alone takes
+    # basis.size**2 * 16 bytes (48.6 MiB); the check keeps one block per mode
+    size = li.basis_for_band(li.SU2, 16).size
+    tracemalloc.start()
+    try:
+        rows = li.cli._check_rows_schur(li.SU2, 16, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0]["error"] <= rows[0]["tolerance"]
+    assert peak < size ** 2 * 16
 
 
 def test_check_su3_quadrature_level_six(tmp_path):

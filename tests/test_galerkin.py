@@ -21,10 +21,22 @@ def random_invariant_table(group, band, rng):
     return table
 
 
+def scattered_gram(basis, blocks):
+    """The dense Gram matrix of ``gram_blocks``'s (rows, block) pairs, whose
+    rows must partition the basis."""
+    rows = np.concatenate([r for r, _ in blocks])
+    np.testing.assert_array_equal(np.sort(rows), np.arange(basis.size))
+    gram = np.zeros((basis.size, basis.size), dtype=complex)
+    for r, block in blocks:
+        gram[np.ix_(r, r)] = block
+    return gram
+
+
 def test_gram_identity(t1):
     for group, band in ((t1, 6), (li.SU2, 4), (li.torus(2), 2)):
         basis = li.basis_for_band(group, band)
-        gram, off_energy = li.gram_matrix(basis)
+        blocks, off_energy = li.gram_blocks(basis)
+        gram = scattered_gram(basis, blocks)
         assert np.abs(gram - np.eye(basis.size)).max() <= 1e-8
         assert off_energy.max() <= 1e-18
 
@@ -39,7 +51,7 @@ def dense_gram(basis, rule):
 def test_gram_blocks_match_dense_gram(group, band):
     basis = li.basis_for_band(group, band)
     rule = li.haar_quadrature(group, li.min_level_for_band(group, band))
-    gram, _ = li.gram_matrix(basis, rule)
+    gram = scattered_gram(basis, li.gram_blocks(basis, rule)[0])
     assert np.abs(gram - dense_gram(basis, rule)).max() <= 1e-13
 
 
@@ -51,7 +63,7 @@ def test_gram_blocks_match_dense_gram(group, band):
 def test_gram_blocks_fail_under_resolved_like_dense(group, band, level, error):
     basis = li.basis_for_band(group, band)
     rule = li.haar_quadrature(group, level)
-    gram, _ = li.gram_matrix(basis, rule)
+    gram = scattered_gram(basis, li.gram_blocks(basis, rule)[0])
     eye = np.eye(basis.size)
     dense_err = np.abs(dense_gram(basis, rule) - eye).max()
     assert abs(np.abs(gram - eye).max() - dense_err) <= 1e-12
@@ -64,7 +76,7 @@ def test_gram_rejects_weights_varying_on_uniform_axis():
     weights[0] *= 1.5
     bumped = li.QuadratureRule(rule.group, rule.level, rule.charts.copy(), weights)
     with pytest.raises(ValueError, match="uniform axis"):
-        li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
+        li.gram_blocks(li.basis_for_band(li.SU2, 2), bumped)
 
 
 @pytest.mark.parametrize("group,band", [(li.torus(2), 4), (li.SU2, 6)], ids=str)
@@ -507,7 +519,7 @@ def test_separated_sums_reject_flowed_rule(group):
     np.testing.assert_array_equal(flowed.weights, rule.weights)
     labels = li.labels_for_band(group, 2)
     with pytest.raises(ValueError, match="uniform axis"):
-        li.gram_matrix(li.basis_for_band(group, 2), flowed)
+        li.gram_blocks(li.basis_for_band(group, 2), flowed)
     with pytest.raises(ValueError, match="uniform axis"):
         li.fourier_forward(li.SampledFunction(flowed, np.ones(flowed.n_nodes)), labels)
     coefs = li.FourierCoefficients({lab: np.eye(lab.dim) for lab in labels})
@@ -521,7 +533,7 @@ def test_gram_rejects_varying_weights_on_haar_structure():
     weights[0] *= 1.5
     bumped = dataclasses.replace(rule, weights=weights, _node_cache={})
     with pytest.raises(ValueError, match="weights vary"):
-        li.gram_matrix(li.basis_for_band(li.SU2, 2), bumped)
+        li.gram_blocks(li.basis_for_band(li.SU2, 2), bumped)
 
 
 def t1_pointwise():
