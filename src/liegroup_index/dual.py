@@ -352,7 +352,6 @@ def left_invariant_derivative(
     j: int,
     rule: QuadratureRule,
     h: float = 1e-4,
-    richardson: bool = False,
 ) -> np.ndarray:
     """Central difference of s -> f(x exp(s Y_j)) at s = 0, at every node.
 
@@ -362,15 +361,7 @@ def left_invariant_derivative(
     if h <= 0:
         raise ValueError("step must be positive")
     y = lie_basis(rule.group).generators[j]
-
-    def central(step):
-        return (f(flow_rule(rule, y, step)) - f(flow_rule(rule, y, -step))) / (2.0 * step)
-
-    if not richardson:
-        return central(h)
-    d1 = central(h)
-    d2 = central(0.5 * h)
-    return (4.0 * d2 - d1) / 3.0
+    return (f(flow_rule(rule, y, h)) - f(flow_rule(rule, y, -h))) / (2.0 * h)
 
 
 def left_invariant_second_derivative(

@@ -1,9 +1,10 @@
 """Peter-Weyl bases and rectangular Galerkin assembly.
 
 Basis functions are b = sqrt(d_xi) * xi_ij, ordered by (weight, label, i, j);
-they are orthonormal under Haar quadrature at the documented level, which
-``gram_blocks`` checks from the plane factors (``dual.rep_factors``), one
-Gram block per axis mode, never a dense Gram matrix.  An operator is
+they are orthonormal under Haar quadrature at the documented level.
+``gram_blocks`` forms their Gram matrix from the plane factors alone
+(``dual.rep_factors``): the axis characters are exact roots of unity, so it
+is one block per axis mode, never a dense matrix.  An operator is
 assembled the same way: the images sqrt(d_xi) xi(x) sigma(x, xi) of each
 label's domain entries are evaluated on the grid, one FFT along the axis
 splits them into modes, and one matrix product per codomain mode projects
@@ -272,34 +273,27 @@ def compose(g1: GalerkinOperator, g2: GalerkinOperator) -> GalerkinOperator:
 
 
 def gram_blocks(basis: PeterWeylBasis,
-                grid: Optional[QuadratureRule] = None) -> tuple:
-    """([(rows, Gram block)] one pair per mode, off-mode energy of each row).
+                grid: Optional[QuadratureRule] = None) -> list:
+    """[(rows, Gram block)], one pair per axis mode.
 
     On a Haar product rule each basis entry is a plane factor times one
-    axis character (``dual.rep_factors``), so by Parseval along the axis the
-    Gram matrix is one weighted block of plane factors per mode, charge mod
-    n_s, shared by aliased charges (Kostelec & Rockmore), and 0 between
-    modes.  Only the returned off-mode energy is dropped: the plane energy
-    times the off-mode DFT energy of the row's sampled character, summed
-    directly.  Any other rule, or one whose weights vary along its axis,
-    raises ValueError.
+    axis character (``dual.rep_factors``).  The characters are exact roots
+    of unity, so the axis sum of two of them is n_s on one mode, charge mod
+    n_s, and 0 between modes: the Gram matrix is one block
+    n_s (plane[rows] w) @ plane[rows]^H per mode, shared by aliased charges
+    (Kostelec & Rockmore), and 0 elsewhere.  Any other rule, or one whose
+    weights vary along its axis, raises ValueError.
     """
     if grid is None:
         grid = haar_quadrature(basis.group,
                                min_level_for_band(basis.group, basis.band))
-    # row q: the DFT of the sampled charge-q character; on-mode entry q
-    spec = np.fft.fft(axis_characters(grid), norm="ortho")
-    on_char = spec.diagonal().copy()
-    np.fill_diagonal(spec, 0.0)
-    off_char = np.sum(np.abs(spec) ** 2, axis=1)
     plane, modes, w = _plane_rows(basis, grid)
-    on_mode = plane * on_char[modes, None]
-    off_energy = (np.abs(plane) ** 2 @ w) * off_char[modes]
+    w = grid.axis_length * w
     blocks = []
     for m in np.unique(modes):
         rows = np.flatnonzero(modes == m)
-        blocks.append((rows, (on_mode[rows] * w) @ on_mode[rows].conj().T))
-    return blocks, off_energy
+        blocks.append((rows, (plane[rows] * w) @ plane[rows].conj().T))
+    return blocks
 
 
 def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
@@ -393,9 +387,7 @@ def sweep_operator(sigma: MatrixSymbol, band: int,
 
 
 def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
-                          tol: float = HIT_ROW_TOL,
-                          cache: Optional[OperatorCache] = None,
-                          wide: Optional[GalerkinOperator] = None) -> list:
+                          wide: GalerkinOperator) -> list:
     """Codomain label set preserving the operator's finite-rank index.
 
     Labels hit by the domain are kept, together with the domain labels
@@ -404,22 +396,20 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
     the symbol's x-bandwidth w) are dropped.  For x-independent symbols the
     codomain equals the domain.  The hits are read from ``wide``, the
     operator of a sweep whose largest cutoff is at least dom.band
-    (``sweep_operator``; assembled through ``cache`` for dom.band when not
-    given): its columns of band dom.band + w and its rows of band at most
-    dom.band + 2w, the largest of which sets the hit threshold's scale.
+    (``sweep_operator``): its columns of band dom.band + w and its rows of
+    band at most dom.band + 2w, the largest of which sets the scale of the
+    hit threshold ``HIT_ROW_TOL``.
     """
     w = int(math.ceil(sigma.x_bandwidth))
     if w == 0:
         return list(dom.labels)
-    if wide is None:
-        wide = sweep_operator(sigma, dom.band, cache)
     band, cod_wide = dom.band, wide.codomain
     cod_labels = [xi for xi in cod_wide.labels if xi.band <= band + 2 * w]
     mag = np.abs(wide.matrix[cod_wide.positions(cod_labels)])
     starts = np.cumsum([0] + [xi.dim ** 2 for xi in cod_labels[:-1]])
     extended = wide.domain.positions(
         [xi for xi in wide.domain.labels if xi.band <= band + w])
-    threshold = tol * (float(mag[:, extended].max()) or 1.0)
+    threshold = HIT_ROW_TOL * (float(mag[:, extended].max()) or 1.0)
 
     def hit_labels(col_positions):
         row_hit = mag[:, col_positions].max(axis=1) > threshold

@@ -3,7 +3,8 @@
 * heat-trace route:    tr exp(-g M^* M) - tr exp(-g M M^*) for every g, from
   one SVD: the spectra of M^*M and MM^* are the squared singular values
   padded with zeros, so the route equals q - p (the number of columns minus
-  the number of rows) at every finite truncation and for every g > 0.
+  the number of rows) at every finite truncation and for every g > 0.  The
+  kernel count is q - p as well, so the verdict does not read this route.
 * kernel-count route:  dim ker M - dim ker M^* from the singular values of
   M with a relative rank threshold and an audited spectral gap.  They come
   from one SVD per axis charge when M conserves the charge (the entries
@@ -18,8 +19,9 @@
   -k for the winding family, a documented discrepancy of the frozen-argument
   composition.
 
-Order reduction composes with the multiplier <xi>^-m to produce the
-order-zero operator whose index is computed.
+Order reduction scales the truncation's rows by <xi>^-m: the multiplier
+Lambda_{-m} is diagonal in the Peter-Weyl basis, so Lambda_{-m} A is the
+order-zero operator whose index is computed, with no second assembly.
 """
 
 from __future__ import annotations
@@ -33,11 +35,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dual import IrrepLabel
-from .galerkin import (GalerkinOperator, assemble, compose, index_truncation,
-                       sweep_operator)
+from .galerkin import GalerkinOperator, index_truncation, sweep_operator
 from .groups import (GroupSpec, QuadratureRule, haar_quadrature, identity,
                      min_level_for_band, point_rule)
-from .symbols import MatrixSymbol, lambda_multiplier
+from .symbols import MatrixSymbol
 
 DEFAULT_REL_TOL = 1e-10
 MARGINAL_GAP = 1e3
@@ -195,12 +196,15 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
 
 def order_reduce(sigma: MatrixSymbol, band: int, cache=None,
                  wide: Optional[GalerkinOperator] = None) -> GalerkinOperator:
-    """Finite-rank realization of the order-zero operator Lambda_{-m} A;
-    ``cache`` and ``wide`` are passed to ``index_truncation``."""
-    m = sigma.order
+    """Finite-rank realization of the order-zero operator Lambda_{-m} A:
+    the truncation's rows scaled by <xi>^-m, the diagonal of Lambda_{-m} on
+    the codomain.  ``cache`` and ``wide`` are passed to ``index_truncation``;
+    the meta records no quadrature level."""
     a = index_truncation(sigma, band, cache=cache, wide=wide)
-    lam = assemble(lambda_multiplier(sigma.group, -m), a.codomain, a.codomain)
-    return compose(lam, a)
+    cod = a.codomain
+    scale = np.repeat([xi.weight ** -sigma.order for xi in cod.labels], cod.sizes)
+    return GalerkinOperator(a.domain, cod, scale[:, None] * a.matrix,
+                            {"order_reduced": a.meta})
 
 
 def trace_via_symbol(sigma: MatrixSymbol, cutoff_labels: Sequence[IrrepLabel],
@@ -278,9 +282,11 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
     and density-route checks are computed once for all gammas; the SVD
     splits by axis charge when the truncation conserves it
     (``singular_value_census``).  Verdict "stable" requires the kernel
-    count to be constant across the two largest bands and the heat trace to
-    match it within 1e-6 at every gamma.  Gammas must be finite and positive (ValueError).  Per-band and
-    per-cell failures are recorded without aborting the sweep.
+    count to be the same at the two largest bands; the heat trace is
+    reported but not read, since on every p x q truncation it is q - p up to
+    rounding, like the kernel count (``heat_trace_index``).  Gammas must be
+    finite and positive (ValueError).  Per-band and per-cell failures are
+    recorded without aborting the sweep.
     """
     if not bands:
         raise ValueError("bands must be nonempty")
@@ -288,7 +294,6 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
     gammas = _positive_gammas(gammas).tolist()
     report = IndexReport(operator_desc or sigma.describe, sigma.group)
     kernel_by_band = {}
-    heat_ok = True
     try:
         wide = sweep_operator(sigma, bands[-1], cache=cache)
     except Exception as exc:
@@ -341,14 +346,12 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                 "sv_gap": census["gap"],
                 "marginal": census["marginal"],
             })
-            if abs(heat - kcount) > 1e-6:
-                heat_ok = False
             report.rows.append(cell)
     if len(bands) >= 2 and all(b in kernel_by_band for b in bands[-2:]):
         stable = kernel_by_band[bands[-1]] == kernel_by_band[bands[-2]]
     else:
         stable = len(kernel_by_band) == len(bands) == 1
-    report.verdict = "stable" if (stable and heat_ok) else "unstable"
+    report.verdict = "stable" if stable else "unstable"
     report.discrepancy = any(
         abs(row["density_route"] - row["kernel_count"]) > 0.5
         for row in report.rows)

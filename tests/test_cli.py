@@ -229,14 +229,28 @@ def test_check_suites_pass(tmp_path, which, group):
     assert (tmp_path / "out" / "tables" / f"check_{which}.csv").exists()
 
 
-def test_check_schur_reports_off_mode_energy(tmp_path):
+def test_check_schur_reports_one_row(tmp_path):
     cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su2"}, "band": 8})
     assert main(["check", "--config", cfg, "--which", "schur",
                  "--out", str(tmp_path / "out")]) == 0
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
-    assert [r["name"] for r in rows] == ["schur_band_8_level_8", "off_mode_energy"]
+    assert [r["name"] for r in rows] == ["schur_band_8_level_8"]
     assert rows[0]["error"] <= 1e-13
-    assert rows[1]["error"] <= rows[1]["tolerance"] == 1e-18
+
+
+def test_check_schur_fails_under_resolved(tmp_path, capsys):
+    # level 4 does not resolve the products of band-8 entries: the Gram
+    # blocks are off the identity by about 1.59
+    cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su2"}, "band": 8,
+                                              "quadrature_level": 4})
+    assert main(["check", "--config", cfg, "--which", "schur",
+                 "--out", str(tmp_path / "out")]) == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pass"] is False
+    [row] = report["rows"]
+    assert row["name"] == "schur_band_8_level_4" and row["pass"] is False
+    assert row["error"] == pytest.approx(1.59, abs=0.01)
+    assert "FAIL schur_band_8_level_4" in capsys.readouterr().out
 
 
 def test_check_schur_builds_no_dense_gram():
@@ -284,9 +298,8 @@ def test_check_su3_quadrature_builds_no_rule(tmp_path, monkeypatch):
     assert main(["check", "--config", cfg, "--which", "quadrature",
                  "--out", str(tmp_path / "out")]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert [r["name"] for r in report["rows"]] == ["mass_level_6",
-                                                   "weights_nonnegative"]
-    assert all(r["pass"] for r in report["rows"])
+    assert [r["name"] for r in report["rows"]] == ["mass_level_6"]
+    assert report["rows"][0]["pass"]
 
 
 def test_check_ellipticity_pass_and_fail(tmp_path, capsys):

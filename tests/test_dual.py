@@ -122,16 +122,6 @@ def test_left_invariant_derivative_constant_is_zero():
         assert abs(d) <= 1e-12
 
 
-def test_richardson_improves_step_error(t1):
-    x = li.point_rule(li.torus_point(t1, [0.11]))
-    lab = li.torus_label(t1, [3])
-    f = lambda r: li.rep_matrices_on_rule(lab, r)[:, 0, 0]
-    exact = 2j * np.pi * 3 * f(x)[0]
-    plain = abs(li.left_invariant_derivative(f, 0, x, h=1e-3)[0] - exact)
-    rich = abs(li.left_invariant_derivative(f, 0, x, h=1e-3, richardson=True)[0] - exact)
-    assert rich < plain
-
-
 def test_fd_casimir_su2(rng):
     # sum_j d_j^2 t_l = -l(l+1) t_l validates the Casimir normalization
     x = li.point_rule(random_su2_point(rng))

@@ -118,7 +118,8 @@ def test_index_additivity_winding_compositions(t1):
     for j, k in ((1, 1), (1, 2), (-1, 2), (2, -3)):
         mk = li.index_truncation(li.winding_symbol(t1, k), 10)
         wj = li.winding_symbol(t1, j)
-        cod = li.index_codomain_labels(wj, mk.codomain)
+        cod = li.index_codomain_labels(wj, mk.codomain,
+                                       li.sweep_operator(wj, mk.codomain.band))
         mj = li.assemble(wj, mk.codomain, li.PeterWeylBasis(t1, tuple(cod)))
         comp = li.compose(mj, mk)
         assert kernel_count(comp) == -(j + k)
@@ -485,6 +486,29 @@ def test_order_reduce_variable_coefficient_matches_unreduced(t1):
     unreduced = kernel_count(li.index_truncation(sym, 8))
     reduced = kernel_count(li.order_reduce(sym, 8))
     assert reduced == unreduced
+
+
+C_TIMES_WEIGHT_SQUARED = {"op": "product", "factors": [
+    {"op": "pointwise", "coefficients": [{"freq": [0], "re": 1.0, "im": 0.0},
+                                         {"freq": [1], "re": 0.25, "im": 0.0},
+                                         {"freq": [-1], "re": 0.25, "im": 0.0}]},
+    {"op": "multiplier", "formula": "weight_power", "s": 2}]}
+
+
+@pytest.mark.parametrize("group,operator,band", [
+    (li.SU2, {"op": "multiplier", "formula": "laplacian_plus_one"}, 6),
+    (li.torus(2), {"op": "multiplier", "formula": "weight_power", "s": 2}, 3),
+    (li.torus(1), C_TIMES_WEIGHT_SQUARED, 16)], ids=["su2", "t2", "t1"])
+def test_order_reduce_scales_rows_like_composing_the_multiplier(group, operator, band):
+    # Lambda_{-m} is diagonal in the Peter-Weyl basis: scaling the rows by
+    # <xi>^-m gives the matrix of the assembled multiplier times A exactly
+    sym = li.parse_operator(operator, group, "operator").symbol
+    a = li.index_truncation(sym, band)
+    lam = li.assemble(li.lambda_multiplier(group, -sym.order), a.codomain, a.codomain)
+    reduced = li.order_reduce(sym, band)
+    np.testing.assert_array_equal(reduced.matrix, li.compose(lam, a).matrix)
+    assert reduced.domain == a.domain and reduced.codomain == a.codomain
+    assert "level" not in reduced.meta
 
 
 def test_trace_via_symbol_identity_partial_sum(t1):
