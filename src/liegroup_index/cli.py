@@ -243,7 +243,7 @@ def cmd_index(config_path: str, out_dir: str | None) -> int:
 # check command
 
 
-def _check_rows_plancherel(group: GroupSpec, band: int, level) -> list:
+def _check_rows_plancherel(cfg: dict, group: GroupSpec, band: int, level) -> list:
     rng = np.random.default_rng(2024)
     if group.kind == "su3":
         raise ConfigError("config.group", "plancherel check needs torus or SU(2)")
@@ -264,7 +264,7 @@ def _check_rows_plancherel(group: GroupSpec, band: int, level) -> list:
     ]
 
 
-def _check_rows_schur(group: GroupSpec, band: int, level) -> list:
+def _check_rows_schur(cfg: dict, group: GroupSpec, band: int, level) -> list:
     if group.kind == "su3":
         raise ConfigError("config.group", "schur check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
@@ -291,7 +291,7 @@ def _check_rows_ellipticity(cfg: dict, group: GroupSpec, band: int, level) -> li
     return rows
 
 
-def _check_rows_trace(group: GroupSpec, band: int, level) -> list:
+def _check_rows_trace(cfg: dict, group: GroupSpec, band: int, level) -> list:
     if group.kind == "su3":
         raise ConfigError("config.group", "trace check needs torus or SU(2)")
     from .symbols import lambda_multiplier
@@ -310,7 +310,7 @@ def _check_rows_trace(group: GroupSpec, band: int, level) -> list:
     ]
 
 
-def _check_rows_quadrature(group: GroupSpec, band: int, level) -> list:
+def _check_rows_quadrature(cfg: dict, group: GroupSpec, band: int, level) -> list:
     if group.kind == "su3":
         if level is not None and level > SU3_LEVEL_CAP:
             raise ConfigError("config.quadrature_level",
@@ -325,11 +325,11 @@ def _check_rows_quadrature(group: GroupSpec, band: int, level) -> list:
 
 
 CHECKS = {
-    "plancherel": lambda cfg, g, band, level: _check_rows_plancherel(g, band, level),
-    "schur": lambda cfg, g, band, level: _check_rows_schur(g, band, level),
+    "plancherel": _check_rows_plancherel,
+    "schur": _check_rows_schur,
     "ellipticity": _check_rows_ellipticity,
-    "trace": lambda cfg, g, band, level: _check_rows_trace(g, band, level),
-    "quadrature": lambda cfg, g, band, level: _check_rows_quadrature(g, band, level),
+    "trace": _check_rows_trace,
+    "quadrature": _check_rows_quadrature,
 }
 
 

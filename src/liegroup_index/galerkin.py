@@ -21,7 +21,10 @@ truncation (see ``index_codomain_labels``).  For the circle winding family
 this makes the finite-rank index exactly -k at every cutoff.  A sweep
 assembles one operator, from band N + w to band N + 2w for its largest
 cutoff N and the symbol's x-bandwidth w (``sweep_operator``); the bases
-nest, so every cutoff's truncation is a row/column slice of it.
+nest, so every cutoff's truncation is a row/column slice of it
+(``index_truncation``, which never assembles).  ``assembly_level`` alone
+decides that a matrix is block diagonal and needs no quadrature rule: it
+returns None for an invariant symbol of x-bandwidth 0.
 """
 
 from __future__ import annotations
@@ -132,24 +135,33 @@ class GalerkinOperator:
         return self.matrix.shape
 
 
-def assembly_level(group: GroupSpec, dom_band: int, cod_band: int,
-                   x_bandwidth: int) -> int:
-    """Quadrature level resolving <A b_dom, b_cod> without aliasing."""
-    if group.kind == "torus":
-        return dom_band + x_bandwidth + cod_band + 1
-    if group.kind == "su2":
-        total = dom_band + x_bandwidth + cod_band
+def assembly_level(sigma: MatrixSymbol, dom_band: int,
+                   cod_band: int) -> Optional[int]:
+    """Quadrature level resolving <A b_dom, b_cod> without aliasing, or None
+    for an invariant symbol of x-bandwidth 0, whose matrix is block diagonal
+    and needs no rule.
+
+    This is where assembly, the cache key and the truncation's aliasing check
+    decide between the block-diagonal and the quadrature path.
+    """
+    if sigma.is_invariant and sigma.x_bandwidth == 0:
+        return None
+    total = dom_band + sigma.x_bandwidth + cod_band
+    if sigma.group.kind == "torus":
+        return total + 1
+    if sigma.group.kind == "su2":
         return max(-(-total // 2), 1)
     return 1
 
 
 def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
-             grid: Optional[QuadratureRule] = None,
-             check_aliasing: bool = True) -> GalerkinOperator:
+             grid: Optional[QuadratureRule] = None) -> GalerkinOperator:
     """Galerkin matrix of the quantized symbol between two bases.
 
-    Invariant symbols are assembled exactly block by block; otherwise the
-    columns of each domain label are evaluated together on the grid and
+    When ``assembly_level`` is None (an invariant symbol of x-bandwidth 0)
+    the matrix is assembled exactly block by block, and a domain label the
+    codomain lacks raises AliasingError; otherwise the columns of each
+    domain label are evaluated together on the grid and
     projected by quadrature: one FFT of a label's images along the Haar
     rule's uniform axis, then one plane-weighted product per codomain mode
     for all columns, shared by aliased charges.  A pointwise symbol c(x) I
@@ -169,15 +181,12 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     if dom.group != group or cod.group != group:
         raise GroupMismatchError("bases and symbol must share the group")
 
-    w = int(math.ceil(sigma.x_bandwidth))
-    if sigma.is_invariant and w == 0:
+    w, level = sigma.x_bandwidth, assembly_level(sigma, dom.band, cod.band)
+    if level is None:
         mat = np.zeros((cod.size, dom.size), dtype=complex)
         for xi in dom.labels:
             if xi not in cod.offsets:
-                if check_aliasing:
-                    raise AliasingError(
-                        f"codomain misses domain label {xi}", dom.band)
-                continue
+                raise AliasingError(f"codomain misses domain label {xi}", dom.band)
             block = sigma.evaluate_at_any(xi)
             rb = cod.offsets[xi]
             cb = dom.offsets[xi]
@@ -185,11 +194,9 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
             # <A b_{xi,i,j}, b_{xi,k,l}> = delta_{ik} sigma(xi)[l, j]
             for i in range(d):
                 mat[rb + i * d:rb + (i + 1) * d, cb + i * d:cb + (i + 1) * d] = block
-        meta = {"level": None, "invariant_fast_path": True,
-                "symbol": sigma.describe}
-        return GalerkinOperator(dom, cod, mat, meta)
+        return GalerkinOperator(dom, cod, mat,
+                                {"level": None, "symbol": sigma.describe})
 
-    level = assembly_level(group, dom.band, cod.band, w)
     if grid is None:
         grid = haar_quadrature(group, level)
     elif grid.level < level:
@@ -236,12 +243,10 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
         for m in np.unique(modes):
             rows_m = np.flatnonzero(modes == m)
             mat[rows_m] = proj[rows_m] @ spec[:, m, :]
-    if check_aliasing:
-        _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
-                    np.arange(dom.size), dom.band + w)
-    meta = {"level": grid.level, "invariant_fast_path": False,
-            "symbol": sigma.describe}
-    return GalerkinOperator(dom, cod, mat, meta)
+    _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
+                np.arange(dom.size), dom.band + w)
+    return GalerkinOperator(dom, cod, mat,
+                            {"level": grid.level, "symbol": sigma.describe})
 
 
 def _check_leak(total: np.ndarray, captured: np.ndarray, positions,
@@ -357,11 +362,7 @@ def assemble_cached(sigma: MatrixSymbol, dom: PeterWeylBasis,
                     cache: Optional[OperatorCache] = None) -> GalerkinOperator:
     """assemble() on its own grid with an optional read-through cache."""
     if cache is not None:
-        w = int(math.ceil(sigma.x_bandwidth))
-        if sigma.is_invariant and w == 0:
-            level = None
-        else:
-            level = assembly_level(sigma.group, dom.band, cod.band, w)
+        level = assembly_level(sigma, dom.band, cod.band)
         key = cache_key_for(sigma.describe, dom, cod, level)
         matrix = cache.fetch(key, (cod.size, dom.size))
         if matrix is not None:
@@ -378,10 +379,11 @@ def sweep_operator(sigma: MatrixSymbol, band: int,
                    cache: Optional[OperatorCache] = None) -> GalerkinOperator:
     """The operator from band + w to band + 2w (w the symbol's x-bandwidth).
 
-    Every cutoff up to ``band`` is a slice of it, since the bases nest; for
-    w = 0 it is the square band-``band`` matrix.  Assembled through ``cache``.
+    Every cutoff up to ``band`` is a slice of it (``index_truncation``),
+    since the bases nest; for w = 0 it is the square band-``band`` matrix.
+    This is the only assembly of an index sweep, made through ``cache``.
     """
-    group, w = sigma.group, int(math.ceil(sigma.x_bandwidth))
+    group, w = sigma.group, sigma.x_bandwidth
     return assemble_cached(sigma, basis_for_band(group, band + w),
                            basis_for_band(group, band + 2 * w), cache=cache)
 
@@ -400,7 +402,7 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
     band at most dom.band + 2w, the largest of which sets the scale of the
     hit threshold ``HIT_ROW_TOL``.
     """
-    w = int(math.ceil(sigma.x_bandwidth))
+    w = sigma.x_bandwidth
     if w == 0:
         return list(dom.labels)
     band, cod_wide = dom.band, wide.codomain
@@ -423,37 +425,29 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
 
 
 def index_truncation(sigma: MatrixSymbol, band: int,
-                     cache: Optional[OperatorCache] = None,
-                     wide: Optional[GalerkinOperator] = None) -> GalerkinOperator:
+                     wide: GalerkinOperator) -> GalerkinOperator:
     """Rectangular truncation of the operator used by the index sweeps.
 
     The matrix is a row/column slice of ``wide``, the operator of a sweep
     whose largest cutoff is at least ``band`` (``sweep_operator``): the
-    columns of band ``band`` and the rows of its selected codomain.  When
-    ``wide`` is not given it is assembled through ``cache`` for ``band``
-    itself.  The slice records the quadrature level that assembling it on
-    its own would use (None for an invariant symbol).  Its codomain is
-    checked for aliasing against the energies of the wide matrix's columns,
-    except for an invariant symbol, whose matrix is block diagonal.
+    columns of band ``band`` and the rows of its selected codomain.  Nothing
+    is assembled.  The slice records the quadrature level that assembling
+    it on its own would use (``assembly_level``).  Its codomain is checked
+    for aliasing against the energies of the wide matrix's columns, except
+    when that level is None: the matrix is then block diagonal.
     """
     group = sigma.group
-    w = int(math.ceil(sigma.x_bandwidth))
-    if wide is None:
-        wide = sweep_operator(sigma, band, cache)
     dom = basis_for_band(group, band)
-    cod = PeterWeylBasis(group, tuple(index_codomain_labels(sigma, dom, wide=wide)))
+    cod = PeterWeylBasis(group, tuple(index_codomain_labels(sigma, dom, wide)))
     rows = wide.codomain.positions(cod.labels)
     cols = wide.domain.positions(dom.labels)
-    mat = wide.matrix[np.ix_(rows, cols)]
-    invariant = sigma.is_invariant and w == 0
-    if not invariant:   # an invariant symbol's matrix is block diagonal
+    level = assembly_level(sigma, dom.band, cod.band)
+    if level is not None:
         energy = np.abs(wide.matrix[:, cols]) ** 2
         _check_leak(energy.sum(axis=0), energy[rows].sum(axis=0),
-                    range(dom.size), band + w)
-    meta = {"level": None if invariant else
-            assembly_level(group, dom.band, cod.band, w),
-            "invariant_fast_path": invariant, "symbol": sigma.describe}
-    return GalerkinOperator(dom, cod, mat, meta)
+                    range(dom.size), band + sigma.x_bandwidth)
+    return GalerkinOperator(dom, cod, wide.matrix[np.ix_(rows, cols)],
+                            {"level": level, "symbol": sigma.describe})
 
 
 # ---------------------------------------------------------------------------

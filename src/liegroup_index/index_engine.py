@@ -194,13 +194,13 @@ def density_route_index(sigma_a: MatrixSymbol, sigma_astar: MatrixSymbol,
 # order reduction and traces
 
 
-def order_reduce(sigma: MatrixSymbol, band: int, cache=None,
-                 wide: Optional[GalerkinOperator] = None) -> GalerkinOperator:
+def order_reduce(sigma: MatrixSymbol, band: int,
+                 wide: GalerkinOperator) -> GalerkinOperator:
     """Finite-rank realization of the order-zero operator Lambda_{-m} A:
-    the truncation's rows scaled by <xi>^-m, the diagonal of Lambda_{-m} on
-    the codomain.  ``cache`` and ``wide`` are passed to ``index_truncation``;
-    the meta records no quadrature level."""
-    a = index_truncation(sigma, band, cache=cache, wide=wide)
+    the rows of ``index_truncation(sigma, band, wide)`` scaled by <xi>^-m,
+    the diagonal of Lambda_{-m} on the codomain.  Nothing is assembled; the
+    meta records no quadrature level."""
+    a = index_truncation(sigma, band, wide)
     cod = a.codomain
     scale = np.repeat([xi.weight ** -sigma.order for xi in cod.labels], cod.sizes)
     return GalerkinOperator(a.domain, cod, scale[:, None] * a.matrix,
@@ -274,38 +274,41 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                         cache=None) -> IndexReport:
     """Run all three index routes per (band, gamma) cell.
 
-    The sweep assembles one operator, ``sweep_operator`` at the largest
-    band (one cache entry), and every band's truncation is a slice of it;
-    if that assembly fails, the largest band records its error and each
-    other band assembles its own, so the bands that resolve keep their rows
-    and the others record their own errors.  Each band's truncation, SVD
-    and density-route checks are computed once for all gammas; the SVD
-    splits by axis charge when the truncation conserves it
-    (``singular_value_census``).  Verdict "stable" requires the kernel
-    count to be the same at the two largest bands; the heat trace is
-    reported but not read, since on every p x q truncation it is q - p up to
-    rounding, like the kernel count (``heat_trace_index``).  Gammas must be
-    finite and positive (ValueError).  Per-band and per-cell failures are
-    recorded without aborting the sweep.
+    The sweep assembles one operator, ``sweep_operator``, trying the bands
+    from the largest down and keeping the first that assembles (one cache
+    entry); each band above it records its own assembly error, and every
+    band at or below it is a slice of that one matrix (``index_truncation``).
+    Each band's truncation, SVD and density-route checks are computed once
+    for all gammas; the SVD splits by axis charge when the truncation
+    conserves it (``singular_value_census``).  Verdict "stable" requires
+    the kernel count to be the same at the two largest bands; the heat trace
+    is reported but not read, since on every p x q truncation it is q - p up
+    to rounding, like the kernel count (``heat_trace_index``).  Bands must
+    be nonempty and distinct, gammas finite and positive (ValueError).
+    Per-band and per-cell failures are recorded without aborting the sweep.
     """
     if not bands:
         raise ValueError("bands must be nonempty")
     bands = sorted(int(b) for b in bands)
+    if len(set(bands)) != len(bands):
+        raise ValueError(f"bands must be distinct, got {bands}")
     gammas = _positive_gammas(gammas).tolist()
     report = IndexReport(operator_desc or sigma.describe, sigma.group)
-    kernel_by_band = {}
-    try:
-        wide = sweep_operator(sigma, bands[-1], cache=cache)
-    except Exception as exc:
-        # the largest band records this error; the others assemble their own
-        wide, wide_error = None, exc
-    for band in bands:
+    kernel_by_band, failed = {}, {}
+    for band in reversed(bands):
         try:
-            if wide is None and band == bands[-1]:
-                raise wide_error
-            trunc = (order_reduce(sigma, band, cache=cache, wide=wide)
-                     if reduce_order and sigma.order != 0
-                     else index_truncation(sigma, band, cache=cache, wide=wide))
+            wide = sweep_operator(sigma, band, cache=cache)
+            break
+        except Exception as exc:
+            failed[band] = str(exc)
+    truncate = (order_reduce if reduce_order and sigma.order != 0
+                else index_truncation)
+    for band in bands:
+        if band in failed:
+            report.errors.append({"cutoff": band, "error": failed[band]})
+            continue
+        try:
+            trunc = truncate(sigma, band, wide)
             census = singular_value_census(trunc.matrix, rel_tol,
                                            trunc.codomain.charges,
                                            trunc.domain.charges)

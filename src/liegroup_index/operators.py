@@ -196,7 +196,7 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
         coeffs = tree.get("coefficients")
         _require(isinstance(coeffs, list) and coeffs, path + ".coefficients",
                  "pointwise needs a nonempty coefficient list")
-        cdict, cdict_conj = {}, {}
+        cdict = {}
         for i, item in enumerate(coeffs):
             ipath = f"{path}.coefficients[{i}]"
             _require(isinstance(item, dict), ipath, "coefficient must be an object")
@@ -207,17 +207,11 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             c = complex(_finite_float(item, "re", ipath),
                         _finite_float(item, "im", ipath))
             cdict[tuple(freq)] = cdict.get(tuple(freq), 0.0) + c
-            neg = tuple(-v for v in freq)
-            cdict_conj[neg] = cdict_conj.get(neg, 0.0) + c.conjugate()
         coeff, band = torus_function(group, cdict)
-        coeff_conj, _ = torus_function(group, cdict_conj)
         desc = {"op": "pointwise",
                 "coefficients": sorted((list(k), v.real, v.imag)
                                        for k, v in cdict.items())}
-        sym = pointwise_symbol(group, coeff, band, desc)
-        adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
-        return BuiltinOperator(group, sym, adj, 0.0, desc)
-    if group.kind == "su2":
+    elif group.kind == "su2":
         entries = tree.get("entries")
         _require(isinstance(entries, list) and entries, path + ".entries",
                  "pointwise on SU(2) needs a nonempty entry list")
@@ -235,16 +229,16 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
                         _finite_float(item, "im", ipath))
             terms.append((n, ii, jj, c))
         coeff, band = su2_function(terms)
-        # conj(t_n[i,j]) = (t_n^*)[j,i] evaluated through the inverse; keep the
-        # adjoint as the pointwise complex conjugate, sampled directly
         desc = {"op": "pointwise",
                 "entries": sorted((n, i2, j2, c.real, c.imag)
                                   for n, i2, j2, c in terms)}
-        sym = pointwise_symbol(group, coeff, band, desc)
+    else:
+        raise ConfigError(path, "pointwise operators support torus and SU(2) groups")
 
-        def coeff_conj(rule):
-            return np.conj(coeff(rule))
+    # the adjoint is multiplication by the complex conjugate, sampled directly
+    def coeff_conj(rule):
+        return np.conj(coeff(rule))
 
-        adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
-        return BuiltinOperator(group, sym, adj, 0.0, desc)
-    raise ConfigError(path, "pointwise operators support torus and SU(2) groups")
+    sym = pointwise_symbol(group, coeff, band, desc)
+    adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
+    return BuiltinOperator(group, sym, adj, 0.0, desc)

@@ -259,7 +259,7 @@ def test_check_schur_builds_no_dense_gram():
     size = li.basis_for_band(li.SU2, 16).size
     tracemalloc.start()
     try:
-        rows = li.cli._check_rows_schur(li.SU2, 16, None)
+        rows = li.cli._check_rows_schur({}, li.SU2, 16, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -101,14 +101,16 @@ def test_kernel_count_identity_assembly(t1):
 
 @pytest.mark.parametrize("k", range(-3, 4))
 def test_kernel_count_winding(t1, k):
-    m = li.index_truncation(li.winding_symbol(t1, k), 16)
+    w = li.winding_symbol(t1, k)
+    m = li.index_truncation(w, 16, li.sweep_operator(w, 16))
     assert kernel_count(m) == -k
     assert abs(heat_traces(m, [1.0])[0] - (-k)) <= 1e-8
 
 
 def test_adjoint_antisymmetry(t1, rng):
     for k in (-2, 1, 3):
-        m = li.index_truncation(li.winding_symbol(t1, k), 8)
+        w = li.winding_symbol(t1, k)
+        m = li.index_truncation(w, 8, li.sweep_operator(w, 8))
         assert kernel_count(li.adjoint(m)) == -kernel_count(m)
     mat, _, _ = planted_matrix(rng, 20)
     assert kernel_count(mat.conj().T) == -kernel_count(mat)
@@ -116,7 +118,8 @@ def test_adjoint_antisymmetry(t1, rng):
 
 def test_index_additivity_winding_compositions(t1):
     for j, k in ((1, 1), (1, 2), (-1, 2), (2, -3)):
-        mk = li.index_truncation(li.winding_symbol(t1, k), 10)
+        wk = li.winding_symbol(t1, k)
+        mk = li.index_truncation(wk, 10, li.sweep_operator(wk, 10))
         wj = li.winding_symbol(t1, j)
         cod = li.index_codomain_labels(wj, mk.codomain,
                                        li.sweep_operator(wj, mk.codomain.band))
@@ -288,7 +291,7 @@ def test_density_winding_discrepancy(t1):
     grid = li.haar_quadrature(t1, 17)
     (value,) = li.density_route_index(w, ws, [1.0], li.labels_for_band(t1, 8), grid)
     assert abs(value) <= 1e-10
-    assert kernel_count(li.index_truncation(w, 8)) == -1
+    assert kernel_count(li.index_truncation(w, 8, li.sweep_operator(w, 8))) == -1
 
 
 def test_density_rejects_non_hermitian_products(t1):
@@ -467,14 +470,15 @@ def test_density_pointwise_failures_match_label_by_label():
 
 def test_order_reduce_weight_multiplier_is_identity(t1):
     for m in (1.0, 2.0, -1.0):
-        red = li.order_reduce(li.lambda_multiplier(t1, m), 5)
+        lam = li.lambda_multiplier(t1, m)
+        red = li.order_reduce(lam, 5, li.sweep_operator(lam, 5))
         assert np.abs(red.matrix - np.eye(red.matrix.shape[0])).max() <= 1e-8
 
 
 def test_order_reduce_su2_laplacian_plus_one():
     sym = li.multiplier_symbol(li.SU2, lambda xi: xi.casimir + 1.0, 2.0,
                                {"kind": "laplacian_plus_one"})
-    red = li.order_reduce(sym, 4)
+    red = li.order_reduce(sym, 4, li.sweep_operator(sym, 4))
     assert np.abs(red.matrix - np.eye(red.matrix.shape[0])).max() <= 1e-8
     assert kernel_count(red) == 0
 
@@ -483,8 +487,9 @@ def test_order_reduce_variable_coefficient_matches_unreduced(t1):
     coeff, w = li.torus_function(t1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})
     c_sym = li.pointwise_symbol(t1, coeff, w, {"kind": "c"})
     sym = li.frozen_symbol_product(c_sym, li.lambda_multiplier(t1, 2.0))
-    unreduced = kernel_count(li.index_truncation(sym, 8))
-    reduced = kernel_count(li.order_reduce(sym, 8))
+    wide = li.sweep_operator(sym, 8)
+    unreduced = kernel_count(li.index_truncation(sym, 8, wide))
+    reduced = kernel_count(li.order_reduce(sym, 8, wide))
     assert reduced == unreduced
 
 
@@ -503,9 +508,10 @@ def test_order_reduce_scales_rows_like_composing_the_multiplier(group, operator,
     # Lambda_{-m} is diagonal in the Peter-Weyl basis: scaling the rows by
     # <xi>^-m gives the matrix of the assembled multiplier times A exactly
     sym = li.parse_operator(operator, group, "operator").symbol
-    a = li.index_truncation(sym, band)
+    wide = li.sweep_operator(sym, band)
+    a = li.index_truncation(sym, band, wide)
     lam = li.assemble(li.lambda_multiplier(group, -sym.order), a.codomain, a.codomain)
-    reduced = li.order_reduce(sym, band)
+    reduced = li.order_reduce(sym, band, wide)
     np.testing.assert_array_equal(reduced.matrix, li.compose(lam, a).matrix)
     assert reduced.domain == a.domain and reduced.codomain == a.codomain
     assert "level" not in reduced.meta
@@ -585,6 +591,17 @@ def test_sweep_builds_no_rule_for_an_invariant_pair(monkeypatch):
     assert calls == []
 
 
+def _count_assemble_calls(monkeypatch):
+    assemble, calls = li.galerkin.assemble, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(li.galerkin, "assemble", counted)
+    return calls
+
+
 @pytest.mark.parametrize("operator", [
     {"op": "pointwise", "entries": [
         {"twice_spin": 0, "i": 0, "j": 0, "re": 2.0, "im": 0.0},
@@ -593,13 +610,7 @@ def test_sweep_builds_no_rule_for_an_invariant_pair(monkeypatch):
     ids=["pointwise", "invariant"])
 def test_sweep_assembles_once_and_stores_one_entry(tmp_path, monkeypatch, operator):
     # every cutoff is a slice of the largest cutoff's operator
-    assemble, calls = li.galerkin.assemble, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
-
-    monkeypatch.setattr(li.galerkin, "assemble", counted)
+    calls = _count_assemble_calls(monkeypatch)
     op = li.parse_operator(operator, li.SU2)
     reports = []
     for expected in ((0, 1), (1, 0)):
@@ -612,6 +623,9 @@ def test_sweep_assembles_once_and_stores_one_entry(tmp_path, monkeypatch, operat
     assert not reports[0].errors and len(reports[0].rows) == 6
 
 
+BEYOND_TABLE = "label l=5/2 beyond the symbol band 4"
+
+
 def test_sweep_keeps_the_cutoffs_below_a_failing_one():
     # the largest cutoff needs labels beyond the table: the cutoffs below it
     # keep their rows and the largest records the table's own error
@@ -621,29 +635,57 @@ def test_sweep_keeps_the_cutoffs_below_a_failing_one():
                                  [2, 4, 6], [0.1, 1.0])
     assert [row["cutoff"] for row in rep.rows] == [2, 2, 4, 4]
     assert {row["kernel_count"] for row in rep.rows} == {0}
-    assert rep.errors == [{"cutoff": 6, "error": "label l=5/2 beyond the symbol band 4"}]
+    assert rep.errors == [{"cutoff": 6, "error": BEYOND_TABLE}]
     assert rep.verdict == "unstable"
 
 
 def test_sweep_assembles_a_failing_largest_cutoff_once(tmp_path, monkeypatch):
-    # the failed sweep assembly is the largest cutoff's error; the cutoffs
-    # below it assemble their own, one call and one miss each
-    assemble, calls = li.galerkin.assemble, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return assemble(*args, **kwargs)
-
+    # each cutoff above 4 fails its own assembly and records its error; 4
+    # assembles the sweep's one matrix and 2 is a slice of it: one call and
+    # one miss per cutoff tried, one stored entry
     table = {li.su2_label(n): (1.0 + n) * np.eye(n + 1) for n in range(5)}
     sym = li.table_symbol(li.SU2, table)
     adj = li.conjugate_transpose_symbol(sym)
     resolved = li.stabilization_sweep(sym, adj, [2, 4], [0.1, 1.0])
-    monkeypatch.setattr(li.galerkin, "assemble", counted)
-    cache = li.OperatorCache(str(tmp_path))
-    rep = li.stabilization_sweep(sym, adj, [2, 4, 6], [0.1, 1.0], cache=cache)
-    assert len(calls) == 3 and (cache.hits, cache.misses) == (0, 3)
-    assert rep.rows == resolved.rows
-    assert rep.errors == [{"cutoff": 6, "error": "label l=5/2 beyond the symbol band 4"}]
+    calls = _count_assemble_calls(monkeypatch)
+    for bands in ([2, 4, 6], [2, 4, 6, 8]):
+        calls.clear()
+        cache_dir = tmp_path / str(len(bands))
+        cache = li.OperatorCache(str(cache_dir))
+        rep = li.stabilization_sweep(sym, adj, bands, [0.1, 1.0], cache=cache)
+        tried = len(bands) - 1
+        assert len(calls) == tried and (cache.hits, cache.misses) == (0, tried)
+        assert len(list(cache_dir.glob("*.lgidx"))) == 1
+        assert rep.rows == resolved.rows
+        assert rep.errors == [{"cutoff": band, "error": BEYOND_TABLE}
+                              for band in bands[2:]]
+
+
+@pytest.mark.parametrize("bands", [[8, 8], [8, 16, 8]])
+def test_sweep_rejects_duplicate_cutoffs(t1, bands):
+    # a repeated cutoff would compare a cutoff with itself for the verdict
+    w = li.winding_symbol(t1, 1)
+    with pytest.raises(ValueError, match="distinct"):
+        li.stabilization_sweep(w, li.winding_adjoint_symbol(t1, 1), bands, [1.0])
+
+
+@pytest.mark.parametrize("group, operator, band", [
+    (li.torus(1), C_TIMES_WEIGHT_SQUARED, 8),
+    (li.SU2, {"op": "multiplier", "formula": "laplacian_plus_one"}, 4)],
+    ids=["t1", "su2-invariant"])
+def test_truncations_only_slice_a_prebuilt_operator(monkeypatch, group,
+                                                    operator, band):
+    sym = li.parse_operator(operator, group).symbol
+    wide = li.sweep_operator(sym, 2 * band)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a truncation assembled")
+
+    monkeypatch.setattr(li.galerkin, "assemble", refuse)
+    trunc = li.index_truncation(sym, band, wide)
+    reduced = li.order_reduce(sym, band, wide)
+    assert trunc.domain == li.basis_for_band(group, band)
+    assert reduced.shape == trunc.shape
 
 
 def test_sweep_heat_constant_across_gammas(t1):

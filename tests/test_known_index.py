@@ -55,6 +55,11 @@ FREDHOLM_T1 = [
     pytest.param({"op": "product", "factors": [
         winding(1), pointwise((0, 2.0, 0.0), (-1, 0.5, 0.0))]}, -1,
         id="paired", marks=wrong(-2)),
+    # ker 0 and coker 2 at every cutoff, with and without reduce_order
+    pytest.param({"op": "product", "factors": [
+        pointwise((0, 1.0, 0.0), (1, 0.25, 0.0), (-1, 0.25, 0.0)),
+        {"op": "multiplier", "formula": "weight_power", "s": 2}]}, 0,
+        id="(1+0.5cos(2 pi x))<xi>^2", marks=wrong(-2)),
 ]
 
 
