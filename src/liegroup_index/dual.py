@@ -14,18 +14,18 @@ The SU(2) matrices are built as symmetric powers of the defining
 representation acting on homogeneous polynomials of degree n = 2l in two
 variables (orthonormal monomial basis).  With the action f -> f(z g) the
 twice-spin-1 matrix is the defining matrix itself, the construction is an
-exact homomorphism, and no special functions are involved.  On a Haar
-product rule every entry is a plane factor times one exact axis character
-(``rep_factors``), so the polynomial runs on the plane nodes only.  The
-Casimir conventions above are the ones validated by the finite-difference
-Laplacian oracle in the tests.
+exact homomorphism, and no special functions are involved.  Degree n comes
+from degree n - 1 in O(n^2) array operations, so all degrees up to B cost
+O(B^3) per node.  On a Haar product rule every entry is a plane factor
+times one exact axis character (``rep_factors``), so this ladder runs once
+per rule, on the plane nodes only.  The Casimir conventions above are the
+ones validated by the finite-difference Laplacian oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -173,47 +173,37 @@ def labels_for_band(group: GroupSpec, band: int) -> list:
 # representation matrices
 
 
-@lru_cache(maxsize=None)
-def _su2_expansion_terms(n: int):
-    """Term list for the degree-n symmetric power: entries (j, k, coeff, exponents).
-
-    t(g)[j, k] = sum_a  c(k)/c(j) * C(n-k, a) * C(k, j-a)
-                 * g11^(n-k-a) g21^a g12^(k-j+a) g22^(j-a),  c(k) = sqrt(C(n,k)).
-    """
-    terms = []
-    for j in range(n + 1):
-        for k in range(n + 1):
-            scale = math.sqrt(math.comb(n, k) / math.comb(n, j))
-            for a in range(max(0, j - k), min(j, n - k) + 1):
-                coeff = scale * math.comb(n - k, a) * math.comb(k, j - a)
-                terms.append((j, k, coeff, n - k - a, a, k - j + a, j - a))
-    return terms
+def _su2_ladder_step(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Degree n = len(t) from t, degree n - 1; entry axes first: t is
+    (n, n, ...), g is (2, 2, ...).  Degree n sits isometrically in degree
+    n - 1 tensor degree 1, monomial k at c_0(k) (k, 0) + c_1(k) (k - 1, 1)
+    with c_0(k) = sqrt((n - k)/n), c_1(k) = sqrt(k/n), so entry (j, k) is
+    sum_{s, s'} c_s(j) c_s'(k) g[s, s'] t[j - s, k - s'].  Being an
+    isometry, it adds rounding errors up linearly in n."""
+    n = len(t)
+    c = np.sqrt(np.array([np.arange(n, 0, -1), np.arange(1, n + 1)]) / n)  # k < n, k >= 1
+    c = c.reshape((2, n) + (1,) * (t.ndim - 2))
+    out = np.zeros((n + 1, n + 1) + t.shape[2:], dtype=complex)
+    for s in (0, 1):
+        rows = c[s][:, None] * t
+        for s2 in (0, 1):
+            out[s:s + n, s2:s2 + n] += rows * (c[s2] * g[s, s2])
+    return out
 
 
 def su2_rep_matrices(twice_spin: int, g: np.ndarray) -> np.ndarray:
     """Representation matrices for a batch of defining matrices.
 
     g has shape (..., 2, 2); the result has shape (..., d, d) with
-    d = twice_spin + 1.  twice_spin = 1 returns g itself.
+    d = twice_spin + 1, from twice_spin ladder steps; 1 returns g itself.
     """
-    n = twice_spin
-    g = np.asarray(g, dtype=complex)
-    batch = g.shape[:-2]
-    if n == 0:
-        return np.ones(batch + (1, 1), dtype=complex)
-    entries = [g[..., 0, 0], g[..., 0, 1], g[..., 1, 0], g[..., 1, 1]]
-    powers = []
-    for e in entries:
-        p = np.ones((n + 1,) + batch, dtype=complex)
-        for q in range(1, n + 1):
-            p[q] = p[q - 1] * e
-        powers.append(p)
-    p11, p12, p21, p22 = powers
-    # entry-major accumulation writes contiguous rows; the result is a view
-    out = np.zeros((n + 1, n + 1) + batch, dtype=complex)
-    for j, k, coeff, e11, e21, e12, e22 in _su2_expansion_terms(n):
-        out[j, k] += coeff * p11[e11] * p21[e21] * p12[e12] * p22[e22]
-    return np.moveaxis(out, (0, 1), (-2, -1))
+    if not isinstance(twice_spin, (int, np.integer)) or twice_spin < 0:
+        raise ValueError(f"twice-spin must be a nonnegative int, got {twice_spin!r}")
+    g = np.moveaxis(np.asarray(g, dtype=complex), (-2, -1), (0, 1))
+    t = np.ones((1, 1) + g.shape[2:], dtype=complex)
+    for _ in range(twice_spin):
+        t = _su2_ladder_step(t, g)
+    return np.moveaxis(t, (0, 1), (-2, -1))
 
 
 def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
@@ -279,9 +269,11 @@ def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     With n_s = rule.axis_length, entry (i, j) of xi at node a * n_s + c is
     plane[a, i, j] * axis_characters(rule)[modes[i, j], c], where the mode
     is the entry's ``axis_charges`` mod n_s.  plane is xi on the nodes whose
-    axis coordinate is 0: the SU(2) polynomial on (level+1)^2 matrices,
-    torus characters from the reduced integer phase (k.l) mod level.  Memoized on the rule; any other
-    rule raises ValueError.
+    axis coordinate is 0: torus characters from the reduced integer phase
+    (k.l) mod level, SU(2) from one degree ladder per rule on (level+1)^2
+    matrices.  Memoized on the rule: every pair computed, and the ladder's
+    top degree, from which a higher degree resumes.  Any other rule raises
+    ValueError.
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
@@ -290,14 +282,21 @@ def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     hit = cache.get(xi.label)
     if hit is not None:
         return hit
-    modes = axis_charges(xi) % n_s
     if xi.group.kind == "torus":
         k = np.rint(rule.charts[::n_s] * n_s).astype(int)
         plane = _roots_of_unity(n_s)[(k @ np.asarray(xi.label)) % n_s][:, None, None]
-    else:
-        plane = su2_rep_matrices(xi.label[0], _su2_matrices(rule.charts[::n_s]))
-    plane.setflags(write=False)
-    cache[xi.label] = plane, modes
+        plane.setflags(write=False)
+        cache[xi.label] = plane, axis_charges(xi) % n_s
+        return cache[xi.label]
+    # one assignment replaces the top: concurrent resumptions are benign
+    t, g = rule._node_cache.get("_ladder") or (
+        None, np.moveaxis(_su2_matrices(rule.charts[::n_s]), 0, -1))
+    while t is None or len(t) <= xi.label[0]:
+        t = np.ones((1, 1, g.shape[-1]), dtype=complex) if t is None else _su2_ladder_step(t, g)
+        t.setflags(write=False)
+        lab = IrrepLabel(rule.group, (len(t) - 1,))
+        cache[lab.label] = np.moveaxis(t, (0, 1), (-2, -1)), axis_charges(lab) % n_s
+    rule._node_cache["_ladder"] = t, g
     return cache[xi.label]
 
 

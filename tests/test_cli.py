@@ -267,6 +267,19 @@ def test_check_schur_builds_no_dense_gram():
     assert peak < size ** 2 * 16
 
 
+def test_check_plancherel_memory_bound():
+    # the memoized band-16 planes take 8.3 MiB; the ladder's top degree is
+    # the last of them, not a second copy
+    tracemalloc.start()
+    try:
+        rows = li.cli._check_rows_plancherel({}, li.SU2, 16, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row["error"] <= row["tolerance"] for row in rows)
+    assert peak < 14 * 2 ** 20
+
+
 def test_check_su3_quadrature_level_six(tmp_path):
     # no level override: defaults to the capped level 6
     cfg = write_config(tmp_path, "cfg.json", {"group": {"kind": "su3"}})

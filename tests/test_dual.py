@@ -1,9 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
 import liegroup_index as li
 from conftest import random_su2_point
 from liegroup_index.dual import su2_rep_matrices
+
+
+def closed_form_rep(n, g):
+    """Independent oracle: the degree-n symmetric power summed term by term,
+
+    t(g)[j, k] = sum_a sqrt(C(n,k)/C(n,j)) C(n-k, a) C(k, j-a)
+                 g11^(n-k-a) g21^a g12^(k-j+a) g22^(j-a).
+    """
+    g = np.asarray(g, dtype=complex)
+    p11, p12, p21, p22 = (np.stack([g[..., i, j] ** e for e in range(n + 1)])
+                          for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    out = np.zeros(g.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    for j in range(n + 1):
+        for k in range(n + 1):
+            scale = math.sqrt(math.comb(n, k) / math.comb(n, j))
+            for a in range(max(0, j - k), min(j, n - k) + 1):
+                coeff = scale * math.comb(n - k, a) * math.comb(k, j - a)
+                out[..., j, k] += coeff * p11[n - k - a] * p21[a] * p12[k - j + a] * p22[j - a]
+    return out
+
+
+def random_su2_matrices(seed, count=40):
+    rng = np.random.default_rng(seed)
+    return np.array([random_su2_point(rng).matrix for _ in range(count)])
 
 
 def rep_at(xi, x):
@@ -213,16 +239,64 @@ def test_rep_matrices_on_rule_checks_group_on_memo_hit(t1, rule_su2):
 
 @pytest.mark.parametrize("level", [1, 8, 16])
 def test_factored_su2_reps_match_polynomial_on_every_node(level):
-    # independent oracle: the polynomial on every node's defining matrix
+    # independent oracle: the closed-form expansion on every node's matrix
     rule = li.haar_quadrature(li.SU2, level)
     mats = rule.defining_matrices()
     for n in range(17):
         lab = li.su2_label(n)
         np.testing.assert_allclose(li.rep_matrices_on_rule(lab, rule),
-                                   su2_rep_matrices(n, mats), rtol=0, atol=1e-13)
+                                   closed_form_rep(n, mats), rtol=0, atol=1e-13)
         plane, modes = li.rep_factors(lab, rule)
         assert plane.shape == ((level + 1) ** 2, n + 1, n + 1)
         assert modes.min() >= 0 and modes.max() < rule.axis_length
+
+
+def test_ladder_matches_closed_form():
+    g = random_su2_matrices(19)
+    rule = li.haar_quadrature(li.SU2, 16)
+    plane_g = rule.defining_matrices()[::rule.axis_length]
+    for n in range(17):
+        np.testing.assert_allclose(su2_rep_matrices(n, g), closed_form_rep(n, g),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(li.rep_factors(li.su2_label(n), rule)[0],
+                                   closed_form_rep(n, plane_g), rtol=0, atol=1e-13)
+
+
+def test_twice_spin_one_is_the_defining_matrix_bit_for_bit():
+    g = random_su2_matrices(20)
+    np.testing.assert_array_equal(su2_rep_matrices(1, g), g)
+    rule = li.haar_quadrature(li.SU2, 6)
+    np.testing.assert_array_equal(li.rep_factors(li.su2_label(1), rule)[0],
+                                  rule.defining_matrices()[::rule.axis_length])
+
+
+def test_ladder_unitarity_at_twice_spin_32():
+    # the ladder contracts with an isometry at every degree, so rounding
+    # errors add up linearly in the degree
+    t = su2_rep_matrices(32, random_su2_matrices(21))
+    defect = np.abs(t @ np.swapaxes(t.conj(), -1, -2) - np.eye(33)).max()
+    assert defect <= 1e-13
+
+
+def test_rep_factor_planes_do_not_depend_on_request_order():
+    orders = [range(9), range(8, -1, -1), [3, 0, 5, 3, 8, 1, 8, 6, 2, 4, 7, 0]]
+    factors = []
+    for order in orders:
+        rule = li.haar_quadrature(li.SU2, 8)
+        for n in order:
+            li.rep_factors(li.su2_label(n), rule)
+        factors.append([li.rep_factors(li.su2_label(n), rule) for n in range(9)])
+    for other in factors[1:]:
+        for (plane, modes), (plane2, modes2) in zip(factors[0], other):
+            assert plane.tobytes() == plane2.tobytes()
+            np.testing.assert_array_equal(modes, modes2)
+
+
+@pytest.mark.parametrize("twice_spin", [-1, -3, 1.0, 2.5])
+def test_su2_rep_matrices_rejects_bad_twice_spin(twice_spin):
+    # -1 takes no ladder step, which would leave the 1 x 1 identity
+    with pytest.raises(ValueError, match="twice-spin"):
+        su2_rep_matrices(twice_spin, np.eye(2))
 
 
 def test_torus_characters_on_haar_rule_are_exact_roots_of_unity(t1):

@@ -189,3 +189,22 @@ def test_factored_transforms_match_per_node_einsum(group, band, level):
     out = li.fourier_inverse_on_rule(li.FourierCoefficients(coefs), rule)
     # relative to the sample scale, as the CLI's round-trip error
     assert np.abs(out - inverse).max() <= 1e-13 * max(np.abs(inverse).max(), 1.0)
+
+
+@pytest.mark.parametrize("group,band,level", [
+    (li.SU2, 8, 4),          # n_s = 10: charges q and q -+ 10 of one label share a mode
+    (li.torus(1), 6, 5),     # labels l and l -+ 5 share a mode
+    (li.torus(2), 3, 4)])    # labels (a, b) and (a, b -+ 4) share a mode
+def test_inverse_sums_every_entry_of_an_aliased_mode(group, band, level):
+    # dense reference: sum over labels of d Tr(xi(x) C) at every node
+    rng = np.random.default_rng(11)
+    rule = li.haar_quadrature(group, level)
+    labels = li.labels_for_band(group, band)
+    charges = np.concatenate([li.axis_charges(lab).ravel() for lab in labels])
+    assert len(np.unique(charges % rule.axis_length)) < len(np.unique(charges))
+    coefs = {lab: rng.standard_normal((lab.dim, lab.dim))
+             + 1j * rng.standard_normal((lab.dim, lab.dim)) for lab in labels}
+    dense = sum(lab.dim * np.einsum("kij,ji->k", li.rep_matrices_on_rule(lab, rule), coefs[lab])
+                for lab in labels)
+    out = li.fourier_inverse_on_rule(li.FourierCoefficients(coefs), rule)
+    assert np.abs(out - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1.0)
