@@ -39,7 +39,8 @@ from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
 from .groups import (GroupSpec, haar_quadrature, haar_weights, min_level_for_band,
                      torus)
 from .index_engine import stabilization_sweep, trace_via_symbol
-from .operators import BuiltinOperator, ConfigError, parse_operator
+from .operators import (BuiltinOperator, ConfigError, _finite_array, _is_int,
+                        parse_operator)
 from .symbols import ellipticity_check
 
 SU3_LEVEL_CAP = 6  # level^8 weights: 13 MB at level 6, 46 MB at level 7
@@ -113,11 +114,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def parse_quadrature_level(cfg: dict):
     """The optional quadrature level override of both commands, or None."""
     level = cfg.get("quadrature_level")
@@ -143,6 +139,9 @@ def parse_group(cfg: dict, path: str = "config.group") -> GroupSpec:
 
 def validate_index_config(cfg: dict) -> dict:
     group = parse_group(cfg)
+    if group.kind == "su3":
+        raise ConfigError("config.group", "index sweeps need torus or SU(2) "
+                                          "(SU(3) support is quadrature-only)")
     op = parse_operator(cfg.get("operator"), group, "config.operator")
     cutoffs = cfg.get("cutoffs")
     if (not isinstance(cutoffs, list) or not cutoffs
@@ -150,26 +149,23 @@ def validate_index_config(cfg: dict) -> dict:
         raise ConfigError("config.cutoffs", "need a nonempty list of positive integers")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ConfigError("config.cutoffs", "cutoffs must be strictly increasing")
-    gammas = cfg.get("gammas", [1.0])
-    if (not isinstance(gammas, list) or not gammas
-            or not all(isinstance(g, (int, float)) and not isinstance(g, bool)
-                       and 0 < g <= sys.float_info.max for g in gammas)):
-        raise ConfigError("config.gammas",
-                          "need a nonempty list of finite positive numbers")
+    gammas = _finite_array(cfg.get("gammas", [1.0]), "config.gammas")
+    if gammas.ndim != 1 or not gammas.size or (gammas <= 0).any():
+        raise ConfigError("config.gammas", "need a nonempty list of positive numbers")
     rel_tol = cfg.get("rel_tol", 1e-10)
     if not isinstance(rel_tol, float) or not 0.0 < rel_tol < 1.0:
         raise ConfigError("config.rel_tol", "rel_tol must be a float in (0, 1)")
-    if group.kind == "su3":
-        raise ConfigError("config.group", "index sweeps need torus or SU(2) "
-                                          "(SU(3) support is quadrature-only)")
+    reduce_order = cfg.get("reduce_order", False)
+    if not isinstance(reduce_order, bool):
+        raise ConfigError("config.reduce_order", "reduce_order must be true or false")
     parse_quadrature_level(cfg)
     return {
         "group": group,
         "operator": op,
         "cutoffs": cutoffs,
-        "gammas": [float(g) for g in gammas],
+        "gammas": gammas.tolist(),
         "rel_tol": rel_tol,
-        "reduce_order": bool(cfg.get("reduce_order", False)),
+        "reduce_order": reduce_order,
     }
 
 
@@ -245,8 +241,6 @@ def cmd_index(config_path: str, out_dir: str | None) -> int:
 
 def _check_rows_plancherel(cfg: dict, group: GroupSpec, band: int, level) -> list:
     rng = np.random.default_rng(2024)
-    if group.kind == "su3":
-        raise ConfigError("config.group", "plancherel check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
     rule = haar_quadrature(group, level)
     labels = labels_for_band(group, band)
@@ -265,8 +259,6 @@ def _check_rows_plancherel(cfg: dict, group: GroupSpec, band: int, level) -> lis
 
 
 def _check_rows_schur(cfg: dict, group: GroupSpec, band: int, level) -> list:
-    if group.kind == "su3":
-        raise ConfigError("config.group", "schur check needs torus or SU(2)")
     level = level or min_level_for_band(group, band)
     basis = basis_for_band(group, band)
     # G is 0 between modes and every diagonal entry lies in some block, so
@@ -292,8 +284,6 @@ def _check_rows_ellipticity(cfg: dict, group: GroupSpec, band: int, level) -> li
 
 
 def _check_rows_trace(cfg: dict, group: GroupSpec, band: int, level) -> list:
-    if group.kind == "su3":
-        raise ConfigError("config.group", "trace check needs torus or SU(2)")
     from .symbols import lambda_multiplier
     s = group.manifold_dim + 2
     sigma = lambda_multiplier(group, -float(s))
@@ -337,9 +327,9 @@ def cmd_check(config_path: str, which: str, out_dir: str | None) -> int:
     t0 = time.monotonic()
     cfg = load_config(config_path)
     group = parse_group(cfg)
-    if which not in CHECKS:
-        raise ConfigError("--which", f"unknown check {which!r}; "
-                                     f"known: {sorted(CHECKS)}")
+    if group.kind == "su3" and which != "quadrature":
+        raise ConfigError("config.group", f"the {which} check needs torus or "
+                                          "SU(2) (SU(3) support is quadrature-only)")
     band = cfg.get("band", 4 if group.kind == "torus" else 6)
     if not _is_int(band) or band < 0:
         raise ConfigError("config.band", "band must be a nonnegative integer")
@@ -396,19 +386,16 @@ def cmd_cache(directory: str, action: str) -> int:
             os.unlink(path)
         print(f"purged {len(entries)} entries")
         return 0
-    if action == "verify":
-        corrupt = []
-        for path in entries:
-            try:
-                read_cache_entry(path, verify_payload=True)
-            except ValueError as exc:
-                corrupt.append((path, str(exc)))
-        for path, msg in corrupt:
-            print(f"CORRUPT {os.path.basename(path)}: {msg}")
-        print(f"verified {len(entries)} entries, {len(corrupt)} corrupt")
-        return 2 if corrupt else 0
-    print(f"error: unknown cache action {action!r}", file=sys.stderr)
-    return 1
+    corrupt = []   # "verify"; argparse admits no other action
+    for path in entries:
+        try:
+            read_cache_entry(path, verify_payload=True)
+        except ValueError as exc:
+            corrupt.append((path, str(exc)))
+    for path, msg in corrupt:
+        print(f"CORRUPT {os.path.basename(path)}: {msg}")
+    print(f"verified {len(entries)} entries, {len(corrupt)} corrupt")
+    return 2 if corrupt else 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +431,7 @@ def main(argv=None) -> int:
         if args.command == "check":
             return cmd_check(args.config, args.which, args.out)
         return cmd_cache(args.dir, args.action)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # surface unexpected failures with exit 1
+    except Exception as exc:  # config errors and unexpected failures: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

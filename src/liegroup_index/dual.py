@@ -25,12 +25,13 @@ ones validated by the finite-difference Laplacian oracle in the tests.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
+from .groups import (SU2, SU3, GroupMismatchError, GroupSpec, QuadratureRule,
                      _su2_matrices, flow_rule)
 
 
@@ -88,25 +89,30 @@ class IrrepLabel:
         return str(self.label)
 
 
+def _label(group: GroupSpec, values, nonnegative: bool) -> IrrepLabel:
+    """The label of these integer components (numpy integers pass, 2.7 does not)."""
+    try:
+        label = tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"label components must be integers, got {list(values)}")
+    if nonnegative and min(label) < 0:
+        raise ValueError(f"label components must be >= 0, got {label}")
+    return IrrepLabel(group, label)
+
+
 def torus_label(group: GroupSpec, l: Sequence[int]) -> IrrepLabel:
-    l = tuple(int(v) for v in l)
-    if group.kind != "torus" or len(l) != group.n:
-        raise GroupMismatchError(f"bad torus label {l} for {group}")
-    return IrrepLabel(group, l)
+    lab = _label(group, l, nonnegative=False)
+    if group.kind != "torus" or len(lab.label) != group.n:
+        raise GroupMismatchError(f"bad torus label {lab.label} for {group}")
+    return lab
 
 
 def su2_label(twice_spin: int) -> IrrepLabel:
-    if twice_spin < 0:
-        raise ValueError("twice-spin must be >= 0")
-    from .groups import SU2
-    return IrrepLabel(SU2, (int(twice_spin),))
+    return _label(SU2, [twice_spin], nonnegative=True)
 
 
 def su3_label(a: int, b: int) -> IrrepLabel:
-    if a < 0 or b < 0:
-        raise ValueError("highest weight components must be >= 0")
-    from .groups import SU3
-    return IrrepLabel(SU3, (int(a), int(b)))
+    return _label(SU3, [a, b], nonnegative=True)
 
 
 def trivial_label(group: GroupSpec) -> IrrepLabel:

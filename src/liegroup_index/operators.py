@@ -15,7 +15,11 @@ Operator trees are plain JSON, e.g.::
     {"op": "sum", "terms": [{...}, {...}]}
     {"op": "pointwise", "coefficients": [{"freq": [1], "re": 0.5}]}
 
-Validation errors carry the JSON path to the offending node.
+Validation errors carry the JSON path to the offending node.  A JSON boolean
+is never a number: ``_is_int`` is the one rule for the integers (``k``,
+``freq``, ``twice_spin``, ``i``, ``j``, table ``label``), and the real fields
+(``re``, ``im``, ``s``, ``order``) take JSON numbers only (``_numbers``).
+Operators live on T^n and SU(2): ``parse_operator`` refuses SU(3) at its root.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import IrrepLabel, su3_label, torus_label, su2_label
+from .dual import IrrepLabel, torus_label, su2_label
 from .groups import GroupSpec
 from .symbols import (MatrixSymbol, conjugate_transpose_symbol,
                       frozen_symbol_product, lambda_multiplier,
@@ -66,11 +70,24 @@ def _require(cond: bool, path: str, message: str):
         raise ConfigError(path, message)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """A JSON number or nested list of them: no booleans, no strings."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return _is_int(value) or isinstance(value, float)
+
+
 def _finite_array(value, path: str) -> np.ndarray:
     """A config number (or nested list of numbers) that must be finite."""
+    _require(_numbers(value), path, "must be a number or a list of numbers")
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(path, f"must be a number ({exc})")
     _require(bool(np.isfinite(arr).all()), path,
              "must be finite (not NaN or Infinity)")
@@ -85,22 +102,20 @@ def _finite_float(item: dict, key: str, path: str) -> float:
 
 
 def _label_from_list(group: GroupSpec, values, path: str) -> IrrepLabel:
-    _require(isinstance(values, list) and all(isinstance(v, int) for v in values),
+    _require(isinstance(values, list) and all(_is_int(v) for v in values),
              path, "label must be a list of integers")
+    _require(group.kind == "torus" or len(values) == 1, path,
+             "SU(2) labels are [twice_spin]")
     try:
-        if group.kind == "torus":
-            return torus_label(group, values)
-        if group.kind == "su2":
-            _require(len(values) == 1, path, "SU(2) labels are [twice_spin]")
-            return su2_label(values[0])
-        _require(len(values) == 2, path, "SU(3) labels are [a, b]")
-        return su3_label(*values)
-    except (ValueError, TypeError) as exc:
+        return torus_label(group, values) if group.kind == "torus" else su2_label(values[0])
+    except ValueError as exc:
         raise ConfigError(path, str(exc))
 
 
 def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOperator:
     """Build a BuiltinOperator from a JSON tree, validating as it goes."""
+    _require(group.kind != "su3", path, "operators need a torus or SU(2) group "
+                                        "(SU(3) support is quadrature-only)")
     _require(isinstance(tree, dict), path, "operator node must be an object")
     op = tree.get("op")
     _require(isinstance(op, str), path + ".op", "missing operator kind")
@@ -109,7 +124,7 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
         return _parse_multiplier(tree, group, path)
     if op == "winding":
         k = tree.get("k")
-        _require(isinstance(k, int), path + ".k", "winding needs an integer k")
+        _require(_is_int(k), path + ".k", "winding needs an integer k")
         _require(group.kind == "torus" and group.n == 1, path,
                  "winding operators live on the circle T^1")
         return BuiltinOperator(group, winding_symbol(group, k),
@@ -154,7 +169,7 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
              "multiplier needs exactly one of 'formula' or 'table'")
     if formula is not None:
         if formula == "weight_power":
-            _require(isinstance(tree.get("s"), (int, float)), path + ".s",
+            _require(tree.get("s") is not None, path + ".s",
                      "weight_power needs a numeric exponent s")
             s = _finite_float(tree, "s", path)
             sym = lambda_multiplier(group, s)
@@ -202,7 +217,7 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             _require(isinstance(item, dict), ipath, "coefficient must be an object")
             freq = item.get("freq")
             _require(isinstance(freq, list) and len(freq) == group.n
-                     and all(isinstance(v, int) for v in freq),
+                     and all(_is_int(v) for v in freq),
                      ipath + ".freq", f"freq must be {group.n} integers")
             c = complex(_finite_float(item, "re", ipath),
                         _finite_float(item, "im", ipath))
@@ -211,7 +226,7 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
         desc = {"op": "pointwise",
                 "coefficients": sorted((list(k), v.real, v.imag)
                                        for k, v in cdict.items())}
-    elif group.kind == "su2":
+    else:
         entries = tree.get("entries")
         _require(isinstance(entries, list) and entries, path + ".entries",
                  "pointwise on SU(2) needs a nonempty entry list")
@@ -220,9 +235,11 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
             ipath = f"{path}.entries[{i}]"
             _require(isinstance(item, dict), ipath, "entry must be an object")
             n = item.get("twice_spin")
-            _require(isinstance(n, int) and n >= 0, ipath + ".twice_spin",
+            _require(_is_int(n) and n >= 0, ipath + ".twice_spin",
                      "twice_spin must be a nonnegative integer")
             ii, jj = item.get("i", 0), item.get("j", 0)
+            for key, v in (("i", ii), ("j", jj)):
+                _require(_is_int(v), f"{ipath}.{key}", "must be an integer")
             _require(0 <= ii <= n and 0 <= jj <= n, ipath,
                      "entry indices must lie within the representation")
             c = complex(_finite_float(item, "re", ipath),
@@ -232,8 +249,6 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
         desc = {"op": "pointwise",
                 "entries": sorted((n, i2, j2, c.real, c.imag)
                                   for n, i2, j2, c in terms)}
-    else:
-        raise ConfigError(path, "pointwise operators support torus and SU(2) groups")
 
     # the adjoint is multiplication by the complex conjugate, sampled directly
     def coeff_conj(rule):

@@ -56,13 +56,20 @@ class MatrixSymbol:
     is_pointwise: bool = False
 
     def evaluate_on_rule(self, rule: QuadratureRule, xi: IrrepLabel) -> np.ndarray:
-        """sigma at every node, shape (n_nodes, d, d)."""
+        """sigma at every node, shape (n_nodes, d, d); ValueError if not finite."""
         if xi.group != self.group:
             raise GroupMismatchError("label group does not match symbol group")
         if self.max_band is not None and xi.band > self.max_band:
             raise BandHeadroomError(
                 f"label {xi} beyond the symbol band {self.max_band}")
-        return np.asarray(self._on_rule(rule, xi), dtype=complex)
+        try:
+            values = np.asarray(self._on_rule(rule, xi), dtype=complex)
+            if not np.isfinite(values).all():
+                raise OverflowError
+        except OverflowError:
+            kind = self.describe.get("kind") or self.describe.get("op") or self.describe
+            raise ValueError(f"symbol {kind} overflows or is not finite at label {xi}")
+        return values
 
     def evaluate(self, x: GroupPoint, xi: IrrepLabel) -> np.ndarray:
         """sigma(x, xi): the evaluator on the one-node rule at x."""

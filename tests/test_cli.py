@@ -116,6 +116,26 @@ def test_index_validation_messages(tmp_path, capsys):
     ({"quadrature_level": True}, "config.quadrature_level"),
     ({"quadrature_level": 0}, "config.quadrature_level"),
     ({"group": {"kind": "torus", "n": True}}, "config.group.n"),
+    # operator-tree integers and real fields
+    ({"operator": {"op": "winding", "k": True}}, "config.operator.k"),
+    ({"operator": {"op": "pointwise", "coefficients": [{"freq": [True], "re": 1.0}]}},
+     "config.operator.coefficients[0].freq"),
+    ({"group": {"kind": "su2"}, "operator": {"op": "pointwise", "entries": [
+        {"twice_spin": True, "re": 1.0}]}}, "config.operator.entries[0].twice_spin"),
+    ({"group": {"kind": "su2"}, "operator": {"op": "pointwise", "entries": [
+        {"twice_spin": 1, "i": 0.5, "re": 1.0}]}}, "config.operator.entries[0].i"),
+    ({"group": {"kind": "su2"}, "operator": {"op": "pointwise", "entries": [
+        {"twice_spin": 1, "i": "a", "re": 1.0}]}}, "config.operator.entries[0].i"),
+    ({"operator": {"op": "multiplier", "table": [{"label": [True], "re": 1.0}]}},
+     "config.operator.table[0].label"),
+    ({"operator": {"op": "pointwise", "coefficients": [{"freq": [0], "re": True}]}},
+     "config.operator.coefficients[0].re"),
+    ({"operator": {"op": "multiplier", "formula": "weight_power", "s": True}},
+     "config.operator.s"),
+    # a JSON string is not a number or a flag either
+    ({"operator": {"op": "pointwise", "coefficients": [{"freq": [0], "re": "1.5"}]}},
+     "config.operator.coefficients[0].re"),
+    ({"reduce_order": "no"}, "config.reduce_order"),
 ])
 def test_index_rejects_booleans_and_bad_levels(tmp_path, capsys, patch, fragment):
     cfg = write_config(tmp_path, "bad.json", dict(winding_config(), **patch))
@@ -297,6 +317,19 @@ def test_check_su3_quadrature_rejects_levels_above_the_cap(tmp_path, capsys):
     assert main(["check", "--config", cfg, "--which", "quadrature",
                  "--out", str(tmp_path / "out")]) == 1
     assert "config.quadrature_level" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["index"]] + [
+    ["check", "--which", which]
+    for which in ("plancherel", "schur", "ellipticity", "trace")])
+def test_su3_is_refused_before_the_operator_is_read(tmp_path, capsys, command):
+    # the operator is malformed too: the group is what the error names
+    cfg = write_config(tmp_path, "cfg.json", {
+        "group": {"kind": "su3"}, "operator": {"op": "bogus"}, "cutoffs": [2]})
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config.group:" in err and "config.operator" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -48,6 +48,33 @@ def test_enumerate_su2_cutoff_two():
     assert [l.label[0] for l in labels] == [0, 1, 2]
 
 
+def test_enumerate_su3_cutoff_two():
+    # <(a,b)> = sqrt(1 + (a^2+b^2+ab)/3 + a + b): 1, 1.5275 for (1,0) and
+    # (0,1), 2 for (1,1); (2,0) gives 2.0817.  Ties sort by label
+    labels = li.enumerate_dual(li.SU3, 2.0)
+    assert [l.label for l in labels] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [l.dim for l in labels] == [1, 3, 3, 8]
+    weights = [l.weight for l in labels]
+    assert weights == sorted(weights)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: li.su2_label(2.7), lambda: li.su2_label(2.0),
+    lambda: li.torus_label(li.torus(1), [1.5]),
+    lambda: li.torus_label(li.torus(2), [1, "1"]), lambda: li.su3_label(1, 0.5)],
+    ids=["su2-2.7", "su2-2.0", "torus-1.5", "torus-str", "su3-0.5"])
+def test_label_constructors_reject_non_integers(make):
+    # int() would truncate 2.7 to twice-spin 2
+    with pytest.raises(ValueError, match="integers"):
+        make()
+
+
+def test_label_constructors_take_numpy_integers():
+    assert li.su2_label(np.int64(3)) == li.su2_label(3)
+    assert li.torus_label(li.torus(2), np.array([1, -2])).label == (1, -2)
+    assert li.su3_label(np.int32(1), np.uint8(1)).dim == 8
+
+
 def test_su3_dimension_formula():
     assert li.su3_label(0, 0).dim == 1
     assert li.su3_label(1, 0).dim == 3

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -517,6 +518,30 @@ def test_order_reduce_scales_rows_like_composing_the_multiplier(group, operator,
     assert "level" not in reduced.meta
 
 
+def test_sweep_reduce_order_of_a_variable_coefficient(monkeypatch):
+    # an order-reduced truncation records no quadrature level, so the
+    # density route of a non-invariant pair takes the band's own level
+    levels = []
+
+    def counted(group, band):
+        levels.append(band)
+        return li.groups.min_level_for_band(group, band)
+
+    monkeypatch.setattr(li.index_engine, "min_level_for_band", counted)
+    op = li.parse_operator(C_TIMES_WEIGHT_SQUARED, li.torus(1))
+    reports = [li.stabilization_sweep(op.symbol, op.adjoint_symbol, [8, 16], [1.0],
+                                      reduce_order=reduce)
+               for reduce in (False, True)]
+    assert levels == [8, 16]   # the unreduced truncations carry their level
+    unreduced, reduced = reports
+    assert not reduced.errors and len(reduced.rows) == 2
+    for row, ref in zip(reduced.rows, unreduced.rows):
+        assert row["kernel_count"] == ref["kernel_count"]
+        # the true index 0 (the kernel count's wrong value is an xfail of
+        # the known-index bank)
+        assert abs(row["density_route"]) <= 1e-8
+
+
 def test_trace_via_symbol_identity_partial_sum(t1):
     labels = li.labels_for_band(t1, 5)
     grid = li.haar_quadrature(t1, 3)
@@ -659,6 +684,33 @@ def test_sweep_assembles_a_failing_largest_cutoff_once(tmp_path, monkeypatch):
         assert rep.rows == resolved.rows
         assert rep.errors == [{"cutoff": band, "error": BEYOND_TABLE}
                               for band in bands[2:]]
+
+
+def test_sweep_records_a_failing_cutoff_and_reports_the_others(t1, monkeypatch):
+    census, calls = li.index_engine.singular_value_census, []
+
+    def failing_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("census failed")
+        return census(*args)
+
+    monkeypatch.setattr(li.index_engine, "singular_value_census", failing_second)
+    rep = li.stabilization_sweep(li.winding_symbol(t1, 1),
+                                 li.winding_adjoint_symbol(t1, 1), [4, 8, 16], [1.0])
+    assert rep.errors == [{"cutoff": 8, "error": "census failed"}]
+    assert [(row["cutoff"], row["kernel_count"]) for row in rep.rows] == [(4, -1), (16, -1)]
+    assert rep.verdict == "unstable"
+
+
+def test_sweep_names_an_overflowing_symbol_at_every_cutoff(t1):
+    # <xi>^400 overflows from |l| = 1 on: each cutoff records its own error
+    sym = li.lambda_multiplier(t1, 400.0)
+    rep = li.stabilization_sweep(sym, sym, [2, 8], [1.0])
+    assert not rep.rows and [e["cutoff"] for e in rep.errors] == [2, 8]
+    for e in rep.errors:
+        assert re.fullmatch(r"symbol weight_power overflows or is not finite at "
+                            r"label \(-?[1-8],\)", e["error"]), e["error"]
 
 
 @pytest.mark.parametrize("bands", [[8, 8], [8, 16, 8]])

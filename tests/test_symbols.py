@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -329,3 +330,15 @@ def test_ellipticity_pointwise_census_matches_general_census(case):
     for field in ("constant", "threshold", "smin_margin"):
         np.testing.assert_allclose(getattr(rep, field), getattr(ref, field),
                                    rtol=1e-14)
+
+
+@pytest.mark.parametrize("sym,xi", [
+    # <xi>^400 exceeds the float range from |l| = 1 on
+    (li.lambda_multiplier(li.torus(1), 400.0), (1,)),
+    (li.table_symbol(li.torus(1), {li.torus_label(li.torus(1), [1]): [[np.inf]]}),
+     (1,))], ids=["weight_power-overflow", "table-inf"])
+def test_evaluate_on_rule_names_a_non_finite_symbol(sym, xi):
+    label = li.torus_label(sym.group, xi)
+    message = f"symbol {sym.describe['kind']} overflows or is not finite at label {xi}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sym.evaluate_on_rule(li.haar_quadrature(sym.group, 4), label)
