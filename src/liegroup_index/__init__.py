@@ -25,11 +25,10 @@ from .symbols import (MatrixSymbol, lambda_multiplier,
                       quantize_on_rule, ellipticity_check, EllipticityReport,
                       BandHeadroomError, torus_function, su2_function)
 from .galerkin import (PeterWeylBasis, GalerkinOperator, basis_for_band,
-                       assemble, assemble_cached, adjoint, compose,
+                       assemble, assemble_cached, compose,
                        gram_blocks, index_codomain_labels, index_truncation,
                        sweep_operator,
-                       AliasingError, OperatorCache, save_operator,
-                       read_cache_entry)
+                       AliasingError, OperatorCache, read_cache_entry)
 from .index_engine import (heat_trace_index, density_route_index,
                            order_reduce, trace_via_symbol, stabilization_sweep,
                            IndexReport, singular_value_census, DensityError)

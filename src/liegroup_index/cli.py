@@ -169,11 +169,15 @@ def validate_index_config(cfg: dict) -> dict:
     }
 
 
-def resolve_cache_dir(cfg: dict):
-    env = os.environ.get("LIEGROUP_INDEX_CACHE")
-    if env:
-        return env
-    return cfg.get("cache_dir")
+def output_dirs(cfg: dict, out_dir):
+    """(report directory, cache directory or None); ``--out`` and
+    ``LIEGROUP_INDEX_CACHE`` override the config's ``out_dir`` and
+    ``cache_dir``, each a JSON string (absent, null or "": the default)."""
+    for key in ("out_dir", "cache_dir"):
+        if cfg.get(key) is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"config.{key}", f"{key} must be a JSON string")
+    return (out_dir or cfg.get("out_dir") or "liegroup-index-out",
+            os.environ.get("LIEGROUP_INDEX_CACHE") or cfg.get("cache_dir") or None)
 
 
 def config_hash(cfg: dict) -> str:
@@ -199,6 +203,28 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
+INDEX_COLUMNS = ("cutoff", "gamma", "heat_trace", "kernel_count", "density_route",
+                 "ker_dim", "coker_dim", "sv_gap", "marginal")
+CHECK_COLUMNS = ("name", "error", "tolerance", "pass")
+
+
+def write_artifacts(out: str, manifest: dict, body: dict, table: str,
+                    columns: tuple, rows: list) -> str:
+    """Write ``report.json``, ``tables/<table>.csv`` and ``manifest.json``
+    under ``out``, each with the manifest hash; returns the report's path.
+    A CSV cell is ``f"{v:.16e}"`` for a float (so ``inf``, ``nan``), else
+    ``str(v)`` (``True``, ``False``)."""
+    mhash = manifest["manifest_hash"]
+    report = os.path.join(out, "report.json")
+    _write(report, canonical_json(dict(body, manifest_hash=mhash)))
+    lines = [f"# manifest {mhash}", ",".join(columns)] + [
+        ",".join(f"{v:.16e}" if isinstance(v, float) else str(v)
+                 for v in (row[c] for c in columns)) for row in rows]
+    _write(os.path.join(out, "tables", f"{table}.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(out, "manifest.json"), canonical_json(manifest))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # index command
 
@@ -207,8 +233,7 @@ def cmd_index(config_path: str, out_dir: str | None) -> int:
     t0 = time.monotonic()
     cfg = load_config(config_path)
     parsed = validate_index_config(cfg)
-    out = out_dir or cfg.get("out_dir") or "liegroup-index-out"
-    cache_dir = resolve_cache_dir(cfg)
+    out, cache_dir = output_dirs(cfg, out_dir)
     cache = OperatorCache(cache_dir) if cache_dir else None
     t1 = time.monotonic()
 
@@ -222,16 +247,12 @@ def cmd_index(config_path: str, out_dir: str | None) -> int:
     timings = {"setup_s": t1 - t0, "sweep_s": t2 - t1}
     stats = {"hits": cache.hits if cache else 0,
              "misses": cache.misses if cache else 0}
-    manifest = build_manifest(cfg, "index", timings, stats)
-    body = report.to_dict()
-    body["manifest_hash"] = manifest["manifest_hash"]
-    _write(os.path.join(out, "report.json"), canonical_json(body))
-    _write(os.path.join(out, "tables", "index_report.csv"),
-           f"# manifest {manifest['manifest_hash']}\n" + report.to_csv())
-    _write(os.path.join(out, "manifest.json"), canonical_json(manifest))
+    path = write_artifacts(out, build_manifest(cfg, "index", timings, stats),
+                           report.to_dict(), "index_report", INDEX_COLUMNS,
+                           report.rows)
     print(f"verdict: {report.verdict}; "
           f"rows: {len(report.rows)}; errors: {len(report.errors)}; "
-          f"report: {os.path.join(out, 'report.json')}")
+          f"report: {path}")
     return 0 if report.verdict == "stable" else 2
 
 
@@ -326,6 +347,7 @@ CHECKS = {
 def cmd_check(config_path: str, which: str, out_dir: str | None) -> int:
     t0 = time.monotonic()
     cfg = load_config(config_path)
+    out, _ = output_dirs(cfg, out_dir)
     group = parse_group(cfg)
     if group.kind == "su3" and which != "quadrature":
         raise ConfigError("config.group", f"the {which} check needs torus or "
@@ -338,20 +360,10 @@ def cmd_check(config_path: str, which: str, out_dir: str | None) -> int:
     for row in rows:
         row["pass"] = bool(row["error"] <= row["tolerance"])
     ok = all(row["pass"] for row in rows)
-    out = out_dir or cfg.get("out_dir") or "liegroup-index-out"
-    timings = {"total_s": time.monotonic() - t0}
-    manifest = build_manifest(cfg, f"check:{which}", timings,
+    manifest = build_manifest(cfg, f"check:{which}", {"total_s": time.monotonic() - t0},
                               {"hits": 0, "misses": 0})
-    body = {"which": which, "rows": rows, "pass": ok,
-            "manifest_hash": manifest["manifest_hash"]}
-    _write(os.path.join(out, "report.json"), canonical_json(body))
-    csv_lines = [f"# manifest {manifest['manifest_hash']}", "name,error,tolerance,pass"]
-    for row in rows:
-        csv_lines.append(f"{row['name']},{row['error']:.16e},"
-                         f"{row['tolerance']:.16e},{row['pass']}")
-    _write(os.path.join(out, "tables", f"check_{which}.csv"),
-           "\n".join(csv_lines) + "\n")
-    _write(os.path.join(out, "manifest.json"), canonical_json(manifest))
+    write_artifacts(out, manifest, {"which": which, "rows": rows, "pass": ok},
+                    f"check_{which}", CHECK_COLUMNS, rows)
     for row in rows:
         status = "PASS" if row["pass"] else "FAIL"
         print(f"{status} {row['name']}: error {row['error']:.3e} "

@@ -194,8 +194,7 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
             # <A b_{xi,i,j}, b_{xi,k,l}> = delta_{ik} sigma(xi)[l, j]
             for i in range(d):
                 mat[rb + i * d:rb + (i + 1) * d, cb + i * d:cb + (i + 1) * d] = block
-        return GalerkinOperator(dom, cod, mat,
-                                {"level": None, "symbol": sigma.describe})
+        return GalerkinOperator(dom, cod, mat, {"level": None})
 
     if grid is None:
         grid = haar_quadrature(group, level)
@@ -245,8 +244,7 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
             mat[rows_m] = proj[rows_m] @ spec[:, m, :]
     _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
                 np.arange(dom.size), dom.band + w)
-    return GalerkinOperator(dom, cod, mat,
-                            {"level": grid.level, "symbol": sigma.describe})
+    return GalerkinOperator(dom, cod, mat, {"level": grid.level})
 
 
 def _check_leak(total: np.ndarray, captured: np.ndarray, positions,
@@ -260,12 +258,6 @@ def _check_leak(total: np.ndarray, captured: np.ndarray, positions,
             f"column {positions[k]} leaks outside the codomain band "
             f"(leak {leak[k]:.3e}); need codomain band >= {required_band}",
             required_band)
-
-
-def adjoint(g: GalerkinOperator) -> GalerkinOperator:
-    """Conjugate transpose with domain and codomain swapped."""
-    return GalerkinOperator(g.codomain, g.domain, g.matrix.conj().T,
-                            {"adjoint_of": g.meta})
 
 
 def compose(g1: GalerkinOperator, g2: GalerkinOperator) -> GalerkinOperator:
@@ -353,25 +345,40 @@ class OperatorCache:
         self.hits += 1
         return matrix
 
-    def store(self, g: GalerkinOperator) -> str:
-        return save_operator(g, self.directory)
+    def store(self, key: str, header: dict, matrix: np.ndarray) -> str:
+        """Write ``matrix`` as <key>.lgidx atomically; returns the path.  The
+        header is the lookup ``header`` plus shape and payload hash; the payload
+        is little-endian float64 (re, im) pairs in column-major order."""
+        payload = np.asarray(matrix, dtype="<c16").tobytes(order="F")
+        text = json.dumps(dict(header, shape=list(matrix.shape),
+                               payload_sha256=hashlib.sha256(payload).hexdigest()),
+                          sort_keys=True).encode()
+        os.makedirs(self.directory, exist_ok=True)
+        path = os.path.join(self.directory, f"{key}.lgidx")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_MAGIC + struct.pack("<I", len(text)) + text + payload)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        return path
 
 
 def assemble_cached(sigma: MatrixSymbol, dom: PeterWeylBasis,
                     cod: PeterWeylBasis,
                     cache: Optional[OperatorCache] = None) -> GalerkinOperator:
     """assemble() on its own grid with an optional read-through cache."""
-    if cache is not None:
-        level = assembly_level(sigma, dom.band, cod.band)
-        key = cache_key_for(sigma.describe, dom, cod, level)
-        matrix = cache.fetch(key, (cod.size, dom.size))
-        if matrix is not None:
-            return GalerkinOperator(dom, cod, matrix,
-                                    {"level": level, "symbol": sigma.describe,
-                                     "cached": True})
+    if cache is None:
+        return assemble(sigma, dom, cod)
+    level = assembly_level(sigma, dom.band, cod.band)
+    key, header = lookup_key(sigma.describe, dom, cod, level)
+    matrix = cache.fetch(key, (cod.size, dom.size))
+    if matrix is not None:
+        return GalerkinOperator(dom, cod, matrix, {"level": level, "cached": True})
     g = assemble(sigma, dom, cod)
-    if cache is not None:
-        cache.store(g)
+    cache.store(key, header, g.matrix)
     return g
 
 
@@ -447,7 +454,7 @@ def index_truncation(sigma: MatrixSymbol, band: int,
         _check_leak(energy.sum(axis=0), energy[rows].sum(axis=0),
                     range(dom.size), band + sigma.x_bandwidth)
     return GalerkinOperator(dom, cod, wide.matrix[np.ix_(rows, cols)],
-                            {"level": level, "symbol": sigma.describe})
+                            {"level": level})
 
 
 # ---------------------------------------------------------------------------
@@ -456,60 +463,19 @@ def index_truncation(sigma: MatrixSymbol, band: int,
 _MAGIC = b"LGIX"
 
 
-def _lookup_header(domain_desc: dict, codomain_desc: dict, level,
-                   symbol_desc) -> dict:
-    return {"domain": domain_desc, "codomain": codomain_desc,
-            "level": level, "symbol": symbol_desc,
-            "version": __version__, "format": CACHE_FORMAT}
-
-
-def cache_key_for(sigma_desc, dom: PeterWeylBasis, cod: PeterWeylBasis,
-                  level: Optional[int]) -> str:
-    """Content hash of the lookup header; computable before assembly.
+def lookup_key(sigma_desc, dom: PeterWeylBasis, cod: PeterWeylBasis,
+               level: Optional[int]) -> tuple:
+    """(key, lookup header) of a cache entry; computable before assembly.
 
     The header covers the bases, the quadrature level, the symbol's
     description (which carries a digest of any tabulated values), the tool
-    version and ``CACHE_FORMAT``.
+    version and ``CACHE_FORMAT``; the key is its content hash.
     """
-    header = _lookup_header(dom.describe(), cod.describe(), level, sigma_desc)
-    return hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
-
-
-def operator_cache_blob(g: GalerkinOperator) -> tuple:
-    """(header_json_bytes, payload_bytes, key) for a Galerkin operator.
-
-    The stored header holds the lookup fields (group/basis descriptors,
-    quadrature level, symbol description, tool version, cache format), the
-    matrix shape and the payload hash; the cache key is the content hash of
-    the lookup fields alone.
-    Payload: little-endian float64 pairs (re, im) in column-major order.
-    """
-    payload = np.asarray(g.matrix, dtype="<c16").tobytes(order="F")
-    level, symbol = g.meta.get("level"), g.meta.get("symbol")
-    key = cache_key_for(symbol, g.domain, g.codomain, level)
-    header = _lookup_header(g.domain.describe(), g.codomain.describe(),
-                            level, symbol)
-    header["shape"] = list(g.matrix.shape)
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    return header_bytes, payload, key
-
-
-def save_operator(g: GalerkinOperator, directory: str) -> str:
-    """Persist under <key>.lgidx with an atomic write; returns the path."""
-    header_bytes, payload, key = operator_cache_blob(g)
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{key}.lgidx")
-    blob = _MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes + payload
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return path
+    header = {"domain": dom.describe(), "codomain": cod.describe(),
+              "level": level, "symbol": sigma_desc,
+              "version": __version__, "format": CACHE_FORMAT}
+    key = hashlib.sha256(json.dumps(header, sort_keys=True).encode()).hexdigest()
+    return key, header
 
 
 def read_cache_entry(path: str, verify_payload: bool = True) -> tuple:

@@ -26,7 +26,6 @@ order-zero operator whose index is computed, with no second assembly.
 
 from __future__ import annotations
 
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -251,19 +250,6 @@ class IndexReport:
             "density_vs_kernel_discrepancy": self.discrepancy,
             "errors": self.errors,
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("cutoff,gamma,heat_trace,kernel_count,density_route,"
-                  "ker_dim,coker_dim,sv_gap,marginal\n")
-        for row in self.rows:
-            gap = row["sv_gap"]
-            gap_s = "inf" if math.isinf(gap) else f"{gap:.16e}"
-            buf.write(
-                f"{row['cutoff']},{row['gamma']:.16e},{row['heat_trace']:.16e},"
-                f"{row['kernel_count']},{row['density_route']:.16e},"
-                f"{row['ker_dim']},{row['coker_dim']},{gap_s},{row['marginal']}\n")
-        return buf.getvalue()
 
 
 def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import liegroup_index as li
+from liegroup_index import cli
 from liegroup_index.cli import canonical_json, main
 
 
@@ -456,6 +458,90 @@ def test_cache_env_override(tmp_path, monkeypatch):
 def test_cache_missing_dir(tmp_path, capsys):
     assert main(["cache", "--dir", str(tmp_path / "nope"),
                  "--action", "list"]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("out_dir", 5), ("cache_dir", True),
+                                        ("out_dir", ["out"]), ("cache_dir", 1.5)])
+@pytest.mark.parametrize("command", [["index"], ["check", "--which", "schur"]],
+                         ids=["index", "check"])
+def test_out_dir_and_cache_dir_are_judged_first(tmp_path, capsys, monkeypatch,
+                                                command, key, value):
+    # before any sweep or check runs and any output is written, also when
+    # --out and the environment override the config
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the config was judged")
+
+    monkeypatch.setattr(cli, "stabilization_sweep", refuse)
+    monkeypatch.setitem(cli.CHECKS, "schur", refuse)
+    monkeypatch.setenv("LIEGROUP_INDEX_CACHE", str(tmp_path / "envcache"))
+    cfg = write_config(tmp_path, "cfg.json", dict(winding_config(), **{key: value}))
+    out = tmp_path / "out"
+    assert main(command[:1] + ["--config", cfg, "--out", str(out)] + command[1:]) == 1
+    assert f"config.{key}" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "envcache").exists()
+
+
+@pytest.mark.parametrize("empty", ["", None])
+def test_empty_out_dir_and_cache_dir_keep_the_defaults(tmp_path, monkeypatch, empty):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LIEGROUP_INDEX_CACHE", raising=False)
+    cfg = write_config(tmp_path, "cfg.json", dict(winding_config(cutoffs=(4, 8)),
+                                                  out_dir=empty, cache_dir=empty))
+    assert main(["index", "--config", cfg]) == 0
+    manifest = json.loads((tmp_path / "liegroup-index-out" / "manifest.json").read_text())
+    assert manifest["cache"] == {"hits": 0, "misses": 0}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "liegroup-index-out"]
+
+
+def _index_tables(tmp_path, operator, cutoffs=(1, 2)):
+    cfg = write_config(tmp_path, "cfg.json", {
+        "group": {"kind": "torus", "n": 1}, "operator": operator,
+        "cutoffs": list(cutoffs), "gammas": [0.5, 2.0],
+        "cache_dir": str(tmp_path / "cache")})
+    assert main(["index", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    csv = (tmp_path / "out" / "tables" / "index_report.csv").read_text()
+    return manifest["manifest_hash"], csv
+
+
+def test_index_csv_bytes_of_an_exact_sweep(tmp_path):
+    # the identity on T^1: every cell is exact, the gap is inf, marginal False
+    mhash, csv = _index_tables(tmp_path, {"op": "multiplier", "formula": "identity"})
+    zero = "0.0000000000000000e+00"
+    assert csv == "".join(
+        [f"# manifest {mhash}\n",
+         "cutoff,gamma,heat_trace,kernel_count,density_route,ker_dim,coker_dim,"
+         "sv_gap,marginal\n"]
+        + [f"{n},{g},{zero},0,{zero},0,0,inf,False\n" for n in (1, 2)
+           for g in ("5.0000000000000000e-01", "2.0000000000000000e+00")])
+
+
+def test_index_csv_nan_density_token(tmp_path):
+    # winding(-2): the density route is undefined, recorded as nan
+    _, csv = _index_tables(tmp_path, {"op": "winding", "k": -2}, (4, 8))
+    rows = csv.splitlines()[2:]
+    assert rows == [f"{n},{g},2.0000000000000000e+00,2,nan,2,0,inf,False"
+                    for n in (4, 8)
+                    for g in ("5.0000000000000000e-01", "2.0000000000000000e+00")]
+
+
+def test_cache_entry_name_and_bytes_of_an_exact_operator(tmp_path):
+    # the identity's one sweep entry: the band-2 basis on both sides, no level
+    _index_tables(tmp_path, {"op": "multiplier", "formula": "identity"})
+    basis = {"group": {"kind": "torus", "n": 1},
+             "labels": [[0], [-1], [1], [-2], [2]]}
+    lookup = {"codomain": basis, "domain": basis, "format": li.galerkin.CACHE_FORMAT,
+              "level": None, "symbol": {"formula": "identity", "op": "multiplier"},
+              "version": li.__version__}
+    key = hashlib.sha256(json.dumps(lookup, sort_keys=True).encode()).hexdigest()
+    payload = np.eye(5, dtype="<c16").tobytes(order="F")
+    header = json.dumps(dict(lookup, shape=[5, 5],
+                             payload_sha256=hashlib.sha256(payload).hexdigest()),
+                        sort_keys=True).encode()
+    (entry,) = (tmp_path / "cache").iterdir()
+    assert entry.name == f"{key}.lgidx"
+    assert entry.read_bytes() == (b"LGIX" + len(header).to_bytes(4, "little")
+                                  + header + payload)
 
 
 def test_su2_pointwise_operator_tree(rng):

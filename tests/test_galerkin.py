@@ -177,17 +177,17 @@ def test_adjoint_involution_and_blocks(rng):
     sym = li.table_symbol(li.SU2, table)
     basis = li.basis_for_band(li.SU2, 2)
     g = li.assemble(sym, basis, basis)
-    gadj = li.adjoint(g)
-    np.testing.assert_allclose(li.adjoint(gadj).matrix, g.matrix)
+    gadj = g.matrix.conj().T
+    np.testing.assert_allclose(gadj.conj().T, g.matrix)
     star = li.table_symbol(li.SU2, {lab: m.conj().T for lab, m in table.items()})
-    np.testing.assert_allclose(gadj.matrix,
+    np.testing.assert_allclose(gadj,
                                li.assemble(star, basis, basis).matrix, atol=1e-10)
 
 
 def test_self_adjoint_multiplier_hermitian(t1):
     basis = li.basis_for_band(li.SU2, 3)
     g = li.assemble(li.lambda_multiplier(li.SU2, 2.0), basis, basis)
-    assert np.abs(li.adjoint(g).matrix - g.matrix).max() <= 1e-10
+    assert np.abs(g.matrix.conj().T - g.matrix).max() <= 1e-10
 
 
 def test_adjoint_matches_adjoint_symbol_assembly(t1):
@@ -203,7 +203,7 @@ def test_adjoint_matches_adjoint_symbol_assembly(t1):
     # the adjoint's image of band 4 needs band 5; its rows of band 3 are g^*
     g2 = li.assemble(adj_sym, cod, li.basis_for_band(t1, 5), grid)
     rows = g2.codomain.positions(dom.labels)
-    np.testing.assert_allclose(li.adjoint(g).matrix, g2.matrix[rows], atol=1e-8)
+    np.testing.assert_allclose(g.matrix.conj().T, g2.matrix[rows], atol=1e-8)
 
 
 def test_compose_with_identity(t1):
@@ -297,15 +297,19 @@ def test_frozen_product_winding_discrepancy(t1):
 def test_cache_round_trip_and_verify(t1, tmp_path):
     w = li.winding_symbol(t1, 2)
     m = li.index_truncation(w, 5, li.sweep_operator(w, 5))
-    path = li.save_operator(m, str(tmp_path))
+    key, lookup = li.galerkin.lookup_key(w.describe, m.domain, m.codomain,
+                                         m.meta["level"])
+    path = li.OperatorCache(str(tmp_path)).store(key, lookup, m.matrix)
+    assert path == str(tmp_path / f"{key}.lgidx")
     header, matrix = li.read_cache_entry(path)
     np.testing.assert_array_equal(matrix, m.matrix)
     assert header["shape"] == list(m.matrix.shape)
     # the payload is little-endian float64 (re, im) pairs in column-major order
     pairs = np.stack([m.matrix.real, m.matrix.imag], axis=-1).transpose(1, 0, 2)
-    assert li.galerkin.operator_cache_blob(m)[1] == pairs.astype("<f8").tobytes()
-
     blob = bytearray(open(path, "rb").read())
+    hlen = int.from_bytes(blob[4:8], "little")
+    assert bytes(blob[8 + hlen:]) == pairs.astype("<f8").tobytes()
+
     blob[-5] ^= 0xFF  # flip one payload bit
     open(path, "wb").write(bytes(blob))
     with pytest.raises(ValueError):
@@ -644,6 +648,6 @@ def test_assemble_rejects_rules_without_separated_axis(group, damage, message):
 def test_cache_key_covers_format(t1, monkeypatch):
     sigma = li.winding_symbol(t1, 1)
     dom, cod = li.basis_for_band(t1, 4), li.basis_for_band(t1, 5)
-    key = li.galerkin.cache_key_for(sigma.describe, dom, cod, 11)
+    key, _ = li.galerkin.lookup_key(sigma.describe, dom, cod, 11)
     monkeypatch.setattr(li.galerkin, "CACHE_FORMAT", li.galerkin.CACHE_FORMAT - 1)
-    assert li.galerkin.cache_key_for(sigma.describe, dom, cod, 11) != key
+    assert li.galerkin.lookup_key(sigma.describe, dom, cod, 11)[0] != key

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import re
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import liegroup_index as li
+from liegroup_index.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +114,7 @@ def test_adjoint_antisymmetry(t1, rng):
     for k in (-2, 1, 3):
         w = li.winding_symbol(t1, k)
         m = li.index_truncation(w, 8, li.sweep_operator(w, 8))
-        assert kernel_count(li.adjoint(m)) == -kernel_count(m)
+        assert kernel_count(m.matrix.conj().T) == -kernel_count(m)
     mat, _, _ = planted_matrix(rng, 20)
     assert kernel_count(mat.conj().T) == -kernel_count(mat)
 
@@ -748,14 +750,17 @@ def test_sweep_heat_constant_across_gammas(t1):
     assert max(heats) - min(heats) <= 1e-8
 
 
-def test_sweep_csv_and_dict(t1):
-    w = li.winding_symbol(t1, 1)
-    rep = li.stabilization_sweep(w, li.winding_adjoint_symbol(t1, 1),
-                                 [4, 8], [1.0])
-    csv = rep.to_csv()
-    assert csv.startswith("cutoff,gamma,heat_trace")
-    assert len(csv.strip().split("\n")) == 1 + len(rep.rows)
-    d = rep.to_dict()
+def test_sweep_csv_and_dict(tmp_path):
+    # the command line writes a sweep's rows to the CSV and its dict to the report
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": {"kind": "torus", "n": 1},
+                               "operator": {"op": "winding", "k": 1},
+                               "cutoffs": [4, 8], "gammas": [1.0]}))
+    assert main(["index", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "tables" / "index_report.csv").read_text()
+    assert csv.split("\n")[1].startswith("cutoff,gamma,heat_trace")
+    d = json.loads((tmp_path / "report.json").read_text())
+    assert len(csv.strip().split("\n")) == 2 + len(d["rows"])
     assert d["verdict"] == "stable"
     assert d["density_vs_kernel_discrepancy"] is True
 
