@@ -123,20 +123,27 @@ def trivial_label(group: GroupSpec) -> IrrepLabel:
     return IrrepLabel(group, (0, 0))
 
 
+def _torus_labels(group: GroupSpec, half_width: int, lam_max: float = math.inf) -> list:
+    """Torus labels of the box |l|_inf <= half_width with |l|^2 <= lam_max, sorted
+    by (weight, label) in one lexsort on IrrepLabel.weight's float expression."""
+    axis = np.arange(-half_width, half_width + 1)
+    points = np.stack(np.meshgrid(*[axis] * group.n, indexing="ij"), -1).reshape(-1, group.n)
+    points = points[(points * points).sum(axis=1) <= lam_max + 1e-12]
+    weight = np.sqrt(1.0 + 4.0 * math.pi ** 2 * (points * points).sum(axis=1))
+    order = np.lexsort((*points.T[::-1], weight))
+    return [IrrepLabel(group, tuple(row)) for row in points[order].tolist()]
+
+
 def enumerate_dual(group: GroupSpec, cutoff: float) -> list:
     """All labels with weight <= cutoff, sorted by (weight, label)."""
-    if cutoff < 1.0:
-        raise ValueError("cutoff must be >= 1")
-    out = []
+    if not 1.0 <= cutoff < math.inf:
+        raise ValueError(f"cutoff must be finite and >= 1, got {cutoff}")
     if group.kind == "torus":
         # weight^2 = 1 + 4 pi^2 |l|^2
         lam_max = (cutoff * cutoff - 1.0) / (4.0 * math.pi ** 2)
-        lmax = int(math.floor(math.sqrt(lam_max) + 1e-12))
-        grids = np.meshgrid(*([np.arange(-lmax, lmax + 1)] * group.n), indexing="ij")
-        for idx in zip(*(g.ravel() for g in grids)):
-            if sum(v * v for v in idx) <= lam_max + 1e-12:
-                out.append(IrrepLabel(group, tuple(int(v) for v in idx)))
-    elif group.kind == "su2":
+        return _torus_labels(group, int(math.floor(math.sqrt(lam_max) + 1e-12)), lam_max)
+    out = []
+    if group.kind == "su2":
         n = 0
         while True:
             lab = IrrepLabel(group, (n,))
@@ -161,18 +168,13 @@ def enumerate_dual(group: GroupSpec, cutoff: float) -> list:
 
 def labels_for_band(group: GroupSpec, band: int) -> list:
     """Galerkin truncation family: torus box |l|_inf <= band, SU(2) 2l <= band."""
-    if band < 0:
+    if operator.index(band) < 0:    # TypeError for 2.5: no half-integer labels
         raise ValueError("band must be >= 0")
     if group.kind == "torus":
-        grids = np.meshgrid(*([np.arange(-band, band + 1)] * group.n), indexing="ij")
-        labels = [IrrepLabel(group, tuple(int(v) for v in idx))
-                  for idx in zip(*(g.ravel() for g in grids))]
-    elif group.kind == "su2":
-        labels = [IrrepLabel(group, (n,)) for n in range(band + 1)]
-    else:
-        raise UnsupportedFeatureError("SU(3) Galerkin bases are out of scope")
-    labels.sort(key=IrrepLabel.sort_key)
-    return labels
+        return _torus_labels(group, band)
+    if group.kind == "su2":
+        return [IrrepLabel(group, (n,)) for n in range(band + 1)]
+    raise UnsupportedFeatureError("SU(3) Galerkin bases are out of scope")
 
 
 # ---------------------------------------------------------------------------

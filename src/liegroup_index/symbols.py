@@ -363,64 +363,59 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     A site is non-invertible when its smallest singular value falls below
     rel_threshold times the largest singular value over the whole band.
     At a label of dimension 1 the singular value is the modulus |sigma|;
-    larger labels take a batched SVD.  A pointwise symbol c(x) I has the
-    singular values |c(x)| at every label: its coefficient is read once.
+    larger labels take a batched SVD.  A band's census is one (labels, nodes)
+    array of smallest singular values; a pointwise symbol c(x) I has |c(x)|
+    at every label, so its census broadcasts the once-read row |c|.
     The verdict requires the non-invertible label set to be unchanged when
     the band is doubled once (the finite-scale reading of "all but
     finitely many"), and the fitted constant to be finite.
     """
-    smin = {}
     modulus = (np.abs(sigma.coefficient_on_rule(grid)[:, :, 0])
                if sigma.is_pointwise else None)
 
     def census(labels):
-        """Record the smallest singular values; return the largest one."""
-        smax = 0.0
-        for xi in labels:
-            if modulus is not None:
-                sv = modulus
-            else:
-                sig = sigma.evaluate_on_rule(grid, xi)
-                sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
-                      else np.linalg.svd(sig, compute_uv=False))
-            smin[xi] = sv[:, -1]
+        """(labels, nodes) smallest singular values and the largest one."""
+        if modulus is not None:
+            return (np.broadcast_to(modulus[:, -1], (len(labels), grid.n_nodes)),
+                    float(modulus.max()))
+        smin, smax = np.empty((len(labels), grid.n_nodes)), 0.0
+        for i, xi in enumerate(labels):
+            sig = sigma.evaluate_on_rule(grid, xi)
+            sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
+                  else np.linalg.svd(sig, compute_uv=False))
+            smin[i] = sv[:, -1]
             smax = max(smax, float(sv[:, 0].max()))
-        return smax
+        return smin, smax
 
     dual = list(dual)
-    smax_global = census(dual)
+    smin, smax_global = census(dual)
     threshold = rel_threshold * smax_global
-    bad_sites = []
-    bad_labels = []
-    constant = 0.0
-    margin = math.inf
-    for xi in dual:
-        sv = smin[xi]
-        bad_here = sv <= threshold
-        if bad_here.any():
-            bad_labels.append(xi.label)
-            for k in np.nonzero(bad_here)[0]:
-                bad_sites.append({
-                    "node": int(k),
-                    "chart": [float(v) for v in grid.charts[k]],
-                    "label": list(xi.label),
-                    "smallest_sv": float(sv[k]),
-                })
-        good = sv[~bad_here]
-        if good.size:
-            constant = max(constant, float(xi.weight ** m / good.min()))
-            margin = min(margin, float(good.min()))
+    bad = smin <= threshold
+    bad_labels = [dual[i].label for i in np.flatnonzero(bad.any(axis=1))]
+    bad_sites = [{"node": int(k),
+                  "chart": [float(v) for v in grid.charts[k]],
+                  "label": list(dual[i].label),
+                  "smallest_sv": float(smin[i, k])}
+                 for i, k in zip(*np.nonzero(bad))]
+    good_min = np.where(bad, math.inf, smin).min(axis=1)
+    constant = max([xi.weight ** m / g for xi, g in zip(dual, good_min.tolist())
+                    if g < math.inf], default=0.0)
+    margin = float(good_min.min(initial=math.inf))
 
     doubled_bad = None
-    max_weight = max(xi.weight for xi in dual)
     if sigma.max_band is None:
         from .dual import enumerate_dual
-        doubled = enumerate_dual(sigma.group, 2.0 * max_weight)
-        # the doubled band contains the first: census only the new labels
-        smax2 = census([xi for xi in doubled if xi not in smin])
+        doubled = enumerate_dual(sigma.group, 2.0 * max(xi.weight for xi in dual))
+        # the doubled band contains the first: census only the new labels,
+        # finding the first band's rows by label tuple
+        row = {xi.label: i for i, xi in enumerate(dual)}
+        new = [xi for xi in doubled if xi.label not in row]
+        row.update((xi.label, len(dual) + j) for j, xi in enumerate(new))
+        smin2, smax2 = census(new)
         threshold2 = rel_threshold * max(smax_global, smax2)
-        doubled_bad = [xi.label for xi in doubled
-                       if (smin[xi] <= threshold2).any()]
+        bad2 = np.concatenate([(s <= threshold2).any(axis=1)
+                               for s in (smin, smin2)]).tolist()
+        doubled_bad = [xi.label for xi in doubled if bad2[row[xi.label]]]
     stable = (doubled_bad is None
               or set(map(tuple, doubled_bad)) == set(map(tuple, bad_labels)))
     has_good_sites = math.isfinite(margin)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -88,6 +89,57 @@ def test_enumeration_sorted_and_consistent(t2):
     for l in labels:
         assert abs(l.weight ** 2 - 1.0 - l.casimir) <= 1e-12 * (1.0 + l.casimir)
         assert l.dim == 1
+
+
+def _box(group, half_width):
+    return [li.IrrepLabel(group, p)
+            for p in itertools.product(range(-half_width, half_width + 1), repeat=group.n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_torus_labels_match_a_brute_force_sort(n):
+    # every integer point sorted by IrrepLabel.sort_key, against the
+    # builder's one lexsort on the weights of the whole point array
+    group = li.torus(n)
+    for band in (0, 1, 2, 4):
+        want = sorted(_box(group, band), key=li.IrrepLabel.sort_key)
+        assert li.labels_for_band(group, band) == want
+    for cutoff in (1.0, 6.5, 7.0, 13.5, 20.0, 30.0):
+        box = _box(group, math.ceil(cutoff / (2.0 * math.pi)))
+        want = sorted((xi for xi in box if xi.weight <= cutoff),
+                      key=li.IrrepLabel.sort_key)
+        got = li.enumerate_dual(group, cutoff)
+        assert got == want
+        # the array expression the builder sorts by is the weight, bit for bit
+        sq = np.array([sum(v * v for v in xi.label) for xi in got])
+        np.testing.assert_array_equal(np.sqrt(1.0 + 4.0 * math.pi ** 2 * sq),
+                                      [xi.weight for xi in got])
+    if n == 2:
+        # equal weights sort by label
+        assert [xi.label for xi in li.labels_for_band(group, 1)[:5]] == \
+            [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0)]
+
+
+@pytest.mark.parametrize("group", [li.torus(1), li.SU2], ids=str)
+def test_labels_for_band_takes_integer_bands(group):
+    # a torus box of half-width 2.5 would hold half-integer labels
+    with pytest.raises(TypeError):
+        li.labels_for_band(group, 2.5)
+    assert li.labels_for_band(group, np.int64(2)) == li.labels_for_band(group, 2)
+
+
+def _no_label(*args):
+    raise AssertionError("a label was built before the cutoff was judged")
+
+
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2, li.SU3], ids=str)
+def test_enumerate_dual_rejects_non_finite_cutoffs(group, cutoff, monkeypatch):
+    # NaN compares False with every weight, so the SU(2) and SU(3) loops
+    # would never end; no label may be built, so none of them starts
+    monkeypatch.setattr(li.dual, "IrrepLabel", _no_label)
+    with pytest.raises(ValueError, match="cutoff must be finite and >= 1"):
+        li.enumerate_dual(group, cutoff)
 
 
 def test_casimir_conventions(t2):

@@ -148,6 +148,10 @@ def _census_cases():
         "su2_laplacian_plus_one": (laplacian.symbol, laplacian.order,
                                    li.labels_for_band(li.SU2, 4),
                                    li.haar_quadrature(li.SU2, 4)),
+        # g(l) = l - 5 vanishes at l = 5 only: inside the doubled band, not band 3
+        "t1_doubled_bad": (li.multiplier_symbol(t1, lambda xi: xi.label[0] - 5, 1.0,
+                                                {"kind": "l_minus_5"}), 1.0,
+                           li.labels_for_band(t1, 3), li.haar_quadrature(t1, 9)),
     }
 
 
@@ -158,7 +162,7 @@ def test_ellipticity_census_matches_svd_reference(case):
     sigma, m, dual, grid = _census_cases()[case]
     ref = svd_census(sigma, m, dual, grid)
     rep = li.ellipticity_check(sigma, m, dual, grid)
-    assert rep.elliptic == ref["elliptic"] == (case != "sin2pix")
+    assert rep.elliptic == ref["elliptic"] == (case not in ("sin2pix", "t1_doubled_bad"))
     assert rep.bad_labels == ref["bad_labels"]
     assert rep.doubled_bad_labels == ref["doubled_bad_labels"]
     assert [(s["node"], s["label"]) for s in rep.bad_sites] == \
@@ -169,6 +173,8 @@ def test_ellipticity_census_matches_svd_reference(case):
         np.testing.assert_allclose(getattr(rep, field), ref[field], rtol=1e-15)
     if case == "sin2pix":
         assert rep.bad_sites
+    if case == "t1_doubled_bad":
+        assert rep.bad_labels == [] and rep.doubled_bad_labels == [(5,)]
 
 
 @pytest.mark.parametrize("case", sorted(_census_cases()))
