@@ -11,7 +11,7 @@ from .groups import (GroupSpec, GroupPoint, QuadratureRule, SU2, SU3, torus,
                      identity, su2_point, su3_point, torus_point,
                      haar_quadrature, min_level_for_band, point_rule,
                      flow_rule, GroupMismatchError, ChartDomainError)
-from .dual import (IrrepLabel, LieBasis, enumerate_dual, labels_for_band,
+from .dual import (IrrepLabel, enumerate_dual, labels_for_band,
                    rep_matrices_on_rule, rep_factors, axis_charges, lie_basis,
                    left_invariant_derivative, left_invariant_second_derivative,
                    laplacian_fd, torus_label, su2_label, su3_label,

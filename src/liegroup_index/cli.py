@@ -38,7 +38,7 @@ from .galerkin import (OperatorCache, PeterWeylBasis, assemble, basis_for_band,
                        gram_blocks, read_cache_entry)
 from .groups import (GroupSpec, haar_quadrature, haar_weights, min_level_for_band,
                      torus)
-from .index_engine import stabilization_sweep, trace_via_symbol
+from .index_engine import DEFAULT_REL_TOL, stabilization_sweep, trace_via_symbol
 from .operators import (BuiltinOperator, ConfigError, _finite_array, _is_int,
                         parse_operator)
 from .symbols import ellipticity_check
@@ -152,7 +152,7 @@ def validate_index_config(cfg: dict) -> dict:
     gammas = _finite_array(cfg.get("gammas", [1.0]), "config.gammas")
     if gammas.ndim != 1 or not gammas.size or (gammas <= 0).any():
         raise ConfigError("config.gammas", "need a nonempty list of positive numbers")
-    rel_tol = cfg.get("rel_tol", 1e-10)
+    rel_tol = cfg.get("rel_tol", DEFAULT_REL_TOL)
     if not isinstance(rel_tol, float) or not 0.0 < rel_tol < 1.0:
         raise ConfigError("config.rel_tol", "rel_tol must be a float in (0, 1)")
     reduce_order = cfg.get("reduce_order", False)
@@ -295,7 +295,7 @@ def _check_rows_ellipticity(cfg: dict, group: GroupSpec, band: int, level) -> li
     level = level or min_level_for_band(group, band)
     rule = haar_quadrature(group, level)
     labels = labels_for_band(group, band)
-    rep = ellipticity_check(op.symbol, op.order, labels, rule)
+    rep = ellipticity_check(op.symbol, op.symbol.order, labels, rule)
     rows = [{"name": "elliptic", "error": 0.0 if rep.elliptic else 1.0,
              "tolerance": 0.5, "constant": rep.constant}]
     for site in rep.bad_sites[:20]:

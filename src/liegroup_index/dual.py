@@ -16,10 +16,12 @@ variables (orthonormal monomial basis).  With the action f -> f(z g) the
 twice-spin-1 matrix is the defining matrix itself, the construction is an
 exact homomorphism, and no special functions are involved.  Degree n comes
 from degree n - 1 in O(n^2) array operations, so all degrees up to B cost
-O(B^3) per node.  On a Haar product rule every entry is a plane factor
-times one exact axis character (``rep_factors``), so this ladder runs once
-per rule, on the plane nodes only.  The Casimir conventions above are the
-ones validated by the finite-difference Laplacian oracle in the tests.
+O(B^3) per node.  This one ladder serves every rule, once per rule: on a
+Haar product rule every entry is a plane factor times one exact axis
+character (``rep_factors``), so it runs on the plane nodes only; on a
+flowed or one-node rule it runs on every node.  The Casimir conventions
+above are the ones validated by the finite-difference Laplacian oracle in
+the tests.
 """
 
 from __future__ import annotations
@@ -199,27 +201,12 @@ def _su2_ladder_step(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def su2_rep_matrices(twice_spin: int, g: np.ndarray) -> np.ndarray:
-    """Representation matrices for a batch of defining matrices.
-
-    g has shape (..., 2, 2); the result has shape (..., d, d) with
-    d = twice_spin + 1, from twice_spin ladder steps; 1 returns g itself.
-    """
-    if not isinstance(twice_spin, (int, np.integer)) or twice_spin < 0:
-        raise ValueError(f"twice-spin must be a nonnegative int, got {twice_spin!r}")
-    g = np.moveaxis(np.asarray(g, dtype=complex), (-2, -1), (0, 1))
-    t = np.ones((1, 1) + g.shape[2:], dtype=complex)
-    for _ in range(twice_spin):
-        t = _su2_ladder_step(t, g)
-    return np.moveaxis(t, (0, 1), (-2, -1))
-
-
 def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
     """xi evaluated at every node of the rule, shape (n_nodes, d, d).
 
     On a Haar product rule these are the plane factors times the exact axis
     characters of their modes (``rep_factors``); on any other rule the SU(2)
-    polynomial and the torus exponential run on every node.
+    ladder (``_su2_ladder``) and the torus exponential run on every node.
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
@@ -232,8 +219,30 @@ def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
         phases = 2.0 * math.pi * (rule.charts @ np.asarray(xi.label, dtype=float))
         return np.exp(1j * phases)[:, None, None]
     if xi.group.kind == "su2":
-        return su2_rep_matrices(xi.label[0], rule.defining_matrices())
+        return _su2_ladder(rule, xi.label[0])
     raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+
+
+def _su2_ladder(rule: QuadratureRule, twice_spin: int) -> np.ndarray:
+    """SU(2) matrices of this twice-spin, shape (nodes, d, d), on the plane
+    nodes (axis coordinate 0) of a Haar product rule and on every node of any
+    other rule (its ``defining_matrices``).  One degree ladder per rule,
+    memoized on it: every degree climbed, and the top one, from which a
+    higher degree resumes."""
+    degrees = rule._node_cache.setdefault("_su2", {})
+    if twice_spin not in degrees:
+        n_s = rule.axis_length
+        # one assignment replaces the top: concurrent resumptions are benign
+        t, g = rule._node_cache.get("_ladder") or (None, np.moveaxis(
+            rule.defining_matrices() if n_s is None
+            else _su2_matrices(rule.charts[::n_s]), 0, -1))
+        while t is None or len(t) <= twice_spin:
+            t = (np.ones((1, 1, g.shape[-1]), dtype=complex) if t is None
+                 else _su2_ladder_step(t, g))
+            t.setflags(write=False)
+            degrees[len(t) - 1] = np.moveaxis(t, (0, 1), (-2, -1))
+        rule._node_cache["_ladder"] = t, g
+    return degrees[twice_spin]
 
 
 def axis_characters(rule: QuadratureRule) -> np.ndarray:
@@ -278,33 +287,23 @@ def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     plane[a, i, j] * axis_characters(rule)[modes[i, j], c], where the mode
     is the entry's ``axis_charges`` mod n_s.  plane is xi on the nodes whose
     axis coordinate is 0: torus characters from the reduced integer phase
-    (k.l) mod level, SU(2) from one degree ladder per rule on (level+1)^2
-    matrices.  Memoized on the rule: every pair computed, and the ladder's
-    top degree, from which a higher degree resumes.  Any other rule raises
-    ValueError.
+    (k.l) mod level, SU(2) from the rule's one degree ladder on (level+1)^2
+    matrices (``_su2_ladder``).  Memoized on the rule.  Any other rule
+    raises ValueError.
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
     n_s = axis_characters(rule).shape[0]
     cache = rule._node_cache.setdefault("_factors", {})
-    hit = cache.get(xi.label)
-    if hit is not None:
-        return hit
-    if xi.group.kind == "torus":
-        k = np.rint(rule.charts[::n_s] * n_s).astype(int)
-        plane = _roots_of_unity(n_s)[(k @ np.asarray(xi.label)) % n_s][:, None, None]
-        plane.setflags(write=False)
-        cache[xi.label] = plane, axis_charges(xi) % n_s
-        return cache[xi.label]
-    # one assignment replaces the top: concurrent resumptions are benign
-    t, g = rule._node_cache.get("_ladder") or (
-        None, np.moveaxis(_su2_matrices(rule.charts[::n_s]), 0, -1))
-    while t is None or len(t) <= xi.label[0]:
-        t = np.ones((1, 1, g.shape[-1]), dtype=complex) if t is None else _su2_ladder_step(t, g)
-        t.setflags(write=False)
-        lab = IrrepLabel(rule.group, (len(t) - 1,))
-        cache[lab.label] = np.moveaxis(t, (0, 1), (-2, -1)), axis_charges(lab) % n_s
-    rule._node_cache["_ladder"] = t, g
+    if xi.label not in cache:
+        modes = axis_charges(xi) % n_s
+        if xi.group.kind == "torus":
+            k = np.rint(rule.charts[::n_s] * n_s).astype(int)
+            plane = _roots_of_unity(n_s)[(k @ np.asarray(xi.label)) % n_s][:, None, None]
+            plane.setflags(write=False)
+        else:
+            plane = _su2_ladder(rule, xi.label[0])
+        cache[xi.label] = plane, modes
     return cache[xi.label]
 
 
@@ -328,30 +327,16 @@ _GELL_MANN = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class LieBasis:
+def lie_basis(group: GroupSpec) -> tuple:
     """Anti-Hermitian generators Y_j spanning the Lie algebra.
 
     The normalizations (-i/2 times Pauli resp. Gell-Mann matrices) are the
     ones under which sum_j d/ds^2 f(x exp(s Y_j)) reproduces the stored
     Casimir eigenvalues.  Torus generators are the coordinate directions.
     """
-
-    group: GroupSpec
-    generators: tuple
-
-    def __len__(self):
-        return len(self.generators)
-
-
-def lie_basis(group: GroupSpec) -> LieBasis:
     if group.kind == "torus":
-        gens = tuple(np.eye(group.n)[j] for j in range(group.n))
-    elif group.kind == "su2":
-        gens = tuple(-0.5j * s for s in _PAULI)
-    else:
-        gens = tuple(-0.5j * s for s in _GELL_MANN)
-    return LieBasis(group, gens)
+        return tuple(np.eye(group.n))
+    return tuple(-0.5j * s for s in (_PAULI if group.kind == "su2" else _GELL_MANN))
 
 
 def left_invariant_derivative(
@@ -367,7 +352,7 @@ def left_invariant_derivative(
     """
     if h <= 0:
         raise ValueError("step must be positive")
-    y = lie_basis(rule.group).generators[j]
+    y = lie_basis(rule.group)[j]
     return (f(flow_rule(rule, y, h)) - f(flow_rule(rule, y, -h))) / (2.0 * h)
 
 
@@ -378,7 +363,7 @@ def left_invariant_second_derivative(
     h: float = 1e-4,
 ) -> np.ndarray:
     """Second central difference of s -> f(x exp(s Y_j)) at s = 0, at every node."""
-    y = lie_basis(rule.group).generators[j]
+    y = lie_basis(rule.group)[j]
     return (f(flow_rule(rule, y, h)) - 2.0 * f(rule) + f(flow_rule(rule, y, -h))) / (h * h)
 
 

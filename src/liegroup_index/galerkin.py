@@ -24,7 +24,7 @@ cutoff N and the symbol's x-bandwidth w (``sweep_operator``); the bases
 nest, so every cutoff's truncation is a row/column slice of it
 (``index_truncation``, which never assembles).  ``assembly_level`` alone
 decides that a matrix is block diagonal and needs no quadrature rule: it
-returns None for an invariant symbol of x-bandwidth 0.
+returns None for a symbol of x-bandwidth 0 (``is_invariant``).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from . import __version__
 from .dual import (IrrepLabel, axis_characters, axis_charges, labels_for_band,
                    rep_factors, rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
-                     haar_quadrature, min_level_for_band)
+                     haar_quadrature, min_level_for_band, min_level_for_degree)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
@@ -73,17 +73,12 @@ class PeterWeylBasis:
     def __post_init__(self):
         labels = tuple(sorted(self.labels, key=IrrepLabel.sort_key))
         object.__setattr__(self, "labels", labels)
-        self.entries = tuple((xi, i, j) for xi in labels
-                             for i in range(xi.dim) for j in range(xi.dim))
         self.sizes = [xi.dim ** 2 for xi in labels]
+        self.size = sum(self.sizes)
         self.offsets = dict(zip(labels, np.cumsum([0] + self.sizes[:-1]).tolist()))
         self.band = max((xi.band for xi in labels), default=0)
         self.charges = np.concatenate([np.zeros(0, dtype=int)]
                                       + [axis_charges(xi).ravel() for xi in labels])
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
     def __eq__(self, other):
         return (isinstance(other, PeterWeylBasis)
@@ -137,45 +132,40 @@ class GalerkinOperator:
 
 def assembly_level(sigma: MatrixSymbol, dom_band: int,
                    cod_band: int) -> Optional[int]:
-    """Quadrature level resolving <A b_dom, b_cod> without aliasing, or None
-    for an invariant symbol of x-bandwidth 0, whose matrix is block diagonal
-    and needs no rule.
+    """Quadrature level resolving <A b_dom, b_cod> without aliasing
+    (``min_level_for_degree``), or None for a symbol of x-bandwidth 0, whose
+    matrix is block diagonal and needs no rule.
 
     This is where assembly, the cache key and the truncation's aliasing check
     decide between the block-diagonal and the quadrature path.
     """
-    if sigma.is_invariant and sigma.x_bandwidth == 0:
+    if sigma.is_invariant:
         return None
-    total = dom_band + sigma.x_bandwidth + cod_band
-    if sigma.group.kind == "torus":
-        return total + 1
-    if sigma.group.kind == "su2":
-        return max(-(-total // 2), 1)
-    return 1
+    return min_level_for_degree(sigma.group, dom_band + sigma.x_bandwidth + cod_band)
 
 
 def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
              grid: Optional[QuadratureRule] = None) -> GalerkinOperator:
     """Galerkin matrix of the quantized symbol between two bases.
 
-    When ``assembly_level`` is None (an invariant symbol of x-bandwidth 0)
-    the matrix is assembled exactly block by block, and a domain label the
-    codomain lacks raises AliasingError; otherwise the columns of each
-    domain label are evaluated together on the grid and
-    projected by quadrature: one FFT of a label's images along the Haar
-    rule's uniform axis, then one plane-weighted product per codomain mode
-    for all columns, shared by aliased charges.  A pointwise symbol c(x) I
-    samples no label on the grid: at mode m, a column of mode q is its
-    plane factor times c-hat at m - q mod n_s, from one FFT of c along the
-    axis; c has axis charges within its x-bandwidth w, so only the columns
-    whose mode is within w of m (mod n_s) are multiplied and the other
-    entries are 0.  The grid defaults to the automatically chosen resolving
-    level; a rule without a uniform axis, or whose weights vary along it,
-    raises ValueError.  When a column's image leaks out of the codomain band (its
-    quadrature energy over every node exceeds its captured energy by more
-    than 1e-12 + 1e-8 of the energy), an AliasingError names the first such
-    column and the required band.  A pointwise c with a charge beyond its
-    declared w leaks the same way, since its energy counts all of c.
+    When ``assembly_level`` is None (a symbol of x-bandwidth 0) the matrix
+    is assembled exactly block by block, and a domain label the codomain
+    lacks raises AliasingError; otherwise the columns of each domain label
+    are evaluated together on the grid and projected by quadrature: one FFT
+    of a label's images along the Haar rule's uniform axis, then one
+    plane-weighted product per codomain mode for all columns, shared by
+    aliased charges.  A pointwise symbol c(x) I samples no label on the
+    grid: at mode m, a column of mode q is its plane factor times c-hat at
+    m - q mod n_s, from one FFT of c along the axis; c has axis charges
+    within its x-bandwidth w, so only the columns whose mode is within w of
+    m (mod n_s) are multiplied and the other entries are 0.  The grid
+    defaults to the automatically chosen resolving level; a rule without a
+    uniform axis, or whose weights vary along it, raises ValueError.  When a
+    column's image leaks out of the codomain band (its quadrature energy
+    over every node exceeds its captured energy by more than 1e-12 + 1e-8 of
+    the energy), an AliasingError names the first such column and the
+    required band.  A pointwise c with a charge beyond its declared w leaks
+    the same way, since its energy counts all of c.
     """
     group = sigma.group
     if dom.group != group or cod.group != group:

@@ -16,7 +16,9 @@ All quadrature rules integrate against the *normalized* Haar measure: the
 weights of every rule sum to 1 up to roundoff, without any a-posteriori
 rescaling (the per-axis Gauss rules are exact for the angular densities).
 Haar rules record their plane-times-uniform-axis product structure
-(``QuadratureRule.axis_length``); flowed and one-node rules do not.
+(``QuadratureRule.axis_length``); flowed and one-node rules do not.  A rule
+holds node arrays, never GroupPoints, and every level choice comes from
+one exactness rule, ``min_level_for_degree``.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class QuadratureRule:
     s; SU(3): phi5) of that many points with weights constant along it, node
     a * axis_length + c sitting at plane node a and axis point c, so that
     Peter-Weyl sums on it separate variables (``dual.rep_factors``).
-    GroupPoint objects are materialized lazily.
+    ``_node_cache`` holds the tables memoized on the rule.
     """
 
     group: GroupSpec
@@ -251,22 +253,6 @@ class QuadratureRule:
     @property
     def n_nodes(self) -> int:
         return len(self.weights)
-
-    def node(self, i: int) -> GroupPoint:
-        cached = self._node_cache.get(i)
-        if cached is not None:
-            return cached
-        row = self.charts[i]
-        if self.group.kind == "torus":
-            p = GroupPoint(self.group, tuple(row))
-        elif self.matrices is not None:
-            p = GroupPoint(self.group, None, self.matrices[i])
-        elif self.group.kind == "su2":
-            p = su2_point(row[0], row[1], row[2])
-        else:
-            p = su3_point(row[:3], row[3:])
-        self._node_cache[i] = p
-        return p
 
     def defining_matrices(self) -> np.ndarray:
         """Defining matrices at all nodes, shape (n_nodes, d, d)."""
@@ -291,10 +277,8 @@ def point_rule(x: GroupPoint) -> QuadratureRule:
     except NotImplementedError:
         chart = (math.nan,) * x.group.manifold_dim
     matrices = None if x.group.kind == "torus" else x.matrix[None]
-    rule = QuadratureRule(x.group, 0, np.array([chart], dtype=float),
+    return QuadratureRule(x.group, 0, np.array([chart], dtype=float),
                           np.ones(1), matrices)
-    rule._node_cache[0] = x
-    return rule
 
 
 def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
@@ -428,17 +412,25 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     return QuadratureRule(group, level, charts, weights, axis_length=level)
 
 
-def min_level_for_band(group: GroupSpec, band: int) -> int:
-    """Smallest quadrature level resolving inner products of two band-limited
-    factors (torus: |l|_inf <= band; SU(2): twice-spin <= band).
+def min_level_for_degree(group: GroupSpec, degree: int) -> int:
+    """Smallest quadrature level exact for a product of Peter-Weyl entries of
+    total degree ``degree`` in band units (torus: frequencies |k|_inf <=
+    degree; SU(2): twice-spins summing to degree).
 
-    Torus: product frequencies reach 2*band, so level = 2*band + 1.
-    SU(2): the integrand has polynomial degree 2*band in the matrix
+    Torus rules resolve frequencies below the level, so level = degree + 1.
+    SU(2): the integrand has polynomial degree ``degree`` in the matrix
     coordinates and the rule is exact through degree 2*level + 1, so
-    level = band suffices.
+    level = ceil(degree / 2), at least 1.  SU(3): 1.
     """
     if group.kind == "torus":
-        return 2 * band + 1
+        return degree + 1
     if group.kind == "su2":
-        return max(band, 1)
+        return max(-(-degree // 2), 1)
     return 1
+
+
+def min_level_for_band(group: GroupSpec, band: int) -> int:
+    """Smallest quadrature level resolving inner products of two band-limited
+    factors (torus: |l|_inf <= band; SU(2): twice-spin <= band): the
+    products reach degree 2*band (``min_level_for_degree``)."""
+    return min_level_for_degree(group, 2 * band)

@@ -48,12 +48,11 @@ class ConfigError(ValueError):
 
 @dataclass(eq=False)
 class BuiltinOperator:
-    """A symbol, its adjoint's symbol, and the declared order."""
+    """A symbol and its adjoint's symbol; the group and the declared order
+    are the symbol's."""
 
-    group: GroupSpec
     symbol: MatrixSymbol
     adjoint_symbol: MatrixSymbol
-    order: float
     describe: dict
 
 
@@ -127,8 +126,8 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
         _require(_is_int(k), path + ".k", "winding needs an integer k")
         _require(group.kind == "torus" and group.n == 1, path,
                  "winding operators live on the circle T^1")
-        return BuiltinOperator(group, winding_symbol(group, k),
-                               winding_adjoint_symbol(group, k), 0.0,
+        return BuiltinOperator(winding_symbol(group, k),
+                               winding_adjoint_symbol(group, k),
                                {"op": "winding", "k": k})
     if op == "pointwise":
         return _parse_pointwise(tree, group, path)
@@ -139,10 +138,8 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
         parsed = [parse_operator(t, group, f"{path}.terms[{i}]")
                   for i, t in enumerate(terms)]
         return BuiltinOperator(
-            group,
             symbol_sum([p.symbol for p in parsed]),
             symbol_sum([p.adjoint_symbol for p in parsed]),
-            max(p.order for p in parsed),
             {"op": "sum", "terms": [p.describe for p in parsed]})
     if op == "product":
         factors = tree.get("factors")
@@ -157,8 +154,7 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
         for p in reversed(parsed[:-1]):
             adj = frozen_symbol_product(adj, p.adjoint_symbol)
         return BuiltinOperator(
-            group, sym, adj, sum(p.order for p in parsed),
-            {"op": "product", "factors": [p.describe for p in parsed]})
+            sym, adj, {"op": "product", "factors": [p.describe for p in parsed]})
     raise ConfigError(path + ".op", f"unknown operator kind {op!r}")
 
 
@@ -174,16 +170,15 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
             s = _finite_float(tree, "s", path)
             sym = lambda_multiplier(group, s)
             desc = {"op": "multiplier", "formula": "weight_power", "s": s}
-            return BuiltinOperator(group, sym, conjugate_transpose_symbol(sym),
-                                   s, desc)
+            return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
         _require(formula in MULTIPLIER_FORMULAS, path + ".formula",
                  f"unknown multiplier formula {formula!r}; known: "
                  f"{sorted(MULTIPLIER_FORMULAS) + ['weight_power']}")
         fn, order = MULTIPLIER_FORMULAS[formula]
         sym = multiplier_symbol(group, fn, order,
                                 {"op": "multiplier", "formula": formula})
-        return BuiltinOperator(group, sym, conjugate_transpose_symbol(sym),
-                               order, {"op": "multiplier", "formula": formula})
+        return BuiltinOperator(sym, conjugate_transpose_symbol(sym),
+                               {"op": "multiplier", "formula": formula})
     _require(isinstance(table, list) and table, path + ".table",
              "table must be a nonempty list of {label, re, im} entries")
     entries = {}
@@ -203,7 +198,7 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
     sym = table_symbol(group, entries, order)
     desc = {"op": "multiplier", "table": sorted(str(l.label) for l in entries),
             "order": order}
-    return BuiltinOperator(group, sym, conjugate_transpose_symbol(sym), order, desc)
+    return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
 
 
 def _parse_pointwise(tree, group, path) -> BuiltinOperator:
@@ -249,11 +244,6 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
         desc = {"op": "pointwise",
                 "entries": sorted((n, i2, j2, c.real, c.imag)
                                   for n, i2, j2, c in terms)}
-
-    # the adjoint is multiplication by the complex conjugate, sampled directly
-    def coeff_conj(rule):
-        return np.conj(coeff(rule))
-
+    # the adjoint is multiplication by the complex conjugate
     sym = pointwise_symbol(group, coeff, band, desc)
-    adj = pointwise_symbol(group, coeff_conj, band, {"conjugate_of": desc})
-    return BuiltinOperator(group, sym, adj, 0.0, desc)
+    return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)

@@ -39,21 +39,25 @@ class MatrixSymbol:
 
     The one evaluator maps a quadrature rule and a label to sigma at every
     node, shape (n_nodes, d, d); a single point is a one-node rule.
-    ``x_bandwidth`` is in band units (torus frequency, SU(2) twice-spin); 0
-    for x-independent symbols.  ``max_band`` bounds the labels on which the
-    symbol is defined (None = any label).  ``is_pointwise`` marks
-    sigma(x, xi) = c(x) I with c independent of xi; c is then sigma at the
-    trivial label, shape (n_nodes, 1, 1).  Evaluators must be pure.
+    ``x_bandwidth`` is in band units (torus frequency, SU(2) twice-spin); at
+    0 the symbol is x-independent (``is_invariant``).  ``max_band`` bounds
+    the labels on which the symbol is defined (None = any label).
+    ``is_pointwise`` marks sigma(x, xi) = c(x) I with c independent of xi;
+    c is then sigma at the trivial label, shape (n_nodes, 1, 1).  Evaluators
+    must be pure.
     """
 
     group: GroupSpec
     order: float
     x_bandwidth: int
-    is_invariant: bool
     describe: dict
     _on_rule: Callable[[QuadratureRule, IrrepLabel], np.ndarray]
     max_band: Optional[int] = None
     is_pointwise: bool = False
+
+    @property
+    def is_invariant(self) -> bool:
+        return self.x_bandwidth == 0
 
     def evaluate_on_rule(self, rule: QuadratureRule, xi: IrrepLabel) -> np.ndarray:
         """sigma at every node, shape (n_nodes, d, d); ValueError if not finite."""
@@ -110,7 +114,7 @@ def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
             v = v * np.eye(xi.dim)
         return np.broadcast_to(v, (rule.n_nodes,) + v.shape)
 
-    return MatrixSymbol(group, order, 0, True, describe, on_rule, max_band=max_band)
+    return MatrixSymbol(group, order, 0, describe, on_rule, max_band=max_band)
 
 
 def lambda_multiplier(group: GroupSpec, s: float) -> MatrixSymbol:
@@ -163,7 +167,7 @@ def pointwise_symbol(group: GroupSpec,
             vals.setflags(write=False)
         return vals[:, None, None] * np.eye(xi.dim)[None, :, :]
 
-    return MatrixSymbol(group, 0.0, int(x_bandwidth), False, describe, on_rule,
+    return MatrixSymbol(group, 0.0, int(x_bandwidth), describe, on_rule,
                         is_pointwise=True)
 
 
@@ -220,8 +224,7 @@ def winding_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
             return np.exp(2j * np.pi * k * rule.charts[:, 0])[:, None, None]
         return np.ones((rule.n_nodes, 1, 1), dtype=complex)
 
-    return MatrixSymbol(group, 0.0, abs(k), False, {"kind": "winding", "k": k},
-                        on_rule)
+    return MatrixSymbol(group, 0.0, abs(k), {"kind": "winding", "k": k}, on_rule)
 
 
 def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
@@ -252,8 +255,8 @@ def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
             vals = np.ones(rule.n_nodes, dtype=complex)
         return vals[:, None, None]
 
-    return MatrixSymbol(group, 0.0, abs(k), False,
-                        {"kind": "winding_adjoint", "k": k}, on_rule)
+    return MatrixSymbol(group, 0.0, abs(k), {"kind": "winding_adjoint", "k": k},
+                        on_rule)
 
 
 def symbol_sum(symbols: Sequence[MatrixSymbol],
@@ -275,7 +278,6 @@ def symbol_sum(symbols: Sequence[MatrixSymbol],
         group,
         max(s.order for s in symbols),
         max(s.x_bandwidth for s in symbols),
-        all(s.is_invariant for s in symbols),
         {"kind": "sum", "terms": [s.describe for s in symbols],
          "weights": [repr(w) for w in weights]},
         on_rule, max_band=max_band,
@@ -302,7 +304,6 @@ def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> Matri
         sigma_a.group,
         sigma_a.order + sigma_b.order,
         sigma_a.x_bandwidth + sigma_b.x_bandwidth,
-        sigma_a.is_invariant and sigma_b.is_invariant,
         {"kind": "product", "factors": [sigma_a.describe, sigma_b.describe]},
         on_rule, max_band=max_band,
         is_pointwise=sigma_a.is_pointwise and sigma_b.is_pointwise)
@@ -316,7 +317,6 @@ def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
         return sigma.evaluate_on_rule(rule, xi).conj().transpose(0, 2, 1)
 
     return MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth,
-                        sigma.is_invariant,
                         {"kind": "conjugate_transpose", "of": sigma.describe},
                         on_rule, max_band=sigma.max_band,
                         is_pointwise=sigma.is_pointwise)

@@ -36,3 +36,9 @@ def random_su2_point(rng):
     nu = rng.uniform(-1.0, 1.0) * np.sin(t / 2.0)
     s = rng.uniform(0.0, 2.0 * np.pi)
     return li.su2_point(t, nu, s)
+
+
+def basis_entries(basis):
+    """(xi, i, j) of every basis entry, in the basis order."""
+    return [(xi, i, j) for xi in basis.labels
+            for i in range(xi.dim) for j in range(xi.dim)]

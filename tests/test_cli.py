@@ -550,7 +550,7 @@ def test_su2_pointwise_operator_tree(rng):
         {"twice_spin": 1, "i": 0, "j": 1, "re": 0.25, "im": -0.1},
     ]}
     op = li.parse_operator(tree, li.SU2)
-    assert op.order == 0.0 and op.symbol.x_bandwidth == 1
+    assert op.symbol.order == 0.0 and op.symbol.x_bandwidth == 1
     rule = li.haar_quadrature(li.SU2, 4)
     labels = li.labels_for_band(li.SU2, 2)
     reps = li.rep_matrices_on_rule(li.su2_label(2), rule)

@@ -6,7 +6,6 @@ import pytest
 
 import liegroup_index as li
 from conftest import random_su2_point
-from liegroup_index.dual import su2_rep_matrices
 
 
 def closed_form_rep(n, g):
@@ -31,6 +30,12 @@ def closed_form_rep(n, g):
 def random_su2_matrices(seed, count=40):
     rng = np.random.default_rng(seed)
     return np.array([random_su2_point(rng).matrix for _ in range(count)])
+
+
+def matrix_rule(g):
+    """A rule without a uniform axis at the given matrices (NaN charts)."""
+    return li.QuadratureRule(li.SU2, 0, np.full((len(g), 3), np.nan),
+                             np.full(len(g), 1.0 / len(g)), g)
 
 
 def rep_at(xi, x):
@@ -257,7 +262,7 @@ def test_fd_casimir_on_whole_grid(group):
 
 
 def test_flow_rule_su2_carries_products(rule_su2):
-    y = li.lie_basis(li.SU2).generators[1]
+    y = li.lie_basis(li.SU2)[1]
     s = 0.3
     flowed = li.flow_rule(rule_su2, y, s)
     # exp(s Y) for Y = -i/2 sigma_y in closed form
@@ -265,7 +270,7 @@ def test_flow_rule_su2_carries_products(rule_su2):
     np.testing.assert_allclose(flowed.matrices, rule_su2.defining_matrices() @ e,
                                rtol=0, atol=1e-15)
     np.testing.assert_array_equal(flowed.weights, rule_su2.weights)
-    np.testing.assert_array_equal(flowed.node(5).matrix, flowed.matrices[5])
+    assert flowed.defining_matrices() is flowed.matrices
     # the recovered charts rebuild the flowed matrices up to the chart round trip
     rebuilt = li.QuadratureRule(li.SU2, 0, flowed.charts, flowed.weights)
     assert np.abs(rebuilt.defining_matrices() - flowed.matrices).max() <= 1e-7
@@ -273,13 +278,14 @@ def test_flow_rule_su2_carries_products(rule_su2):
 
 def test_flow_rule_su3_grid_matches_points():
     rule = li.haar_quadrature(li.SU3, 2)
-    y = li.lie_basis(li.SU3).generators[7]
+    y = li.lie_basis(li.SU3)[7]
     flowed = li.flow_rule(rule, y, 0.2)
     assert np.isnan(flowed.charts).all()
     # Y = -i/2 lambda_8 is diagonal, so exp(s Y) is too
     e = np.diag(np.exp(-0.1j * np.array([1.0, 1.0, -2.0]) / np.sqrt(3.0)))
     for k in (0, 17, rule.n_nodes - 1):
-        np.testing.assert_allclose(flowed.matrices[k], rule.node(k).matrix @ e,
+        x = li.su3_point(rule.charts[k, :3], rule.charts[k, 3:])
+        np.testing.assert_allclose(flowed.matrices[k], x.matrix @ e,
                                    rtol=0, atol=1e-14)
     unitarity = np.abs(np.einsum("kij,klj->kil", flowed.matrices, flowed.matrices.conj())
                        - np.eye(3)).max()
@@ -288,7 +294,7 @@ def test_flow_rule_su3_grid_matches_points():
 
 def test_flow_rule_torus_shifts_mod_one(t1):
     rule = li.haar_quadrature(t1, 4)
-    flowed = li.flow_rule(rule, li.lie_basis(t1).generators[0], -0.3)
+    flowed = li.flow_rule(rule, li.lie_basis(t1)[0], -0.3)
     np.testing.assert_allclose(flowed.charts[:, 0], [0.7, 0.95, 0.2, 0.45], atol=1e-15)
     assert flowed.matrices is None
 
@@ -297,7 +303,7 @@ def test_lie_basis_antihermitian_traceless():
     for group in (li.SU2, li.SU3):
         basis = li.lie_basis(group)
         assert len(basis) == group.manifold_dim
-        for y in basis.generators:
+        for y in basis:
             np.testing.assert_allclose(y, -y.conj().T, atol=1e-14)
             assert abs(np.trace(y)) <= 1e-14
 
@@ -331,19 +337,25 @@ def test_factored_su2_reps_match_polynomial_on_every_node(level):
 
 
 def test_ladder_matches_closed_form():
+    # one ladder per rule: on every node of a rule without a uniform axis,
+    # on the plane nodes of a Haar rule; the degrees below the first request
+    # come from the rule's memo
     g = random_su2_matrices(19)
-    rule = li.haar_quadrature(li.SU2, 16)
+    rule, other = li.haar_quadrature(li.SU2, 16), matrix_rule(g)
     plane_g = rule.defining_matrices()[::rule.axis_length]
-    for n in range(17):
-        np.testing.assert_allclose(su2_rep_matrices(n, g), closed_form_rep(n, g),
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose(li.rep_factors(li.su2_label(n), rule)[0],
+    for n in (16, *range(16)):
+        lab = li.su2_label(n)
+        np.testing.assert_allclose(li.rep_matrices_on_rule(lab, other),
+                                   closed_form_rep(n, g), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(li.rep_factors(lab, rule)[0],
                                    closed_form_rep(n, plane_g), rtol=0, atol=1e-13)
+        assert li.rep_matrices_on_rule(lab, other) is li.rep_matrices_on_rule(lab, other)
 
 
 def test_twice_spin_one_is_the_defining_matrix_bit_for_bit():
     g = random_su2_matrices(20)
-    np.testing.assert_array_equal(su2_rep_matrices(1, g), g)
+    np.testing.assert_array_equal(
+        li.rep_matrices_on_rule(li.su2_label(1), matrix_rule(g)), g)
     rule = li.haar_quadrature(li.SU2, 6)
     np.testing.assert_array_equal(li.rep_factors(li.su2_label(1), rule)[0],
                                   rule.defining_matrices()[::rule.axis_length])
@@ -352,7 +364,7 @@ def test_twice_spin_one_is_the_defining_matrix_bit_for_bit():
 def test_ladder_unitarity_at_twice_spin_32():
     # the ladder contracts with an isometry at every degree, so rounding
     # errors add up linearly in the degree
-    t = su2_rep_matrices(32, random_su2_matrices(21))
+    t = li.rep_matrices_on_rule(li.su2_label(32), matrix_rule(random_su2_matrices(21)))
     defect = np.abs(t @ np.swapaxes(t.conj(), -1, -2) - np.eye(33)).max()
     assert defect <= 1e-13
 
@@ -373,9 +385,10 @@ def test_rep_factor_planes_do_not_depend_on_request_order():
 
 @pytest.mark.parametrize("twice_spin", [-1, -3, 1.0, 2.5])
 def test_su2_rep_matrices_rejects_bad_twice_spin(twice_spin):
-    # -1 takes no ladder step, which would leave the 1 x 1 identity
-    with pytest.raises(ValueError, match="twice-spin"):
-        su2_rep_matrices(twice_spin, np.eye(2))
+    # representation matrices are asked for by label, and su2_label refuses
+    # the twice-spin: -1 would take no ladder step and leave the 1 x 1 identity
+    with pytest.raises(ValueError, match="label components must be"):
+        li.su2_label(twice_spin)
 
 
 def test_torus_characters_on_haar_rule_are_exact_roots_of_unity(t1):
@@ -387,9 +400,10 @@ def test_torus_characters_on_haar_rule_are_exact_roots_of_unity(t1):
 
 
 def test_flowed_and_point_rules_have_no_uniform_axis(rule_su2):
-    y = li.lie_basis(li.SU2).generators[0]
+    y = li.lie_basis(li.SU2)[0]
     assert rule_su2.axis_length == 2 * (rule_su2.level + 1)
-    for rule in (li.flow_rule(rule_su2, y, 0.1), li.point_rule(rule_su2.node(3))):
+    x = li.su2_point(*rule_su2.charts[3])
+    for rule in (li.flow_rule(rule_su2, y, 0.1), li.point_rule(x)):
         assert rule.axis_length is None
         with pytest.raises(ValueError, match="uniform axis"):
             li.rep_factors(li.su2_label(1), rule)

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liegroup_index as li
+from conftest import basis_entries
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,7 @@ def test_positions_equal_entry_scan(group, band, rng):
                labels[:3] + li.labels_for_band(group, band + 2)[-2:]]
     for subset in subsets:
         keep = set(subset)
-        scan = np.array([pos for pos, (xi, _, _) in enumerate(basis.entries)
+        scan = np.array([pos for pos, (xi, _, _) in enumerate(basis_entries(basis))
                          if xi in keep], dtype=int)
         got = basis.positions(subset)
         assert got.dtype == scan.dtype and got.shape == scan.shape
@@ -95,7 +97,7 @@ def test_positions_equal_entry_scan(group, band, rng):
 
 def test_basis_ordering_deterministic(t1):
     basis = li.basis_for_band(li.SU2, 2)
-    weights = [xi.weight for xi, _, _ in basis.entries]
+    weights = [xi.weight for xi, _, _ in basis_entries(basis)]
     assert weights == sorted(weights)
     assert basis.size == sum(l.dim ** 2 for l in basis.labels)
 
@@ -130,7 +132,8 @@ def test_assemble_invariant_blocks(rng):
 def test_assemble_fast_path_matches_quadrature(rng):
     table = random_invariant_table(li.SU2, 2, rng)
     sym = li.table_symbol(li.SU2, table)
-    slow_sym = li.MatrixSymbol(li.SU2, 0.0, 0, False, {"kind": "slow"},
+    # a declared x-bandwidth of 1 forces the quadrature path
+    slow_sym = li.MatrixSymbol(li.SU2, 0.0, 1, {"kind": "slow"},
                                sym._on_rule, max_band=sym.max_band)
     basis = li.basis_for_band(li.SU2, 2)
     fast = li.assemble(sym, basis, basis)
@@ -143,7 +146,7 @@ def test_assemble_winding_shift_matrix(t1):
     w = li.winding_symbol(t1, 1)
     m = li.index_truncation(w, 4, li.sweep_operator(w, 4))
     expected = np.zeros(m.shape)
-    for pos, (xi, _, _) in enumerate(m.domain.entries):
+    for pos, (xi, _, _) in enumerate(basis_entries(m.domain)):
         l = xi.label[0]
         target = li.torus_label(t1, [l + 1 if l >= 0 else l])
         expected[m.codomain.offsets[target], pos] = 1.0
@@ -235,7 +238,7 @@ def test_compose_winding_pair_interior_identity(t1):
                          li.PeterWeylBasis(t1, tuple(cod_labels)))
     comp = li.compose(m_plus, m_minus)
     # winding(+1) o winding(-1) fixes every mode except l = 0
-    for pos, (xi, _, _) in enumerate(comp.domain.entries):
+    for pos, (xi, _, _) in enumerate(basis_entries(comp.domain)):
         l = xi.label[0]
         col = comp.matrix[:, pos]
         if l == 0:
@@ -306,12 +309,12 @@ def test_cache_round_trip_and_verify(t1, tmp_path):
     assert header["shape"] == list(m.matrix.shape)
     # the payload is little-endian float64 (re, im) pairs in column-major order
     pairs = np.stack([m.matrix.real, m.matrix.imag], axis=-1).transpose(1, 0, 2)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     hlen = int.from_bytes(blob[4:8], "little")
     assert bytes(blob[8 + hlen:]) == pairs.astype("<f8").tobytes()
 
     blob[-5] ^= 0xFF  # flip one payload bit
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         li.read_cache_entry(path)
 
@@ -331,7 +334,7 @@ def column_by_column(sigma, dom, cod, grid):
     """Reference assembly: each column from quantize_on_rule and projection."""
     proj = cod.values_on_rule(grid).conj() * grid.weights
     cols = []
-    for xi, i, j in dom.entries:
+    for xi, i, j in basis_entries(dom):
         coef = np.zeros((xi.dim, xi.dim), dtype=complex)
         coef[j, i] = 1.0 / np.sqrt(xi.dim)
         fhat = li.FourierCoefficients({xi: coef})
@@ -454,7 +457,7 @@ def test_basis_charges_match_the_axis_modes(group, band):
     # rule's modes are the charges mod its axis length
     basis = li.basis_for_band(group, band)
     expected = [j - i if group.kind == "su2" else xi.label[-1]
-                for xi, i, j in basis.entries]
+                for xi, i, j in basis_entries(basis)]
     np.testing.assert_array_equal(basis.charges, expected)
     rule = li.haar_quadrature(group, 3)
     modes = np.concatenate([li.rep_factors(xi, rule)[1].ravel()
@@ -523,7 +526,7 @@ def test_damaged_cache_entry_is_a_miss(t1, tmp_path, damage):
 def test_separated_sums_reject_flowed_rule(group):
     # a flowed rule keeps the level and the weights of the Haar rule
     rule = li.haar_quadrature(group, 5)
-    flowed = li.flow_rule(rule, li.lie_basis(group).generators[0], 0.1)
+    flowed = li.flow_rule(rule, li.lie_basis(group)[0], 0.1)
     assert flowed.level == rule.level
     np.testing.assert_array_equal(flowed.weights, rule.weights)
     labels = li.labels_for_band(group, 2)
@@ -621,7 +624,7 @@ def test_assemble_rejects_under_resolved_grid(make, band):
 
 
 def _flowed(rule):
-    return li.flow_rule(rule, li.lie_basis(rule.group).generators[0], 0.1)
+    return li.flow_rule(rule, li.lie_basis(rule.group)[0], 0.1)
 
 
 def _weights_bumped(rule):
@@ -634,12 +637,12 @@ def _weights_bumped(rule):
 @pytest.mark.parametrize("damage, message", [(_flowed, "uniform axis"),
                                              (_weights_bumped, "weights vary")])
 def test_assemble_rejects_rules_without_separated_axis(group, damage, message):
-    # an x-independent symbol that does not declare itself invariant takes
-    # the quadrature path
-    sym = li.MatrixSymbol(group, 0.0, 0, False, {"kind": "slow"},
+    # an x-independent symbol that declares an x-bandwidth of 1 takes the
+    # quadrature path, which needs level 6 on the torus
+    sym = li.MatrixSymbol(group, 0.0, 1, {"kind": "slow"},
                           li.lambda_multiplier(group, 0.0)._on_rule)
     basis = li.basis_for_band(group, 2)
-    grid = damage(li.haar_quadrature(group, 5))
+    grid = damage(li.haar_quadrature(group, 6))
     with pytest.raises(ValueError, match=message) as err:
         li.assemble(sym, basis, basis, grid)
     assert not isinstance(err.value, li.AliasingError)

@@ -133,11 +133,35 @@ def test_jacobi01_rule_exactness(n):
 
 
 def test_node_materialization(rule_su2):
-    p = rule_su2.node(17)
+    # a node materialized from its chart is the rule's defining matrix there
+    p = li.su2_point(*rule_su2.charts[17])
     assert p.unitarity_defect() <= 1e-12
-    assert rule_su2.node(17) is p  # cached
+    np.testing.assert_allclose(p.matrix, rule_su2.defining_matrices()[17],
+                               rtol=0, atol=1e-15)
 
 
 def test_level_validation(t1):
     with pytest.raises(ValueError):
         li.haar_quadrature(t1, 0)
+
+
+@pytest.mark.parametrize("group", [li.torus(1), li.torus(3), li.SU2, li.SU3], ids=str)
+def test_levels_come_from_one_exactness_rule(group):
+    # torus degree + 1, SU(2) ceil(degree / 2) but at least 1, SU(3) 1; the
+    # band rule is the degree rule at degree 2 * band, and an assembly's level
+    # the degree rule at domain band + x-bandwidth + codomain band
+    rule = {"torus": lambda d: d + 1, "su2": lambda d: max(-(-d // 2), 1),
+            "su3": lambda d: 1}[group.kind]
+    for degree in range(30):
+        assert li.groups.min_level_for_degree(group, degree) == rule(degree)
+    for band in range(12):
+        level = li.min_level_for_band(group, band)
+        assert type(level) is int
+        assert level == li.groups.min_level_for_degree(group, 2 * band)
+        assert level == {"torus": 2 * band + 1, "su2": max(band, 1), "su3": 1}[group.kind]
+    if group.kind == "su3":
+        return
+    for w in (1, 2, 3):
+        sigma = li.MatrixSymbol(group, 0.0, w, {"kind": "w"}, None)
+        for dom, cod in [(0, 0), (2, 3), (4, 4 + w), (7, 7 + 2 * w)]:
+            assert li.galerkin.assembly_level(sigma, dom, cod) == rule(dom + w + cod)

@@ -618,6 +618,29 @@ def test_sweep_builds_no_rule_for_an_invariant_pair(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("operator", [
+    {"op": "pointwise", "coefficients": [{"freq": [0], "re": 2.0, "im": 0.5}]},
+    {"op": "winding", "k": 0}], ids=["freq-0-pointwise", "winding-0"])
+def test_x_bandwidth_zero_assembles_block_diagonally(t1, operator):
+    # x-bandwidth 0 is invariance: the sweep takes no quadrature level and
+    # keeps the kernel counts of the quadrature path a declared x-bandwidth
+    # of 1 forces
+    op = li.parse_operator(operator, t1)
+    assert op.symbol.is_invariant and op.adjoint_symbol.is_invariant
+    forced = [dataclasses.replace(s, x_bandwidth=1)
+              for s in (op.symbol, op.adjoint_symbol)]
+    bands, gammas = [4, 8], [0.1, 1.0]
+    for band in bands:
+        assert li.sweep_operator(op.symbol, band).meta["level"] is None
+        assert li.sweep_operator(forced[0], band).meta["level"] is not None
+    reports = [li.stabilization_sweep(op.symbol, op.adjoint_symbol, bands, gammas),
+               li.stabilization_sweep(*forced, bands, gammas)]
+    for rep in reports:
+        assert rep.verdict == "stable" and not rep.errors
+        assert [(row["kernel_count"], row["ker_dim"], row["coker_dim"])
+                for row in rep.rows] == [(0, 0, 0)] * 4
+
+
 def _count_assemble_calls(monkeypatch):
     assemble, calls = li.galerkin.assemble, []
 
