@@ -42,14 +42,15 @@ import numpy as np
 
 from . import __version__
 from .dual import (IrrepLabel, axis_characters, axis_charges, labels_for_band,
-                   rep_factors, rep_matrices_on_rule)
-from .groups import (GroupMismatchError, GroupSpec, QuadratureRule,
-                     haar_quadrature, min_level_for_band, min_level_for_degree)
+                   lie_basis, rep_factors, rep_matrices_on_rule)
+from .groups import (GroupMismatchError, GroupSpec, QuadratureRule, flow_rule,
+                     haar_quadrature, identity, min_level_for_band,
+                     min_level_for_degree, point_rule)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 
 
 class AliasingError(ValueError):
@@ -149,8 +150,9 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     """Galerkin matrix of the quantized symbol between two bases.
 
     When ``assembly_level`` is None (a symbol of x-bandwidth 0) the matrix
-    is assembled exactly block by block, and a domain label the codomain
-    lacks raises AliasingError; otherwise the columns of each domain label
+    is assembled exactly block by block from sigma at the identity, and a
+    domain label the codomain lacks, or a sigma that differs at a generic
+    point, raises AliasingError; otherwise the columns of each domain label
     are evaluated together on the grid and projected by quadrature: one FFT
     of a label's images along the Haar rule's uniform axis, then one
     plane-weighted product per codomain mode for all columns, shared by
@@ -174,13 +176,17 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     w, level = sigma.x_bandwidth, assembly_level(sigma, dom.band, cod.band)
     if level is None:
         mat = np.zeros((cod.size, dom.size), dtype=complex)
+        # x-bandwidth 0 is tested: sigma at the identity against a generic point
+        probe = flow_rule(point_rule(identity(group)), sum(
+            math.sqrt(k + 2) * y for k, y in enumerate(lie_basis(group))), 0.3)
         for xi in dom.labels:
             if xi not in cod.offsets:
                 raise AliasingError(f"codomain misses domain label {xi}", dom.band)
             block = sigma.evaluate_at_any(xi)
-            rb = cod.offsets[xi]
-            cb = dom.offsets[xi]
-            d = xi.dim
+            moved = sigma.evaluate_on_rule(probe, xi)[0]
+            if np.abs(moved - block).max() > 1e-12 * max(1.0, np.abs(block).max()):
+                raise AliasingError(f"symbol of x-bandwidth 0 varies in x at label {xi}")
+            rb, cb, d = cod.offsets[xi], dom.offsets[xi], xi.dim
             # <A b_{xi,i,j}, b_{xi,k,l}> = delta_{ik} sigma(xi)[l, j]
             for i in range(d):
                 mat[rb + i * d:rb + (i + 1) * d, cb + i * d:cb + (i + 1) * d] = block
@@ -232,7 +238,8 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
         for m in np.unique(modes):
             rows_m = np.flatnonzero(modes == m)
             mat[rows_m] = proj[rows_m] @ spec[:, m, :]
-    _check_leak(total, np.sum(np.abs(mat) ** 2, axis=0),
+    parts = mat.view(np.float64)   # (re, im) pairs: column energies in place
+    _check_leak(total, np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1),
                 np.arange(dom.size), dom.band + w)
     return GalerkinOperator(dom, cod, mat, {"level": grid.level})
 
@@ -319,13 +326,9 @@ class OperatorCache:
 
     def fetch(self, key: str, shape: tuple):
         """The stored matrix of ``key``, or None, counted as a miss, when the
-        entry is absent, corrupt or not of ``shape``."""
-        path = os.path.join(self.directory, f"{key}.lgidx")
-        if not os.path.isfile(path):
-            self.misses += 1
-            return None
+        entry is absent (an OSError), corrupt or not of ``shape``."""
         try:
-            _, matrix = read_cache_entry(path)
+            _, matrix = read_cache_entry(os.path.join(self.directory, f"{key}.lgidx"))
         except (ValueError, OSError):
             self.misses += 1
             return None
@@ -338,9 +341,10 @@ class OperatorCache:
     def store(self, key: str, header: dict, matrix: np.ndarray) -> str:
         """Write ``matrix`` as <key>.lgidx atomically; returns the path.  The
         header is the lookup ``header`` plus shape and payload hash; the payload
-        is little-endian float64 (re, im) pairs in column-major order."""
-        payload = np.asarray(matrix, dtype="<c16").tobytes(order="F")
-        text = json.dumps(dict(header, shape=list(matrix.shape),
+        is the matrix's own row-major memory, little-endian float64 (re, im)
+        pairs hashed and written as one buffer (no copy of a C-ordered matrix)."""
+        payload = np.ascontiguousarray(matrix, dtype="<c16")
+        text = json.dumps(dict(header, shape=list(payload.shape),
                                payload_sha256=hashlib.sha256(payload).hexdigest()),
                           sort_keys=True).encode()
         os.makedirs(self.directory, exist_ok=True)
@@ -348,7 +352,8 @@ class OperatorCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_MAGIC + struct.pack("<I", len(text)) + text + payload)
+                fh.write(_MAGIC + struct.pack("<I", len(text)) + text)
+                fh.write(payload)
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):
@@ -469,33 +474,35 @@ def lookup_key(sigma_desc, dom: PeterWeylBasis, cod: PeterWeylBasis,
 
 
 def read_cache_entry(path: str, verify_payload: bool = True) -> tuple:
-    """(header dict, matrix or None) from a cache file; the matrix is a
-    read-only view of the payload.
+    """(header dict, matrix) from a cache file; the matrix is a read-only
+    C-ordered array read straight from the row-major payload.
 
     Raises ValueError on a corrupt entry: bad magic, a file too short for
     its header, an undecodable header or one missing the shape or payload
-    hash, a truncated payload or a payload hash mismatch.
+    hash, a payload whose size is not the shape's (checked against the file
+    size before anything is allocated) or a payload hash mismatch.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ValueError(f"{path}: bad magic")
-    if len(blob) < 8:
-        raise ValueError(f"{path}: truncated header length")
-    (hlen,) = struct.unpack("<I", blob[4:8])
-    if len(blob) < 8 + hlen:
-        raise ValueError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[8:8 + hlen])
-        rows, cols = (int(v) for v in header["shape"])
-        expected = header["payload_sha256"]
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ValueError(f"{path}: unreadable header ({exc!r})") from exc
-    payload = blob[8 + hlen:]
-    if verify_payload and hashlib.sha256(payload).hexdigest() != expected:
+        size, head = os.fstat(fh.fileno()).st_size, fh.read(8)
+        if head[:4] != _MAGIC:
+            raise ValueError(f"{path}: bad magic")
+        if len(head) < 8:
+            raise ValueError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", head[4:8])
+        if size < 8 + hlen:
+            raise ValueError(f"{path}: truncated header")
+        try:
+            header = json.loads(fh.read(hlen))
+            rows, cols = (int(v) for v in header["shape"])
+            expected = header["payload_sha256"]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ValueError(f"{path}: unreadable header ({exc!r})") from exc
+        if size - 8 - hlen != rows * cols * 16:
+            raise ValueError(f"{path}: payload size does not fit shape {rows}x{cols}")
+        matrix = np.empty((rows, cols), dtype="<c16")
+        if fh.readinto(matrix) != matrix.nbytes:
+            raise ValueError(f"{path}: truncated payload")
+    if verify_payload and hashlib.sha256(matrix).hexdigest() != expected:
         raise ValueError(f"{path}: payload hash mismatch")
-    if len(payload) != rows * cols * 16:
-        raise ValueError(f"{path}: truncated payload")
-    # little-endian (re, im) float64 pairs are complex128 in memory
-    matrix = np.frombuffer(payload, dtype="<c16").reshape((rows, cols), order="F")
+    matrix.flags.writeable = False
     return header, matrix

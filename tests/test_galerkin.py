@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -307,8 +308,10 @@ def test_cache_round_trip_and_verify(t1, tmp_path):
     header, matrix = li.read_cache_entry(path)
     np.testing.assert_array_equal(matrix, m.matrix)
     assert header["shape"] == list(m.matrix.shape)
-    # the payload is little-endian float64 (re, im) pairs in column-major order
-    pairs = np.stack([m.matrix.real, m.matrix.imag], axis=-1).transpose(1, 0, 2)
+    # the payload is little-endian float64 (re, im) pairs in row-major order,
+    # and the matrix read back is C-ordered and read-only
+    assert matrix.flags.c_contiguous and not matrix.flags.writeable
+    pairs = np.stack([m.matrix.real, m.matrix.imag], axis=-1)
     blob = bytearray(Path(path).read_bytes())
     hlen = int.from_bytes(blob[4:8], "little")
     assert bytes(blob[8 + hlen:]) == pairs.astype("<f8").tobytes()
@@ -450,6 +453,27 @@ def test_assemble_pointwise_charge_beyond_declared_bandwidth_leaks():
                     dom, cod)
 
 
+@pytest.mark.parametrize("group, coeff", [
+    (li.torus(1), li.torus_function(li.torus(1), {(1,): 1.0})[0]),
+    (li.torus(2), li.torus_function(li.torus(2), {(0, 1): 1.0})[0]),
+    (li.torus(2), li.torus_function(li.torus(2), {(1, -1): 0.5, (0, 0): 2.0})[0]),
+    (li.SU2, li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.3)])[0]),
+], ids=["T1-e(x)", "T2-e(x2)", "T2-e(x1-x2)", "SU2-t1"])
+def test_assemble_rejects_a_varying_symbol_declared_invariant(group, coeff):
+    # declared at x-bandwidth 0, c(x) I took the block-diagonal path from c at
+    # the identity: e(x) on T^1 at band 2 assembled the 5 x 5 identity
+    basis = li.basis_for_band(group, 2)
+    sym = li.pointwise_symbol(group, coeff, 0, {"k": "declared-0"})
+    with pytest.raises(li.AliasingError, match="varies in x at label"):
+        li.assemble(sym, basis, basis)
+    # c frozen at its value at the identity is invariant and still assembles
+    c0 = coeff(li.point_rule(li.identity(group)))[0]
+    constant = li.pointwise_symbol(group, lambda rule: np.full(rule.n_nodes, c0), 0,
+                                   {"k": "constant"})
+    np.testing.assert_array_equal(li.assemble(constant, basis, basis).matrix,
+                                  c0 * np.eye(basis.size))
+
+
 @pytest.mark.parametrize("group, band", [(li.torus(1), 3), (li.torus(2), 2),
                                          (li.SU2, 4)])
 def test_basis_charges_match_the_axis_modes(group, band):
@@ -520,6 +544,73 @@ def test_damaged_cache_entry_is_a_miss(t1, tmp_path, damage):
     again = li.index_truncation(sym, 4, li.sweep_operator(sym, 4, cache=cache))
     assert cache.misses == misses + 1 and cache.hits == 0
     np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
+def _claim_shape(blob, shape):
+    hlen = int.from_bytes(blob[4:8], "little")
+    text = json.dumps(dict(json.loads(blob[8:8 + hlen]), shape=list(shape))).encode()
+    return blob[:4] + len(text).to_bytes(4, "little") + text + blob[8 + hlen:]
+
+
+def _traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes) of fn(*args)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("claim", [lambda r, c: (2 ** 31, 2 ** 31),
+                                   lambda r, c: (r + 2 ** 16, c),
+                                   lambda r, c: (r - 1, c)],
+                         ids=["huge", "more", "fewer"])
+def test_cache_entry_whose_shape_misfits_its_size_is_a_miss(t1, tmp_path, claim):
+    # the payload size is checked against the file before anything is
+    # allocated: a claim of 2^16 extra rows would allocate megabytes
+    cache = li.OperatorCache(str(tmp_path))
+    sym = li.winding_symbol(t1, 1)
+    first = li.sweep_operator(sym, 4, cache=cache)
+    (path,) = tmp_path.glob("*.lgidx")
+    path.write_bytes(_claim_shape(path.read_bytes(), claim(*first.matrix.shape)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            li.read_cache_entry(str(path))
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 16
+    finally:
+        tracemalloc.stop()
+    misses = cache.misses
+    again = li.sweep_operator(sym, 4, cache=cache)
+    assert cache.misses == misses + 1 and cache.hits == 0
+    np.testing.assert_array_equal(again.matrix, first.matrix)
+
+
+def test_cache_store_and_read_hold_one_payload(tmp_path):
+    # 2 MiB of payload: store copies none of it, a read holds it once
+    rng = np.random.default_rng(0)
+    matrix = rng.standard_normal((256, 512)) + 1j * rng.standard_normal((256, 512))
+    cache = li.OperatorCache(str(tmp_path))
+    path, peak = _traced_peak(cache.store, "k", {"lookup": 1}, matrix)
+    assert peak < 0.25 * matrix.nbytes
+    (header, back), peak = _traced_peak(li.read_cache_entry, path)
+    assert peak < 1.25 * matrix.nbytes
+    np.testing.assert_array_equal(back, matrix)
+    assert header["shape"] == [256, 512]
+
+
+@pytest.mark.parametrize("view", [lambda m: m[::2, 1::3], lambda m: m.T],
+                         ids=["strided", "transposed"])
+def test_cache_writes_a_view_as_its_contiguous_copy(tmp_path, view):
+    rng = np.random.default_rng(1)
+    matrix = view(rng.standard_normal((12, 18)) + 1j * rng.standard_normal((12, 18)))
+    assert not matrix.flags.c_contiguous
+    cache = li.OperatorCache(str(tmp_path))
+    a = Path(cache.store("view", {"lookup": 1}, matrix))
+    b = Path(cache.store("copy", {"lookup": 1}, np.ascontiguousarray(matrix)))
+    assert a.read_bytes() == b.read_bytes()
+    np.testing.assert_array_equal(li.read_cache_entry(str(a))[1], matrix)
 
 
 @pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2])
