@@ -125,15 +125,20 @@ def trivial_label(group: GroupSpec) -> IrrepLabel:
     return IrrepLabel(group, (0, 0))
 
 
+def _sorted_labels(group: GroupSpec, points: np.ndarray, weight: np.ndarray) -> list:
+    """Labels of the integer point rows, sorted by (weight, label) in one
+    lexsort; ``weight`` is IrrepLabel.weight's float expression per row."""
+    order = np.lexsort((*points.T[::-1], weight))
+    return [IrrepLabel(group, tuple(row)) for row in points[order].tolist()]
+
+
 def _torus_labels(group: GroupSpec, half_width: int, lam_max: float = math.inf) -> list:
-    """Torus labels of the box |l|_inf <= half_width with |l|^2 <= lam_max, sorted
-    by (weight, label) in one lexsort on IrrepLabel.weight's float expression."""
+    """Torus labels of the box |l|_inf <= half_width with |l|^2 <= lam_max, sorted."""
     axis = np.arange(-half_width, half_width + 1)
     points = np.stack(np.meshgrid(*[axis] * group.n, indexing="ij"), -1).reshape(-1, group.n)
     points = points[(points * points).sum(axis=1) <= lam_max + 1e-12]
     weight = np.sqrt(1.0 + 4.0 * math.pi ** 2 * (points * points).sum(axis=1))
-    order = np.lexsort((*points.T[::-1], weight))
-    return [IrrepLabel(group, tuple(row)) for row in points[order].tolist()]
+    return _sorted_labels(group, points, weight)
 
 
 def enumerate_dual(group: GroupSpec, cutoff: float) -> list:
@@ -144,28 +149,18 @@ def enumerate_dual(group: GroupSpec, cutoff: float) -> list:
         # weight^2 = 1 + 4 pi^2 |l|^2
         lam_max = (cutoff * cutoff - 1.0) / (4.0 * math.pi ** 2)
         return _torus_labels(group, int(math.floor(math.sqrt(lam_max) + 1e-12)), lam_max)
-    out = []
+    # the Casimir is at least (2l)^2/4, resp. (a+b)^2/4: weight <= cutoff
+    # bounds 2l, resp. a and b, by 2*cutoff
+    axis = np.arange(int(2 * cutoff) + 1)
     if group.kind == "su2":
-        n = 0
-        while True:
-            lab = IrrepLabel(group, (n,))
-            if lab.weight > cutoff + 1e-12:
-                break
-            out.append(lab)
-            n += 1
+        points, casimir = axis[:, None], axis * (axis + 2) / 4.0
     else:
-        a = 0
-        while IrrepLabel(group, (a, 0)).weight <= cutoff + 1e-12:
-            b = 0
-            while True:
-                lab = IrrepLabel(group, (a, b))
-                if lab.weight > cutoff + 1e-12:
-                    break
-                out.append(lab)
-                b += 1
-            a += 1
-    out.sort(key=IrrepLabel.sort_key)
-    return out
+        points = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        a, b = points.T
+        casimir = (a * a + b * b + a * b) / 3.0 + a + b
+    weight = np.sqrt(1.0 + casimir)
+    keep = weight <= cutoff + 1e-12
+    return _sorted_labels(group, points[keep], weight[keep])
 
 
 def labels_for_band(group: GroupSpec, band: int) -> list:

@@ -73,25 +73,17 @@ def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.
 
     Per-mode plane sums, then one product with the axis characters; the
     rule must be a Haar product rule.  One grouped reduction per label sums
-    its entries per mode, entries that alias to one mode included; the
-    grouping depends on the label and n_s only and is memoized on the rule.
-    A d = 1 label adds its one column.
+    its entries per mode, entries that alias to one mode included.
     """
     chars = axis_characters(rule)
     sums = np.zeros((rule.n_nodes // len(chars), len(chars)), dtype=complex)
-    groups = rule._node_cache.setdefault("_mode_groups", {})
     for xi in c.labels():
         plane, modes = rep_factors(xi, rule)
-        if xi.dim == 1:
-            sums[:, modes[0, 0]] += plane[:, 0, 0] * c.entries[xi][0, 0]
-            continue
-        if xi.label not in groups:  # entries sorted by mode, run starts, modes
-            order = np.argsort(modes, axis=None, kind="stable")
-            starts = np.flatnonzero(np.diff(modes.ravel()[order], prepend=-1))
-            groups[xi.label] = order, starts, modes.ravel()[order][starts]
-        order, starts, targets = groups[xi.label]
+        order = np.argsort(modes, axis=None, kind="stable")   # entries by mode
+        by_mode = modes.ravel()[order]
+        starts = np.flatnonzero(np.diff(by_mode, prepend=-1))  # one run per mode
         terms = np.moveaxis(plane, 0, -1) * (xi.dim * c.entries[xi].T)[:, :, None]
-        sums[:, targets] += np.add.reduceat(terms.reshape(xi.dim ** 2, -1)[order], starts).T
+        sums[:, by_mode[starts]] += np.add.reduceat(terms.reshape(xi.dim ** 2, -1)[order], starts).T
     return (sums @ chars).ravel()
 
 

@@ -15,10 +15,13 @@ Supported groups and their charts:
 All quadrature rules integrate against the *normalized* Haar measure: the
 weights of every rule sum to 1 up to roundoff, without any a-posteriori
 rescaling (the per-axis Gauss rules are exact for the angular densities).
-Haar rules record their plane-times-uniform-axis product structure
+Every Haar rule comes from one per-axis table (``_axes``): its weights are
+the outer product of the axis weights, its charts the mesh of the axis
+nodes.  Haar rules record their plane-times-uniform-axis product structure
 (``QuadratureRule.axis_length``); flowed and one-node rules do not.  A rule
 holds node arrays, never GroupPoints, and every level choice comes from
-one exactness rule, ``min_level_for_degree``.
+one exactness rule, ``min_level_for_degree``.  Flows on SU(2) and SU(3)
+share one matrix exponential.
 """
 
 from __future__ import annotations
@@ -282,13 +285,6 @@ def point_rule(x: GroupPoint) -> QuadratureRule:
 
 
 def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
-    if a.shape == (2, 2):
-        # traceless 2x2: a^2 = -det(a) I, det >= 0 for anti-Hermitian a
-        norm2 = float(np.real(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-        norm = math.sqrt(max(norm2, 0.0))
-        if norm < 1e-300:
-            return np.eye(2, dtype=complex) + a
-        return math.cos(norm) * np.eye(2, dtype=complex) + (math.sin(norm) / norm) * a
     evals, vecs = np.linalg.eigh(1j * a)
     return (vecs * np.exp(-1j * evals)) @ vecs.conj().T
 
@@ -338,33 +334,37 @@ def _legendre01_rule(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _su3_axes(n: int) -> tuple:
-    """Per-axis (nodes, weights) of the SU(3) rule: theta through u = cos^2,
-    Gauss-Jacobi for sin*cos^3 (mass 1/4), Gauss-Legendre for sin*cos (1/2);
-    each phi uniform (2*pi)."""
-    (u1, w1), (u2, w2) = _jacobi01_rule(n), _legendre01_rule(n)
-    th1, th2 = np.arccos(np.sqrt(u1)), np.arccos(np.sqrt(u2))
-    phi = 2.0 * np.pi * np.arange(n) / n
-    return ([th1, th2, th2] + [phi] * 5,
-            [0.5 * w1, 0.5 * w2, 0.5 * w2] + [np.full(n, 2.0 * np.pi / n)] * 5)
+def _axes(group: GroupSpec, level: int) -> tuple:
+    """Per-axis nodes and weights of the Haar rule (innermost axis last) and
+    the mass of the weights' product.  Torus: uniform, weights 1, mass
+    level^n.  SU(2): u = cos(t/2) Gauss-Chebyshev-II for sqrt(1-u^2) (weight
+    sum pi), p = nu/sin(t/2) Gauss-Legendre (2), s uniform (2*pi).  SU(3):
+    theta through u = cos^2, Gauss-Jacobi for sin*cos^3 (1/4), Gauss-Legendre
+    for sin*cos (1/2), each phi uniform (2*pi)."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    if group.kind == "torus":
+        n = level
+        return [np.arange(n) / n] * group.n, [np.ones(n)] * group.n, float(n ** group.n)
+    if group.kind == "su2":
+        n, mass = 2 * (level + 1), 4.0 * np.pi ** 2
+        (u, wu), (p, wp) = _chebyshev_u_rule(level + 1), leggauss(level + 1)
+        nodes, weights = [u, p], [2.0 * wu, wp]
+    else:
+        n, mass = level, 2.0 * np.pi ** 5
+        (u1, w1), (u2, w2) = _jacobi01_rule(n), _legendre01_rule(n)
+        th1, th2 = np.arccos(np.sqrt(u1)), np.arccos(np.sqrt(u2))
+        nodes, weights = [th1, th2, th2], [0.5 * w1, 0.5 * w2, 0.5 * w2]
+    angles = group.manifold_dim - len(nodes)   # s, resp. phi1..phi5: uniform
+    return (nodes + [2.0 * np.pi * np.arange(n) / n] * angles,
+            weights + [np.full(n, 2.0 * np.pi / n)] * angles, mass)
 
 
 def haar_weights(group: GroupSpec, level: int) -> np.ndarray:
     """The weights of ``haar_quadrature(group, level)``, without its charts:
-    the outer product of the per-axis weights (innermost axis last) over the
-    density's total mass (SU(2) 4*pi^2, SU(3) 2*pi^5), so they sum to 1 up
-    to roundoff exactly when that constant is right."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    if group.kind == "torus":
-        return np.full(level ** group.n, 1.0 / level ** group.n)
-    if group.kind == "su2":
-        n_s = 2 * (level + 1)
-        axes = [2.0 * _chebyshev_u_rule(level + 1)[1], leggauss(level + 1)[1],
-                np.full(n_s, 2.0 * np.pi / n_s)]
-        mass = 4.0 * np.pi ** 2
-    else:
-        axes, mass = _su3_axes(level)[1], 2.0 * np.pi ** 5
+    the outer product of the per-axis weights (``_axes``) over their mass,
+    so they sum to 1 up to roundoff exactly when that constant is right."""
+    _, axes, mass = _axes(group, level)
     weights = functools.reduce(np.multiply.outer, axes).ravel()
     return np.divide(weights, mass, out=weights)
 
@@ -377,39 +377,22 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     |l|_inf < level.  SU(2) rules are exact for any polynomial of total
     degree <= 2*level + 1 in the matrix coordinates (x1..x4); entries of
     t_l have degree 2l, so products from t_l and t_l' resolve whenever
-    2(l + l') <= 2*level + 1.  The weights are ``haar_weights``.
+    2(l + l') <= 2*level + 1.  The charts are the mesh of the per-axis
+    nodes of ``_axes`` (SU(2) maps its (u, p) axes to t = 2*arccos(u),
+    nu = sqrt(1-u^2)*p), the weights ``haar_weights``.
     """
-    weights = haar_weights(group, level)
-    if group.kind == "torus":
-        grid = np.arange(level) / level
-        mesh = np.meshgrid(*([grid] * group.n), indexing="ij")
-        charts = np.stack([m.ravel() for m in mesh], axis=1)
-        return QuadratureRule(group, level, charts, weights, axis_length=level)
-
+    nodes, _, _ = _axes(group, level)
+    mesh = list(np.meshgrid(*nodes, indexing="ij", sparse=True))
     if group.kind == "su2":
-        # u = cos(t/2) carries the measure factor sqrt(1-u^2) (Chebyshev-II),
-        # nu = sin(t/2)*p with p Gauss-Legendre, s uniform (exact for trig
-        # polynomials of degree < n_s).  Total mass is exactly
-        # 2*(pi/2)*2*(2*pi) / (4*pi^2) = 1.
-        n_gauss = level + 1
-        n_s = 2 * n_gauss
-        u, p = _chebyshev_u_rule(n_gauss)[0], leggauss(n_gauss)[0]
-        s = 2.0 * np.pi * np.arange(n_s) / n_s
-        t = 2.0 * np.arccos(np.clip(u, -1.0, 1.0))
-        r = np.sqrt(np.maximum(1.0 - u ** 2, 0.0))
-        shape = (n_gauss, n_gauss, n_s)
-        tt = np.broadcast_to(t[:, None, None], shape)
-        nn = np.broadcast_to(r[:, None, None] * p[None, :, None], shape)
-        ss = np.broadcast_to(s[None, None, :], shape)
-        charts = np.stack([tt.ravel(), nn.ravel(), ss.ravel()], axis=1)
-        return QuadratureRule(group, level, charts, weights, axis_length=n_s)
-
-    # SU(3): Bronzan angles on the per-axis rules of ``_su3_axes``
-    mesh = np.meshgrid(*_su3_axes(level)[0], indexing="ij", sparse=True)
-    charts = np.empty((level ** 8, 8))
+        u = mesh[0]
+        mesh[0] = 2.0 * np.arccos(np.clip(u, -1.0, 1.0))
+        mesh[1] = np.sqrt(np.maximum(1.0 - u ** 2, 0.0)) * mesh[1]
+    shape = tuple(len(x) for x in nodes)
+    charts = np.empty(shape + (len(nodes),))
     for ax, m in enumerate(mesh):
-        charts[:, ax] = np.broadcast_to(m, (level,) * 8).ravel()
-    return QuadratureRule(group, level, charts, weights, axis_length=level)
+        charts[..., ax] = m
+    return QuadratureRule(group, level, charts.reshape(-1, len(nodes)),
+                          haar_weights(group, level), axis_length=shape[-1])
 
 
 def min_level_for_degree(group: GroupSpec, degree: int) -> int:

@@ -302,8 +302,6 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
                                      gammas)
             kcount = census["ker_dim"] - census["coker_dim"]
             kernel_by_band[band] = kcount
-            dlabels = [xi for xi in trunc.domain.labels
-                       if sigma.max_band is None or xi.band <= sigma.max_band]
             dgrid = None   # an invariant pair is checked on one node
             if not (sigma.is_invariant and sigma_astar.is_invariant):
                 dgrid = haar_quadrature(sigma.group, trunc.meta.get("level")
@@ -313,7 +311,7 @@ def stabilization_sweep(sigma: MatrixSymbol, sigma_astar: MatrixSymbol,
             continue
         try:
             densities = density_route_index(sigma, sigma_astar, gammas,
-                                            dlabels, dgrid)
+                                            trunc.domain.labels, dgrid)
             density_error = None
         except Exception as exc:
             # the density route may be undefined (non-Hermitian frozen

@@ -119,14 +119,14 @@ def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
 
 def lambda_multiplier(group: GroupSpec, s: float) -> MatrixSymbol:
     """Symbol <xi>^s I of the Sobolev-scale multiplier."""
-    return invariant_symbol(group, lambda xi: (xi.weight ** s) * np.eye(xi.dim),
+    return invariant_symbol(group, lambda xi: xi.weight ** s,
                             float(s), {"kind": "weight_power", "s": s})
 
 
 def multiplier_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], complex],
                       order: float, describe: dict) -> MatrixSymbol:
     """Scalar multiplier g(xi) acting as g(xi) * I."""
-    return invariant_symbol(group, lambda xi: complex(fn(xi)) * np.eye(xi.dim),
+    return invariant_symbol(group, lambda xi: complex(fn(xi)),
                             order, describe)
 
 

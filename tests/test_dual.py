@@ -125,6 +125,24 @@ def test_torus_labels_match_a_brute_force_sort(n):
             [(0, 0), (-1, 0), (0, -1), (0, 1), (1, 0)]
 
 
+@pytest.mark.parametrize("group", [li.SU2, li.SU3], ids=str)
+def test_matrix_group_labels_match_a_label_by_label_scan(group):
+    # every label with weight <= cutoff + 1e-12, sorted by IrrepLabel.sort_key,
+    # from a box far wider than the builder's point bound (the weight exceeds
+    # half of 2l, resp. a + b), at each label's own weight and just around it
+    top = 12.0
+    box = (itertools.product(range(4 * int(top) + 4)) if group == li.SU2 else
+           itertools.product(range(4 * int(top) + 4), repeat=2))
+    scan = sorted((li.IrrepLabel(group, p) for p in box), key=li.IrrepLabel.sort_key)
+    scan = [(xi, xi.weight) for xi in scan]
+    weights = sorted({w for _, w in scan if w <= top})
+    cutoffs = {1.0} | {w + dw for w in weights for dw in (0.0, 1e-12, -1e-12, -1e-13)}
+    for cutoff in sorted(c for c in cutoffs if c >= 1.0):
+        got = li.enumerate_dual(group, cutoff)
+        assert got == [xi for xi, w in scan if w <= cutoff + 1e-12], cutoff
+        assert all(type(v) is int for xi in got for v in xi.label)
+
+
 @pytest.mark.parametrize("group", [li.torus(1), li.SU2], ids=str)
 def test_labels_for_band_takes_integer_bands(group):
     # a torus box of half-width 2.5 would hold half-integer labels

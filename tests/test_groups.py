@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -115,12 +117,63 @@ def test_haar_weights_are_the_rule_weights(group, levels):
     from liegroup_index.groups import haar_weights
     for level in levels:
         weights = haar_weights(group, level)
-        rule_weights = li.haar_quadrature(group, level).weights
-        assert weights.shape == rule_weights.shape
-        assert weights.dtype == rule_weights.dtype
-        assert weights.tobytes() == rule_weights.tobytes()
+        rule = li.haar_quadrature(group, level)
+        assert weights.shape == rule.weights.shape
+        assert weights.dtype == rule.weights.dtype
+        assert weights.tobytes() == rule.weights.tobytes()
+        # the charts: node order puts the innermost axis last, whose length
+        # is the rule's axis_length
+        want = _expected_charts(group, level)
+        assert rule.charts.shape == want.shape
+        assert rule.charts.tobytes() == want.tobytes()
+        assert rule.axis_length == {"torus": level, "su2": 2 * (level + 1),
+                                    "su3": level}[group.kind]
     with pytest.raises(ValueError):
         haar_weights(group, 0)
+
+
+def _expected_charts(group, level):
+    """Chart rows of the Haar rule, node by node, from the per-axis rules."""
+    from numpy.polynomial.legendre import leggauss
+
+    from liegroup_index.groups import (_chebyshev_u_rule, _jacobi01_rule,
+                                       _legendre01_rule)
+    if group.kind == "su2":
+        # node (i * n_g + j) * n_s + c sits at (2 arccos u_i, sqrt(1 - u_i^2) p_j,
+        # 2 pi c / n_s)
+        n_g, n_s = level + 1, 2 * (level + 1)
+        u, p = _chebyshev_u_rule(n_g)[0], leggauss(n_g)[0]
+        t, r = 2.0 * np.arccos(u), np.sqrt(1.0 - u ** 2)
+        charts = np.empty((n_g * n_g * n_s, 3))
+        for i, j, c in itertools.product(range(n_g), range(n_g), range(n_s)):
+            charts[(i * n_g + j) * n_s + c] = (t[i], r[i] * p[j], 2.0 * np.pi * c / n_s)
+        return charts
+    if group.kind == "torus":
+        axes = [np.arange(level) / level] * group.n
+    else:
+        th1 = np.arccos(np.sqrt(_jacobi01_rule(level)[0]))
+        th2 = np.arccos(np.sqrt(_legendre01_rule(level)[0]))
+        axes = [th1, th2, th2] + [2.0 * np.pi * np.arange(level) / level] * 5
+    return np.array(list(itertools.product(*axes)), dtype=float)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("norm", [0.0, 1e-300, 1e-8, 1.0, np.pi])
+def test_expm_antihermitian_is_unitary_and_the_su2_closed_form(d, norm):
+    # one exponential for every matrix group; for traceless 2x2 a,
+    # a^2 = -|a|^2 I gives exp(a) = cos|a| I + sin|a|/|a| a
+    from liegroup_index.groups import _expm_antihermitian
+    gen = np.random.default_rng(d)
+    for _ in range(5):
+        h = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+        h = h + h.conj().T
+        h -= np.trace(h) / d * np.eye(d)
+        a = 1j * h * (norm / np.abs(np.linalg.eigvalsh(h)).max())
+        e = _expm_antihermitian(a)
+        assert np.abs(e @ e.conj().T - np.eye(d)).max() <= 1e-14
+        if d == 2:
+            closed = np.cos(norm) * np.eye(2) + np.sinc(norm / np.pi) * a
+            assert np.abs(e - closed).max() <= 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 20])

@@ -685,6 +685,10 @@ def test_sweep_keeps_the_cutoffs_below_a_failing_one():
                                  [2, 4, 6], [0.1, 1.0])
     assert [row["cutoff"] for row in rep.rows] == [2, 2, 4, 4]
     assert {row["kernel_count"] for row in rep.rows} == {0}
+    # a kept cutoff's domain lies inside the table, so its density route
+    # runs on every domain label
+    assert all(row["density_route"] == 0.0 and "density_error" not in row
+               for row in rep.rows)
     assert rep.errors == [{"cutoff": 6, "error": BEYOND_TABLE}]
     assert rep.verdict == "unstable"
 
