@@ -44,8 +44,8 @@ from . import __version__
 from .dual import (IrrepLabel, axis_characters, axis_charges, labels_for_band,
                    lie_basis, rep_factors, rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule, flow_rule,
-                     haar_quadrature, identity, min_level_for_band,
-                     min_level_for_degree, point_rule)
+                     haar_quadrature, identity, min_level_for_degree,
+                     point_rule)
 from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
@@ -145,27 +145,26 @@ def assembly_level(sigma: MatrixSymbol, dom_band: int,
     return min_level_for_degree(sigma.group, dom_band + sigma.x_bandwidth + cod_band)
 
 
-def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
-             grid: Optional[QuadratureRule] = None) -> GalerkinOperator:
+def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis,
+             cod: PeterWeylBasis) -> GalerkinOperator:
     """Galerkin matrix of the quantized symbol between two bases.
 
     When ``assembly_level`` is None (a symbol of x-bandwidth 0) the matrix
-    is assembled exactly block by block from sigma at the identity, and a
-    domain label the codomain lacks, or a sigma that differs at a generic
-    point, raises AliasingError; otherwise the columns of each domain label
-    are evaluated together on the grid and projected by quadrature: one FFT
-    of a label's images along the Haar rule's uniform axis, then one
-    plane-weighted product per codomain mode for all columns, shared by
-    aliased charges.  A pointwise symbol c(x) I samples no label on the
-    grid: at mode m, a column of mode q is its plane factor times c-hat at
-    m - q mod n_s, from one FFT of c along the axis; c has axis charges
-    within its x-bandwidth w, so only the columns whose mode is within w of
-    m (mod n_s) are multiplied and the other entries are 0.  The grid
-    defaults to the automatically chosen resolving level; a rule without a
-    uniform axis, or whose weights vary along it, raises ValueError.  When a
-    column's image leaks out of the codomain band (its quadrature energy
-    over every node exceeds its captured energy by more than 1e-12 + 1e-8 of
-    the energy), an AliasingError names the first such column and the
+    is assembled exactly block by block from sigma on the one-node rule at
+    the identity, and a domain label the codomain lacks, or a sigma that
+    differs at a generic point, raises AliasingError; otherwise the columns
+    of each domain label are evaluated together on the grid, the Haar rule
+    at ``assembly_level`` (the level the cache key records), and projected
+    by quadrature: one FFT of a label's images along the rule's uniform
+    axis, then one plane-weighted product per codomain mode for all columns,
+    shared by aliased charges.  A pointwise symbol c(x) I samples no label
+    on the grid: at mode m, a column of mode q is its plane factor times
+    c-hat at m - q mod n_s, from one FFT of c along the axis; c has axis
+    charges within its x-bandwidth w, so only the columns whose mode is
+    within w of m (mod n_s) are multiplied and the other entries are 0.
+    When a column's image leaks out of the codomain band (its quadrature energy
+    over every node exceeds its captured energy by more than 1e-12 + 1e-8
+    of the energy), an AliasingError names the first such column and the
     required band.  A pointwise c with a charge beyond its declared w leaks
     the same way, since its energy counts all of c.
     """
@@ -177,12 +176,13 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
     if level is None:
         mat = np.zeros((cod.size, dom.size), dtype=complex)
         # x-bandwidth 0 is tested: sigma at the identity against a generic point
-        probe = flow_rule(point_rule(identity(group)), sum(
+        origin = point_rule(identity(group))
+        probe = flow_rule(origin, sum(
             math.sqrt(k + 2) * y for k, y in enumerate(lie_basis(group))), 0.3)
         for xi in dom.labels:
             if xi not in cod.offsets:
                 raise AliasingError(f"codomain misses domain label {xi}", dom.band)
-            block = sigma.evaluate_at_any(xi)
+            block = sigma.evaluate_on_rule(origin, xi)[0]
             moved = sigma.evaluate_on_rule(probe, xi)[0]
             if np.abs(moved - block).max() > 1e-12 * max(1.0, np.abs(block).max()):
                 raise AliasingError(f"symbol of x-bandwidth 0 varies in x at label {xi}")
@@ -192,13 +192,7 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
                 mat[rb + i * d:rb + (i + 1) * d, cb + i * d:cb + (i + 1) * d] = block
         return GalerkinOperator(dom, cod, mat, {"level": None})
 
-    if grid is None:
-        grid = haar_quadrature(group, level)
-    elif grid.level < level:
-        raise AliasingError(
-            f"grid level {grid.level} does not resolve the assembly; "
-            f"need level >= {level}", cod.band)
-
+    grid = haar_quadrature(group, level)
     # codomain row r at node a * n_s + c is rows[r, a] times the axis
     # character of mode modes[r], so its quadrature against the images is a
     # plane sum over their DFT along the axis, taken at that mode
@@ -240,19 +234,18 @@ def assemble(sigma: MatrixSymbol, dom: PeterWeylBasis, cod: PeterWeylBasis,
             mat[rows_m] = proj[rows_m] @ spec[:, m, :]
     parts = mat.view(np.float64)   # (re, im) pairs: column energies in place
     _check_leak(total, np.einsum("ij,ij->j", parts, parts).reshape(-1, 2).sum(axis=1),
-                np.arange(dom.size), dom.band + w)
+                dom.band + w)
     return GalerkinOperator(dom, cod, mat, {"level": grid.level})
 
 
-def _check_leak(total: np.ndarray, captured: np.ndarray, positions,
-                required_band: int):
+def _check_leak(total: np.ndarray, captured: np.ndarray, required_band: int):
     """AliasingError naming the first column whose energy leaks out."""
     leak = total - captured
     bad = np.flatnonzero(leak > 1e-12 + 1e-8 * total)
     if bad.size:
         k = bad[0]
         raise AliasingError(
-            f"column {positions[k]} leaks outside the codomain band "
+            f"column {k} leaks outside the codomain band "
             f"(leak {leak[k]:.3e}); need codomain band >= {required_band}",
             required_band)
 
@@ -266,8 +259,7 @@ def compose(g1: GalerkinOperator, g2: GalerkinOperator) -> GalerkinOperator:
                             {"compose": [g1.meta, g2.meta]})
 
 
-def gram_blocks(basis: PeterWeylBasis,
-                grid: Optional[QuadratureRule] = None) -> list:
+def gram_blocks(basis: PeterWeylBasis, grid: QuadratureRule) -> list:
     """[(rows, Gram block)], one pair per axis mode.
 
     On a Haar product rule each basis entry is a plane factor times one
@@ -275,12 +267,10 @@ def gram_blocks(basis: PeterWeylBasis,
     of unity, so the axis sum of two of them is n_s on one mode, charge mod
     n_s, and 0 between modes: the Gram matrix is one block
     n_s (plane[rows] w) @ plane[rows]^H per mode, shared by aliased charges
-    (Kostelec & Rockmore), and 0 elsewhere.  Any other rule, or one whose
-    weights vary along its axis, raises ValueError.
+    (Kostelec & Rockmore), and 0 elsewhere.  ``grid`` is the caller's rule;
+    one without a uniform axis, or whose weights vary along it, raises
+    ValueError.
     """
-    if grid is None:
-        grid = haar_quadrature(basis.group,
-                               min_level_for_band(basis.group, basis.band))
     plane, modes, w = _plane_rows(basis, grid)
     w = grid.axis_length * w
     blocks = []
@@ -317,9 +307,13 @@ def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
 
 
 class OperatorCache:
-    """Directory-backed store of assembled operators, keyed by lookup header."""
+    """Directory-backed store of assembled operators, keyed by lookup header.
+
+    The directory is made when the cache opens, so an unwritable one fails
+    before anything is assembled."""
 
     def __init__(self, directory: str):
+        os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.hits = 0
         self.misses = 0
@@ -347,7 +341,6 @@ class OperatorCache:
         text = json.dumps(dict(header, shape=list(payload.shape),
                                payload_sha256=hashlib.sha256(payload).hexdigest()),
                           sort_keys=True).encode()
-        os.makedirs(self.directory, exist_ok=True)
         path = os.path.join(self.directory, f"{key}.lgidx")
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -447,7 +440,7 @@ def index_truncation(sigma: MatrixSymbol, band: int,
     if level is not None:
         energy = np.abs(wide.matrix[:, cols]) ** 2
         _check_leak(energy.sum(axis=0), energy[rows].sum(axis=0),
-                    range(dom.size), band + sigma.x_bandwidth)
+                    band + sigma.x_bandwidth)
     return GalerkinOperator(dom, cod, wide.matrix[np.ix_(rows, cols)],
                             {"level": level})
 

@@ -15,9 +15,9 @@ Supported groups and their charts:
 All quadrature rules integrate against the *normalized* Haar measure: the
 weights of every rule sum to 1 up to roundoff, without any a-posteriori
 rescaling (the per-axis Gauss rules are exact for the angular densities).
-Every Haar rule comes from one per-axis table (``_axes``): its weights are
-the outer product of the axis weights, its charts the mesh of the axis
-nodes.  Haar rules record their plane-times-uniform-axis product structure
+Every Haar rule comes from one per-axis table (``_axes``, one call per
+rule): its weights are the outer product of the axis weights, its charts
+the mesh of the axis nodes.  Haar rules record their plane-times-uniform-axis product structure
 (``QuadratureRule.axis_length``); flowed and one-node rules do not.  A rule
 holds node arrays, never GroupPoints, and every level choice comes from
 one exactness rule, ``min_level_for_degree``.  Flows on SU(2) and SU(3)
@@ -335,18 +335,20 @@ def _legendre01_rule(n: int):
 
 
 def _axes(group: GroupSpec, level: int) -> tuple:
-    """Per-axis nodes and weights of the Haar rule (innermost axis last) and
-    the mass of the weights' product.  Torus: uniform, weights 1, mass
-    level^n.  SU(2): u = cos(t/2) Gauss-Chebyshev-II for sqrt(1-u^2) (weight
-    sum pi), p = nu/sin(t/2) Gauss-Legendre (2), s uniform (2*pi).  SU(3):
-    theta through u = cos^2, Gauss-Jacobi for sin*cos^3 (1/4), Gauss-Legendre
-    for sin*cos (1/2), each phi uniform (2*pi)."""
+    """Per-axis nodes of the Haar rule (innermost axis last) and its
+    weights: the outer product of the per-axis weights over their mass, so
+    they sum to 1 up to roundoff exactly when that constant is right.
+    Torus: uniform, weights 1, mass level^n.  SU(2): u = cos(t/2)
+    Gauss-Chebyshev-II for sqrt(1-u^2) (weight sum pi), p = nu/sin(t/2)
+    Gauss-Legendre (2), s uniform (2*pi).  SU(3): theta through u = cos^2,
+    Gauss-Jacobi for sin*cos^3 (1/4), Gauss-Legendre for sin*cos (1/2), each
+    phi uniform (2*pi)."""
     if level < 1:
         raise ValueError("level must be >= 1")
     if group.kind == "torus":
-        n = level
-        return [np.arange(n) / n] * group.n, [np.ones(n)] * group.n, float(n ** group.n)
-    if group.kind == "su2":
+        n, mass = level, float(level ** group.n)
+        nodes, weights = [np.arange(n) / n] * group.n, [np.ones(n)] * group.n
+    elif group.kind == "su2":
         n, mass = 2 * (level + 1), 4.0 * np.pi ** 2
         (u, wu), (p, wp) = _chebyshev_u_rule(level + 1), leggauss(level + 1)
         nodes, weights = [u, p], [2.0 * wu, wp]
@@ -356,17 +358,16 @@ def _axes(group: GroupSpec, level: int) -> tuple:
         th1, th2 = np.arccos(np.sqrt(u1)), np.arccos(np.sqrt(u2))
         nodes, weights = [th1, th2, th2], [0.5 * w1, 0.5 * w2, 0.5 * w2]
     angles = group.manifold_dim - len(nodes)   # s, resp. phi1..phi5: uniform
-    return (nodes + [2.0 * np.pi * np.arange(n) / n] * angles,
-            weights + [np.full(n, 2.0 * np.pi / n)] * angles, mass)
+    nodes += [2.0 * np.pi * np.arange(n) / n] * angles
+    weights += [np.full(n, 2.0 * np.pi / n)] * angles
+    product = functools.reduce(np.multiply.outer, weights).ravel()
+    return nodes, np.divide(product, mass, out=product)
 
 
 def haar_weights(group: GroupSpec, level: int) -> np.ndarray:
-    """The weights of ``haar_quadrature(group, level)``, without its charts:
-    the outer product of the per-axis weights (``_axes``) over their mass,
-    so they sum to 1 up to roundoff exactly when that constant is right."""
-    _, axes, mass = _axes(group, level)
-    weights = functools.reduce(np.multiply.outer, axes).ravel()
-    return np.divide(weights, mass, out=weights)
+    """The weights of ``haar_quadrature(group, level)``, without its charts
+    (``_axes``)."""
+    return _axes(group, level)[1]
 
 
 def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
@@ -379,9 +380,9 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     t_l have degree 2l, so products from t_l and t_l' resolve whenever
     2(l + l') <= 2*level + 1.  The charts are the mesh of the per-axis
     nodes of ``_axes`` (SU(2) maps its (u, p) axes to t = 2*arccos(u),
-    nu = sqrt(1-u^2)*p), the weights ``haar_weights``.
+    nu = sqrt(1-u^2)*p), the weights the product of its axis weights.
     """
-    nodes, _, _ = _axes(group, level)
+    nodes, weights = _axes(group, level)
     mesh = list(np.meshgrid(*nodes, indexing="ij", sparse=True))
     if group.kind == "su2":
         u = mesh[0]
@@ -392,7 +393,7 @@ def haar_quadrature(group: GroupSpec, level: int) -> QuadratureRule:
     for ax, m in enumerate(mesh):
         charts[..., ax] = m
     return QuadratureRule(group, level, charts.reshape(-1, len(nodes)),
-                          haar_weights(group, level), axis_length=shape[-1])
+                          weights, axis_length=shape[-1])
 
 
 def min_level_for_degree(group: GroupSpec, degree: int) -> int:

@@ -23,8 +23,7 @@ import numpy as np
 from .dual import (IrrepLabel, UnsupportedFeatureError, rep_matrices_on_rule,
                    trivial_label)
 from .fourier import FourierCoefficients
-from .groups import (GroupMismatchError, GroupPoint, GroupSpec, QuadratureRule,
-                     identity, point_rule)
+from .groups import GroupMismatchError, GroupSpec, QuadratureRule
 
 SINGULAR_REL_THRESHOLD = 1e-10
 
@@ -75,16 +74,6 @@ class MatrixSymbol:
             raise ValueError(f"symbol {kind} overflows or is not finite at label {xi}")
         return values
 
-    def evaluate(self, x: GroupPoint, xi: IrrepLabel) -> np.ndarray:
-        """sigma(x, xi): the evaluator on the one-node rule at x."""
-        return self.evaluate_on_rule(point_rule(x), xi)[0]
-
-    def evaluate_at_any(self, xi: IrrepLabel) -> np.ndarray:
-        """Value of an invariant symbol (independent of x)."""
-        if not self.is_invariant:
-            raise ValueError("symbol is not x-independent")
-        return self.evaluate(identity(self.group), xi)
-
     def coefficient_on_rule(self, rule: QuadratureRule) -> np.ndarray:
         """c at every node of a pointwise symbol c(x) I, shape (n_nodes, 1, 1)."""
         if not self.is_pointwise:
@@ -105,9 +94,12 @@ def _values_sha256(tables: dict) -> str:
 # builtin symbol constructors
 
 
-def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
-                     order: float, describe: dict,
-                     max_band: Optional[int] = None) -> MatrixSymbol:
+def multiplier_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
+                      order: float, describe: dict,
+                      max_band: Optional[int] = None) -> MatrixSymbol:
+    """Invariant symbol g(xi): a d_xi x d_xi matrix, or a scalar acting as
+    g(xi) * I, at every node."""
+
     def on_rule(rule, xi):
         v = np.asarray(fn(xi), dtype=complex)
         if v.ndim == 0:
@@ -119,15 +111,8 @@ def invariant_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], np.ndarray],
 
 def lambda_multiplier(group: GroupSpec, s: float) -> MatrixSymbol:
     """Symbol <xi>^s I of the Sobolev-scale multiplier."""
-    return invariant_symbol(group, lambda xi: xi.weight ** s,
-                            float(s), {"kind": "weight_power", "s": s})
-
-
-def multiplier_symbol(group: GroupSpec, fn: Callable[[IrrepLabel], complex],
-                      order: float, describe: dict) -> MatrixSymbol:
-    """Scalar multiplier g(xi) acting as g(xi) * I."""
-    return invariant_symbol(group, lambda xi: complex(fn(xi)),
-                            order, describe)
+    return multiplier_symbol(group, lambda xi: xi.weight ** s,
+                             float(s), {"kind": "weight_power", "s": s})
 
 
 def table_symbol(group: GroupSpec, table: dict, order: float = 0.0) -> MatrixSymbol:
@@ -145,7 +130,7 @@ def table_symbol(group: GroupSpec, table: dict, order: float = 0.0) -> MatrixSym
     describe = {"kind": "table",
                 "labels": sorted(str(xi.label) for xi in table),
                 "values_sha256": _values_sha256(table)}
-    return invariant_symbol(group, fn, order, describe, max_band=max_band)
+    return multiplier_symbol(group, fn, order, describe, max_band=max_band)
 
 
 def pointwise_symbol(group: GroupSpec,
@@ -356,66 +341,60 @@ class EllipticityReport:
 
 
 def ellipticity_check(sigma: MatrixSymbol, m: float,
-                      dual: Sequence[IrrepLabel], grid: QuadratureRule,
-                      rel_threshold: float = SINGULAR_REL_THRESHOLD) -> EllipticityReport:
+                      dual: Sequence[IrrepLabel],
+                      grid: QuadratureRule) -> EllipticityReport:
     """Invertibility census of sigma(x, xi) over grid x band.
 
     A site is non-invertible when its smallest singular value falls below
-    rel_threshold times the largest singular value over the whole band.
-    At a label of dimension 1 the singular value is the modulus |sigma|;
-    larger labels take a batched SVD.  A band's census is one (labels, nodes)
-    array of smallest singular values; a pointwise symbol c(x) I has |c(x)|
-    at every label, so its census broadcasts the once-read row |c|.
-    The verdict requires the non-invertible label set to be unchanged when
-    the band is doubled once (the finite-scale reading of "all but
-    finitely many"), and the fitted constant to be finite.
+    ``SINGULAR_REL_THRESHOLD`` times the largest singular value over the
+    whole band.  At a label of dimension 1 the singular value is the modulus
+    |sigma|; larger labels take a batched SVD.  The census is one (labels,
+    nodes) array of smallest singular values, with each label's largest:
+    the band's labels, then those its doubled band adds; a pointwise symbol
+    c(x) I has |c(x)| at every label, so its census broadcasts the once-read
+    row |c|.  The verdict requires the non-invertible label set to be
+    unchanged when the band is doubled once (the finite-scale reading of
+    "all but finitely many"), and the fitted constant to be finite.
     """
-    modulus = (np.abs(sigma.coefficient_on_rule(grid)[:, :, 0])
+    modulus = (np.abs(sigma.coefficient_on_rule(grid)[:, 0, 0])
                if sigma.is_pointwise else None)
-
-    def census(labels):
-        """(labels, nodes) smallest singular values and the largest one."""
-        if modulus is not None:
-            return (np.broadcast_to(modulus[:, -1], (len(labels), grid.n_nodes)),
-                    float(modulus.max()))
-        smin, smax = np.empty((len(labels), grid.n_nodes)), 0.0
+    labels = list(dual)
+    n = len(labels)
+    if sigma.max_band is None:
+        from .dual import enumerate_dual
+        have = {xi.label for xi in labels}
+        labels += [xi for xi in enumerate_dual(sigma.group,
+                                               2.0 * max(xi.weight for xi in labels))
+                   if xi.label not in have]
+    if modulus is not None:
+        smin = np.broadcast_to(modulus, (len(labels), grid.n_nodes))
+        smax = np.full(len(labels), modulus.max())
+    else:
+        smin, smax = np.empty((len(labels), grid.n_nodes)), np.empty(len(labels))
         for i, xi in enumerate(labels):
             sig = sigma.evaluate_on_rule(grid, xi)
             sv = (np.abs(sig[:, :, 0]) if xi.dim == 1
                   else np.linalg.svd(sig, compute_uv=False))
-            smin[i] = sv[:, -1]
-            smax = max(smax, float(sv[:, 0].max()))
-        return smin, smax
+            smin[i], smax[i] = sv[:, -1], sv[:, 0].max()
 
-    dual = list(dual)
-    smin, smax_global = census(dual)
-    threshold = rel_threshold * smax_global
-    bad = smin <= threshold
-    bad_labels = [dual[i].label for i in np.flatnonzero(bad.any(axis=1))]
+    threshold = SINGULAR_REL_THRESHOLD * float(smax[:n].max(initial=0.0))
+    bad = smin[:n] <= threshold
+    bad_labels = [labels[i].label for i in np.flatnonzero(bad.any(axis=1))]
     bad_sites = [{"node": int(k),
                   "chart": [float(v) for v in grid.charts[k]],
-                  "label": list(dual[i].label),
+                  "label": list(labels[i].label),
                   "smallest_sv": float(smin[i, k])}
                  for i, k in zip(*np.nonzero(bad))]
-    good_min = np.where(bad, math.inf, smin).min(axis=1)
-    constant = max([xi.weight ** m / g for xi, g in zip(dual, good_min.tolist())
+    good_min = np.where(bad, math.inf, smin[:n]).min(axis=1)
+    constant = max([xi.weight ** m / g for xi, g in zip(labels, good_min.tolist())
                     if g < math.inf], default=0.0)
     margin = float(good_min.min(initial=math.inf))
 
     doubled_bad = None
     if sigma.max_band is None:
-        from .dual import enumerate_dual
-        doubled = enumerate_dual(sigma.group, 2.0 * max(xi.weight for xi in dual))
-        # the doubled band contains the first: census only the new labels,
-        # finding the first band's rows by label tuple
-        row = {xi.label: i for i, xi in enumerate(dual)}
-        new = [xi for xi in doubled if xi.label not in row]
-        row.update((xi.label, len(dual) + j) for j, xi in enumerate(new))
-        smin2, smax2 = census(new)
-        threshold2 = rel_threshold * max(smax_global, smax2)
-        bad2 = np.concatenate([(s <= threshold2).any(axis=1)
-                               for s in (smin, smin2)]).tolist()
-        doubled_bad = [xi.label for xi in doubled if bad2[row[xi.label]]]
+        bad2 = (smin <= SINGULAR_REL_THRESHOLD * float(smax.max())).any(axis=1)
+        doubled_bad = [xi.label for xi in sorted(
+            (xi for xi, b in zip(labels, bad2) if b), key=IrrepLabel.sort_key)]
     stable = (doubled_bad is None
               or set(map(tuple, doubled_bad)) == set(map(tuple, bad_labels)))
     has_good_sites = math.isfinite(margin)

@@ -460,6 +460,23 @@ def test_cache_missing_dir(tmp_path, capsys):
                  "--action", "list"]) == 1
 
 
+def test_unwritable_cache_dir_fails_before_assembly(tmp_path, capsys, monkeypatch):
+    # a cache directory below a regular file cannot be made: the index
+    # command names it and exits 1 before anything is assembled
+    calls, assemble = [], li.galerkin.assemble
+    monkeypatch.setattr(li.galerkin, "assemble",
+                        lambda *args: calls.append(args) or assemble(*args))
+    monkeypatch.delenv("LIEGROUP_INDEX_CACHE", raising=False)
+    (tmp_path / "blocker").write_text("")
+    cache_dir = str(tmp_path / "blocker" / "cache")
+    cfg = write_config(tmp_path, "cfg.json", dict(winding_config(), cache_dir=cache_dir))
+    out = tmp_path / "out"
+    assert main(["index", "--config", cfg, "--out", str(out)]) == 1
+    assert cache_dir in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert calls == []
+
+
 @pytest.mark.parametrize("key, value", [("out_dir", 5), ("cache_dir", True),
                                         ("out_dir", ["out"]), ("cache_dir", 1.5)])
 @pytest.mark.parametrize("command", [["index"], ["check", "--which", "schur"]],

@@ -120,11 +120,11 @@ def test_parseval_polarization(t1, rule_t1, rng):
 
 def test_lambda_multiplier_values(t1):
     ident = li.lambda_multiplier(li.SU2, 0.0)
-    lab = li.su2_label(2)
-    np.testing.assert_allclose(ident.evaluate_at_any(lab), np.eye(3))
+    lab, e = li.su2_label(2), li.point_rule(li.identity(li.SU2))
+    np.testing.assert_allclose(ident.evaluate_on_rule(e, lab)[0], np.eye(3))
     # <xi>^2 = 1 + l(l+1) = 3 at l = 1
     lam2 = li.lambda_multiplier(li.SU2, 2.0)
-    np.testing.assert_allclose(lam2.evaluate_at_any(lab), 3.0 * np.eye(3))
+    np.testing.assert_allclose(lam2.evaluate_on_rule(e, lab)[0], 3.0 * np.eye(3))
     assert lam2.is_invariant and lam2.order == 2.0
 
 

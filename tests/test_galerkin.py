@@ -38,7 +38,8 @@ def scattered_gram(basis, blocks):
 def test_gram_identity(t1):
     for group, band in ((t1, 6), (li.SU2, 4), (li.torus(2), 2)):
         basis = li.basis_for_band(group, band)
-        gram = scattered_gram(basis, li.gram_blocks(basis))
+        rule = li.haar_quadrature(group, li.min_level_for_band(group, band))
+        gram = scattered_gram(basis, li.gram_blocks(basis, rule))
         assert np.abs(gram - np.eye(basis.size)).max() <= 1e-8
 
 
@@ -156,15 +157,14 @@ def test_assemble_winding_shift_matrix(t1):
 
 def test_assemble_linearity(t1, rng):
     basis = li.basis_for_band(t1, 4)
-    grid = li.haar_quadrature(t1, 11)
     c1, w1 = li.torus_function(t1, {(1,): 0.7, (-1,): 0.7})
     c2, w2 = li.torus_function(t1, {(0,): 1.0, (1,): -0.2j})
     s1 = li.pointwise_symbol(t1, c1, w1, {"k": 1})
     s2 = li.pointwise_symbol(t1, c2, w2, {"k": 2})
     cod = li.basis_for_band(t1, 5)
-    g1 = li.assemble(s1, basis, cod, grid)
-    g2 = li.assemble(s2, basis, cod, grid)
-    gsum = li.assemble(li.symbol_sum([s1, s2], [2.0, -3.0]), basis, cod, grid)
+    g1 = li.assemble(s1, basis, cod)
+    g2 = li.assemble(s2, basis, cod)
+    gsum = li.assemble(li.symbol_sum([s1, s2], [2.0, -3.0]), basis, cod)
     np.testing.assert_allclose(gsum.matrix, 2.0 * g1.matrix - 3.0 * g2.matrix,
                                atol=1e-10)
 
@@ -202,10 +202,9 @@ def test_adjoint_matches_adjoint_symbol_assembly(t1):
     adj_sym = li.pointwise_symbol(t1, coeff_conj, w, {"k": "cbar"})
     dom = li.basis_for_band(t1, 3)
     cod = li.basis_for_band(t1, 4)
-    grid = li.haar_quadrature(t1, 11)
-    g = li.assemble(sym, dom, cod, grid)
+    g = li.assemble(sym, dom, cod)
     # the adjoint's image of band 4 needs band 5; its rows of band 3 are g^*
-    g2 = li.assemble(adj_sym, cod, li.basis_for_band(t1, 5), grid)
+    g2 = li.assemble(adj_sym, cod, li.basis_for_band(t1, 5))
     rows = g2.codomain.positions(dom.labels)
     np.testing.assert_allclose(g.matrix.conj().T, g2.matrix[rows], atol=1e-8)
 
@@ -264,9 +263,9 @@ def test_frozen_product_identity_factor(t1, rng):
     table = random_invariant_table(t1, 4, rng)
     sym = li.table_symbol(t1, table)
     prod = li.frozen_symbol_product(li.lambda_multiplier(t1, 0.0), sym)
-    x = li.identity(t1)
+    x = li.point_rule(li.identity(t1))
     for lab in li.labels_for_band(t1, 4):
-        np.testing.assert_allclose(prod.evaluate(x, lab), table[lab])
+        np.testing.assert_allclose(prod.evaluate_on_rule(x, lab)[0], table[lab])
 
 
 def test_frozen_product_matches_block_composition(rng):
@@ -288,10 +287,10 @@ def test_frozen_product_winding_discrepancy(t1):
     w = li.winding_symbol(t1, 1)
     wstar = li.winding_adjoint_symbol(t1, 1)
     prod = li.frozen_symbol_product(wstar, w)
-    x = li.torus_point(t1, [0.21])
-    assert prod.evaluate(x, li.torus_label(t1, [0]))[0, 0] == 0.0
-    assert prod.evaluate(x, li.torus_label(t1, [3]))[0, 0] == pytest.approx(1.0)
-    assert prod.evaluate(x, li.torus_label(t1, [-2]))[0, 0] == pytest.approx(1.0)
+    x = li.point_rule(li.torus_point(t1, [0.21]))
+    assert prod.evaluate_on_rule(x, li.torus_label(t1, [0]))[0, 0, 0] == 0.0
+    assert prod.evaluate_on_rule(x, li.torus_label(t1, [3]))[0, 0, 0] == pytest.approx(1.0)
+    assert prod.evaluate_on_rule(x, li.torus_label(t1, [-2]))[0, 0, 0] == pytest.approx(1.0)
 
     # and the truncation of the isometry is isometric
     m = li.index_truncation(w, 8, li.sweep_operator(w, 8)).matrix
@@ -700,43 +699,6 @@ def test_assemble_pointwise_branch_matches_per_label_branch(make, band):
     ref = li.assemble(dataclasses.replace(sigma, is_pointwise=False), dom, cod)
     assert g.meta == ref.meta
     assert np.abs(g.matrix - ref.matrix).max() <= 1e-13 * np.abs(ref.matrix).max()
-
-
-@pytest.mark.parametrize("make, band", [(t1_pointwise, 4), (su2_pointwise, 3)])
-def test_assemble_rejects_under_resolved_grid(make, band):
-    sigma = make()
-    dom = li.basis_for_band(sigma.group, band)
-    cod = li.basis_for_band(sigma.group, band + sigma.x_bandwidth)
-    level = li.galerkin.assembly_level(sigma, dom.band, cod.band)
-    grid = li.haar_quadrature(sigma.group, level - 1)
-    with pytest.raises(li.AliasingError) as err:
-        li.assemble(sigma, dom, cod, grid)
-    assert err.value.required_band == cod.band
-
-
-def _flowed(rule):
-    return li.flow_rule(rule, li.lie_basis(rule.group)[0], 0.1)
-
-
-def _weights_bumped(rule):
-    weights = rule.weights.copy()
-    weights[0] *= 1.5
-    return dataclasses.replace(rule, weights=weights, _node_cache={})
-
-
-@pytest.mark.parametrize("group", [li.torus(1), li.torus(2), li.SU2])
-@pytest.mark.parametrize("damage, message", [(_flowed, "uniform axis"),
-                                             (_weights_bumped, "weights vary")])
-def test_assemble_rejects_rules_without_separated_axis(group, damage, message):
-    # an x-independent symbol that declares an x-bandwidth of 1 takes the
-    # quadrature path, which needs level 6 on the torus
-    sym = li.MatrixSymbol(group, 0.0, 1, {"kind": "slow"},
-                          li.lambda_multiplier(group, 0.0)._on_rule)
-    basis = li.basis_for_band(group, 2)
-    grid = damage(li.haar_quadrature(group, 6))
-    with pytest.raises(ValueError, match=message) as err:
-        li.assemble(sym, basis, basis, grid)
-    assert not isinstance(err.value, li.AliasingError)
 
 
 def test_cache_key_covers_format(t1, monkeypatch):

@@ -132,6 +132,17 @@ def test_haar_weights_are_the_rule_weights(group, levels):
         haar_weights(group, 0)
 
 
+@pytest.mark.parametrize("group", [li.torus(2), li.SU2, li.SU3], ids=str)
+def test_haar_quadrature_builds_one_axis_table(group, monkeypatch):
+    # the charts and the weights come from the same per-axis table
+    from liegroup_index import groups
+    calls, axes = [], groups._axes
+    monkeypatch.setattr(groups, "_axes",
+                        lambda *args: calls.append(args) or axes(*args))
+    li.haar_quadrature(group, 3)
+    assert calls == [(group, 3)]
+
+
 def _expected_charts(group, level):
     """Chart rows of the Haar rule, node by node, from the per-axis rules."""
     from numpy.polynomial.legendre import leggauss

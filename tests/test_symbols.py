@@ -151,6 +151,11 @@ def _census_cases():
         "t1_doubled_bad": (li.multiplier_symbol(t1, lambda xi: xi.label[0] - 5, 1.0,
                                                 {"kind": "l_minus_5"}), 1.0,
                            li.labels_for_band(t1, 3), li.haar_quadrature(t1, 9)),
+        # g = |l1| - 4 vanishes on the 30 labels (+-4, k) of the doubled
+        # band only, many of them of equal weight: pins the listing order
+        "t2_doubled_bad": (li.multiplier_symbol(t2, lambda xi: abs(xi.label[0]) - 4, 1.0,
+                                                {"kind": "abs_l1_minus_4"}), 1.0,
+                           li.labels_for_band(t2, 3), li.haar_quadrature(t2, 9)),
     }
 
 
@@ -161,7 +166,8 @@ def test_ellipticity_census_matches_svd_reference(case):
     sigma, m, dual, grid = _census_cases()[case]
     ref = svd_census(sigma, m, dual, grid)
     rep = li.ellipticity_check(sigma, m, dual, grid)
-    assert rep.elliptic == ref["elliptic"] == (case not in ("sin2pix", "t1_doubled_bad"))
+    assert rep.elliptic == ref["elliptic"] == (
+        case not in ("sin2pix", "t1_doubled_bad", "t2_doubled_bad"))
     assert rep.bad_labels == ref["bad_labels"]
     assert rep.doubled_bad_labels == ref["doubled_bad_labels"]
     assert [(s["node"], s["label"]) for s in rep.bad_sites] == \
@@ -174,6 +180,8 @@ def test_ellipticity_census_matches_svd_reference(case):
         assert rep.bad_sites
     if case == "t1_doubled_bad":
         assert rep.bad_labels == [] and rep.doubled_bad_labels == [(5,)]
+    if case == "t2_doubled_bad":
+        assert rep.bad_labels == [] and len(rep.doubled_bad_labels) == 30
 
 
 @pytest.mark.parametrize("case", sorted(_census_cases()))
@@ -290,12 +298,14 @@ def test_winding_adjoint_closed_form(t1, rule, k):
 def test_invariant_symbol_at_matrix_only_su3_point():
     # products of SU(3) points carry no chart; invariant symbols ignore x
     p = li.su3_point([0.1, 0.2, 0.3], [0.1, 0.2, 0.3, 0.4, 0.5])
-    x = li.GroupPoint(li.SU3, None, p.matrix @ p.matrix)
+    x = li.point_rule(li.GroupPoint(li.SU3, None, p.matrix @ p.matrix))
+    e = li.point_rule(li.identity(li.SU3))
     lab = li.su3_label(1, 0)
-    np.testing.assert_array_equal(li.lambda_multiplier(li.SU3, 0.0).evaluate(x, lab),
-                                  np.eye(3))
+    np.testing.assert_array_equal(
+        li.lambda_multiplier(li.SU3, 0.0).evaluate_on_rule(x, lab)[0], np.eye(3))
     lam = li.lambda_multiplier(li.SU3, 1.0)
-    np.testing.assert_array_equal(lam.evaluate(x, lab), lam.evaluate_at_any(lab))
+    np.testing.assert_array_equal(lam.evaluate_on_rule(x, lab),
+                                  lam.evaluate_on_rule(e, lab))
 
 
 def _pointwise_census_cases():
