@@ -15,13 +15,13 @@ representation acting on homogeneous polynomials of degree n = 2l in two
 variables (orthonormal monomial basis).  With the action f -> f(z g) the
 twice-spin-1 matrix is the defining matrix itself, the construction is an
 exact homomorphism, and no special functions are involved.  Degree n comes
-from degree n - 1 in O(n^2) array operations, so all degrees up to B cost
-O(B^3) per node.  This one ladder serves every rule, once per rule: on a
-Haar product rule every entry is a plane factor times one exact axis
-character (``rep_factors``), so it runs on the plane nodes only; on a
-flowed or one-node rule it runs on every node.  The Casimir conventions
-above are the ones validated by the finite-difference Laplacian oracle in
-the tests.
+from degree n - 1 in O(n^2) array operations on its upper half rows, the
+lower half being their mirror, so all degrees up to B cost O(B^3) per node.
+This one ladder serves every rule, once per rule: on a Haar product rule
+every entry is a plane factor times one exact axis character
+(``rep_factors``), so it runs on the plane nodes only; on a flowed or
+one-node rule it runs on every node.  The Casimir conventions above are the
+ones validated by the finite-difference Laplacian oracle in the tests.
 """
 
 from __future__ import annotations
@@ -184,15 +184,20 @@ def _su2_ladder_step(t: np.ndarray, g: np.ndarray) -> np.ndarray:
     n - 1 tensor degree 1, monomial k at c_0(k) (k, 0) + c_1(k) (k - 1, 1)
     with c_0(k) = sqrt((n - k)/n), c_1(k) = sqrt(k/n), so entry (j, k) is
     sum_{s, s'} c_s(j) c_s'(k) g[s, s'] t[j - s, k - s'].  Being an
-    isometry, it adds rounding errors up linearly in n."""
-    n = len(t)
+    isometry, it adds rounding errors up linearly in n.  Only rows j <= n // 2
+    are summed: SU(2) has t[n - j, n - k] = (-1)^(j + k) conj t[j, k]."""
+    n, h = len(t), len(t) // 2
     c = np.sqrt(np.array([np.arange(n, 0, -1), np.arange(1, n + 1)]) / n)  # k < n, k >= 1
     c = c.reshape((2, n) + (1,) * (t.ndim - 2))
     out = np.zeros((n + 1, n + 1) + t.shape[2:], dtype=complex)
     for s in (0, 1):
-        rows = c[s][:, None] * t
+        rows = c[s][:h + 1 - s, None] * t[:h + 1 - s]
         for s2 in (0, 1):
-            out[s:s + n, s2:s2 + n] += rows * (c[s2] * g[s, s2])
+            out[s:h + 1, s2:s2 + n] += rows * (c[s2] * g[s, s2])
+    low = out[h + 1:]                 # row j of out is row j - h - 1 of low
+    np.conjugate(out[n - h - 1::-1, ::-1], out=low)
+    low[(h + 1) % 2::2, 1::2] *= -1   # j + k odd: j even, k odd
+    low[h % 2::2, ::2] *= -1          # j odd, k even
     return out
 
 
@@ -273,6 +278,12 @@ def axis_charges(xi: IrrepLabel) -> np.ndarray:
     if xi.group.kind == "su2":
         return np.arange(xi.dim)[None, :] - np.arange(xi.dim)[:, None]
     raise UnsupportedFeatureError("SU(3) representation matrices are out of scope")
+
+
+def diagonal_modes(modes: np.ndarray) -> list:
+    """(q, mode) per diagonal q of a label's (d, d) ``rep_factors`` modes:
+    the entries (i, i + q) share one ``axis_charges`` charge, so one mode."""
+    return [(q, modes[max(-q, 0), max(q, 0)]) for q in range(1 - len(modes), len(modes))]
 
 
 def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:

@@ -8,7 +8,8 @@ L2 norm:             ( sum_k w_k |f(x_k)|^2 )^(1/2)
 The quadrature level must resolve the band of f against the requested dual
 (see ``groups.min_level_for_band``).  The rule must be a Haar product rule:
 both transforms separate variables, one contraction with the exact axis
-characters and one plane contraction per label (``dual.rep_factors``).
+characters and one product per diagonal of each label (``dual.rep_factors``,
+``dual.diagonal_modes``).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import IrrepLabel, axis_characters, rep_factors
+from .dual import IrrepLabel, axis_characters, diagonal_modes, rep_factors
 from .groups import QuadratureRule
 
 
@@ -53,38 +54,40 @@ class FourierCoefficients:
 def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCoefficients:
     """Matrix Fourier coefficients of f over the given labels.
 
-    One contraction of the weighted samples with the conjugate axis
-    characters along the rule's uniform axis, then one plane contraction
-    per label (``dual.rep_factors``); the rule must be a Haar product rule.
+    One contraction of the conjugate weighted samples with the axis
+    characters, then one product per diagonal of each label
+    (``dual.diagonal_modes``); the rule must be a Haar product rule.
     """
     rule = f.rule
     chars = axis_characters(rule)
-    # per plane node a and mode m: sum_c w f(a, c) conj(chi_m(c))
-    axis = (rule.weights * f.values).reshape(-1, len(chars)) @ chars.conj().T
+    # per mode m and plane node a: sum_c conj(w f(a, c)) chi_m(c); chars is symmetric
+    axis = chars @ (rule.weights * f.values).conj().reshape(-1, len(chars)).T
     entries = {}
     for xi in dual:
         plane, modes = rep_factors(xi, rule)
-        entries[xi] = np.einsum("aij,aij->ji", plane.conj(), axis[:, modes])
+        entries[xi] = fhat = np.empty((xi.dim, xi.dim), dtype=complex)
+        for q, m in diagonal_modes(modes):    # entry (i, i + q) gives fhat[i + q, i]
+            start = max(q, 0) * xi.dim + max(-q, 0)    # fhat's diagonal -q starts here, row-major
+            fhat.reshape(-1)[start::xi.dim + 1][:xi.dim - abs(q)] = (
+                axis[m] @ plane.diagonal(q, 1, 2)).conj()
     return FourierCoefficients(entries)
 
 
 def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.ndarray:
     """Inversion evaluated at every node, shape (n_nodes,).
 
-    Per-mode plane sums, then one product with the axis characters; the
-    rule must be a Haar product rule.  One grouped reduction per label sums
-    its entries per mode, entries that alias to one mode included.
+    Per-mode plane sums, one product per diagonal of each label
+    (``dual.diagonal_modes``, aliased ones adding into one mode), then one
+    product with the axis characters; the rule must be a Haar product rule.
     """
     chars = axis_characters(rule)
-    sums = np.zeros((rule.n_nodes // len(chars), len(chars)), dtype=complex)
+    sums = np.zeros((len(chars), rule.n_nodes // len(chars)), dtype=complex)
     for xi in c.labels():
         plane, modes = rep_factors(xi, rule)
-        order = np.argsort(modes, axis=None, kind="stable")   # entries by mode
-        by_mode = modes.ravel()[order]
-        starts = np.flatnonzero(np.diff(by_mode, prepend=-1))  # one run per mode
-        terms = np.moveaxis(plane, 0, -1) * (xi.dim * c.entries[xi].T)[:, :, None]
-        sums[:, by_mode[starts]] += np.add.reduceat(terms.reshape(xi.dim ** 2, -1)[order], starts).T
-    return (sums @ chars).ravel()
+        coef = xi.dim * c.entries[xi]
+        for q, m in diagonal_modes(modes):    # entry (i, i + q) pairs with coef[i + q, i]
+            sums[m] += plane.diagonal(q, 1, 2) @ coef.diagonal(-q)
+    return (sums.T @ chars).ravel()
 
 
 def plancherel_norm(c: FourierCoefficients) -> float:

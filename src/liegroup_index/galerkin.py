@@ -50,7 +50,7 @@ from .symbols import MatrixSymbol
 
 HIT_ROW_TOL = 1e-9
 # part of every cache key; bump when the stored matrix for a key may change
-CACHE_FORMAT = 7
+CACHE_FORMAT = 8
 
 
 class AliasingError(ValueError):

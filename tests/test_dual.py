@@ -357,14 +357,21 @@ def test_factored_su2_reps_match_polynomial_on_every_node(level):
 def test_ladder_matches_closed_form():
     # one ladder per rule: on every node of a rule without a uniform axis,
     # on the plane nodes of a Haar rule; the degrees below the first request
-    # come from the rule's memo
+    # come from the rule's memo.  The ladder computes the upper half rows and
+    # mirrors the rest, so the top degree is odd here, and the flowed rule's
+    # off-diagonal entries are not real (on the Haar plane nodes they are)
     g = random_su2_matrices(19)
     rule, other = li.haar_quadrature(li.SU2, 16), matrix_rule(g)
+    flowed = li.flow_rule(li.haar_quadrature(li.SU2, 5), li.lie_basis(li.SU2)[0], 0.3)
+    assert np.abs(flowed.defining_matrices()[:, 0, 1].imag).max() > 0.1
     plane_g = rule.defining_matrices()[::rule.axis_length]
-    for n in (16, *range(16)):
+    for n in (17, *range(17)):
         lab = li.su2_label(n)
         np.testing.assert_allclose(li.rep_matrices_on_rule(lab, other),
                                    closed_form_rep(n, g), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(li.rep_matrices_on_rule(lab, flowed),
+                                   closed_form_rep(n, flowed.defining_matrices()),
+                                   rtol=0, atol=1e-13)
         np.testing.assert_allclose(li.rep_factors(lab, rule)[0],
                                    closed_form_rep(n, plane_g), rtol=0, atol=1e-13)
         assert li.rep_matrices_on_rule(lab, other) is li.rep_matrices_on_rule(lab, other)

@@ -208,3 +208,10 @@ def test_inverse_sums_every_entry_of_an_aliased_mode(group, band, level):
                 for lab in labels)
     out = li.fourier_inverse_on_rule(li.FourierCoefficients(coefs), rule)
     assert np.abs(out - dense).max() <= 1e-13 * max(np.abs(dense).max(), 1.0)
+    # the forward transform reads one axis column for several diagonals
+    vals = rng.standard_normal(rule.n_nodes) + 1j * rng.standard_normal(rule.n_nodes)
+    fhat = li.fourier_forward(li.SampledFunction(rule, vals), labels)
+    for lab in labels:
+        ref = np.einsum("k,kij->ji", rule.weights * vals,
+                        li.rep_matrices_on_rule(lab, rule).conj())
+        np.testing.assert_allclose(fhat[lab], ref, rtol=0, atol=1e-13)
