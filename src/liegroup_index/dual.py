@@ -210,9 +210,9 @@ def rep_matrices_on_rule(xi: IrrepLabel, rule: QuadratureRule) -> np.ndarray:
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
-    if rule.axis_length is not None:
+    if (n_s := rule.axis_length) is not None:
         plane, modes = rep_factors(xi, rule)
-        chars = axis_characters(rule)[modes]                   # (d, d, n_s)
+        chars = _roots_of_unity(n_s)[(modes[..., None] * np.arange(n_s)) % n_s]  # (d, d, n_s)
         mats = np.moveaxis(plane, 0, -1)[..., None] * chars[:, :, None, :]
         return np.moveaxis(mats.reshape(xi.dim, xi.dim, rule.n_nodes), -1, 0)
     if xi.group.kind == "torus":
@@ -245,23 +245,12 @@ def _su2_ladder(rule: QuadratureRule, twice_spin: int) -> np.ndarray:
     return degrees[twice_spin]
 
 
-def axis_characters(rule: QuadratureRule) -> np.ndarray:
-    """Row q, column c: exp(2 pi i ((q c) mod n_s) / n_s), the charge-q
-    character at the n_s points of a Haar product rule's uniform axis.
-
-    Reducing the integer phase first gives exact roots of unity at every
-    charge.  Memoized on the rule; any other rule raises ValueError.
-    """
-    n_s = rule.axis_length
-    if n_s is None:
+def haar_axis_length(rule: QuadratureRule) -> int:
+    """Points on a Haar product rule's uniform axis; other rules raise ValueError."""
+    if rule.axis_length is None:
         raise ValueError("the rule has no uniform axis: separating variables "
                          "needs a Haar product rule (haar_quadrature)")
-    table = rule._node_cache.get("_axis")
-    if table is None:
-        c = np.arange(n_s)
-        table = _roots_of_unity(n_s)[np.outer(c, c) % n_s]
-        rule._node_cache["_axis"] = table
-    return table
+    return rule.axis_length
 
 
 def _roots_of_unity(n: int) -> np.ndarray:
@@ -290,16 +279,16 @@ def rep_factors(xi: IrrepLabel, rule: QuadratureRule) -> tuple:
     """(plane, modes) of xi on a Haar product rule (Kostelec & Rockmore).
 
     With n_s = rule.axis_length, entry (i, j) of xi at node a * n_s + c is
-    plane[a, i, j] * axis_characters(rule)[modes[i, j], c], where the mode
-    is the entry's ``axis_charges`` mod n_s.  plane is xi on the nodes whose
-    axis coordinate is 0: torus characters from the reduced integer phase
-    (k.l) mod level, SU(2) from the rule's one degree ladder on (level+1)^2
-    matrices (``_su2_ladder``).  Memoized on the rule.  Any other rule
-    raises ValueError.
+    plane[a, i, j] * exp(2 pi i ((modes[i, j] c) mod n_s) / n_s), where the
+    mode is the entry's ``axis_charges`` mod n_s.  plane is xi on the nodes
+    whose axis coordinate is 0: torus characters from the reduced integer
+    phase (k.l) mod level, SU(2) from the rule's one degree ladder on
+    (level+1)^2 matrices (``_su2_ladder``).  Memoized on the rule.  Any other
+    rule raises ValueError (``haar_axis_length``).
     """
     if xi.group != rule.group:
         raise GroupMismatchError("label and rule belong to different groups")
-    n_s = axis_characters(rule).shape[0]
+    n_s = haar_axis_length(rule)
     cache = rule._node_cache.setdefault("_factors", {})
     if xi.label not in cache:
         modes = axis_charges(xi) % n_s

@@ -7,9 +7,8 @@ L2 norm:             ( sum_k w_k |f(x_k)|^2 )^(1/2)
 
 The quadrature level must resolve the band of f against the requested dual
 (see ``groups.min_level_for_band``).  The rule must be a Haar product rule:
-both transforms separate variables, one contraction with the exact axis
-characters and one product per diagonal of each label (``dual.rep_factors``,
-``dual.diagonal_modes``).
+both transforms separate variables, one FFT along the axis and one product
+per diagonal of each label (``dual.rep_factors``, ``dual.diagonal_modes``).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dual import IrrepLabel, axis_characters, diagonal_modes, rep_factors
+from .dual import IrrepLabel, diagonal_modes, haar_axis_length, rep_factors
 from .groups import QuadratureRule
 
 
@@ -54,14 +53,14 @@ class FourierCoefficients:
 def fourier_forward(f: SampledFunction, dual: Sequence[IrrepLabel]) -> FourierCoefficients:
     """Matrix Fourier coefficients of f over the given labels.
 
-    One contraction of the conjugate weighted samples with the axis
-    characters, then one product per diagonal of each label
-    (``dual.diagonal_modes``); the rule must be a Haar product rule.
+    One FFT of the weighted samples along the axis, then one product per
+    diagonal of each label (``dual.diagonal_modes``); the rule must be a
+    Haar product rule.
     """
     rule = f.rule
-    chars = axis_characters(rule)
-    # per mode m and plane node a: sum_c conj(w f(a, c)) chi_m(c); chars is symmetric
-    axis = chars @ (rule.weights * f.values).conj().reshape(-1, len(chars)).T
+    wf = (rule.weights * f.values).reshape(-1, haar_axis_length(rule))
+    # per mode m and plane node a: sum_c conj(w f(a, c)) chi_m(c), rows contiguous
+    axis = np.ascontiguousarray(np.fft.fft(wf, axis=1).T).conj()
     entries = {}
     for xi in dual:
         plane, modes = rep_factors(xi, rule)
@@ -78,23 +77,22 @@ def fourier_inverse_on_rule(c: FourierCoefficients, rule: QuadratureRule) -> np.
 
     Per-mode plane sums, one product per diagonal of each label
     (``dual.diagonal_modes``, aliased ones adding into one mode), then one
-    product with the axis characters; the rule must be a Haar product rule.
+    FFT along the axis; the rule must be a Haar product rule.
     """
-    chars = axis_characters(rule)
-    sums = np.zeros((len(chars), rule.n_nodes // len(chars)), dtype=complex)
+    n_s = haar_axis_length(rule)
+    sums = np.zeros((n_s, rule.n_nodes // n_s), dtype=complex)
     for xi in c.labels():
         plane, modes = rep_factors(xi, rule)
         coef = xi.dim * c.entries[xi]
         for q, m in diagonal_modes(modes):    # entry (i, i + q) pairs with coef[i + q, i]
             sums[m] += plane.diagonal(q, 1, 2) @ coef.diagonal(-q)
-    return (sums.T @ chars).ravel()
+    # sum_m sums[m, a] chi_m(c): the unnormalized inverse DFT over m
+    return np.fft.ifft(sums, axis=0, norm="forward").T.ravel()
 
 
 def plancherel_norm(c: FourierCoefficients) -> float:
-    total = 0.0
-    for xi, m in c.entries.items():
-        total += xi.dim * float(np.sum(np.abs(m) ** 2))
-    return math.sqrt(total)
+    return math.sqrt(sum(xi.dim * float(np.sum(np.abs(m) ** 2))
+                         for xi, m in c.entries.items()))
 
 
 def l2_norm(f: SampledFunction) -> float:

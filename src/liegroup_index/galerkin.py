@@ -41,7 +41,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dual import (IrrepLabel, axis_characters, axis_charges, labels_for_band,
+from .dual import (IrrepLabel, axis_charges, haar_axis_length, labels_for_band,
                    lie_basis, rep_factors, rep_matrices_on_rule)
 from .groups import (GroupMismatchError, GroupSpec, QuadratureRule, flow_rule,
                      haar_quadrature, identity, min_level_for_degree,
@@ -289,7 +289,7 @@ def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
     node is the plane weight of a.  A rule without a uniform axis, or whose
     weights vary along it, raises ValueError.
     """
-    n_s = axis_characters(grid).shape[0]
+    n_s = haar_axis_length(grid)
     w = grid.weights.reshape(-1, n_s)
     if np.any(w != w[:, :1]):
         raise ValueError("rule weights vary along its uniform axis")
@@ -303,7 +303,7 @@ def _plane_rows(basis: PeterWeylBasis, grid: QuadratureRule) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# codomain selection for index computations
+# cached assembly: the operator cache and the one assembly of a sweep
 
 
 class OperatorCache:
@@ -381,6 +381,10 @@ def sweep_operator(sigma: MatrixSymbol, band: int,
     group, w = sigma.group, sigma.x_bandwidth
     return assemble_cached(sigma, basis_for_band(group, band + w),
                            basis_for_band(group, band + 2 * w), cache=cache)
+
+
+# ---------------------------------------------------------------------------
+# codomain selection for index computations
 
 
 def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,

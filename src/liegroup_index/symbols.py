@@ -244,27 +244,24 @@ def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
                         on_rule)
 
 
-def symbol_sum(symbols: Sequence[MatrixSymbol],
-               weights: Optional[Sequence[complex]] = None) -> MatrixSymbol:
+def symbol_sum(symbols: Sequence[MatrixSymbol]) -> MatrixSymbol:
     symbols = list(symbols)
     if not symbols:
         raise ValueError("empty sum")
     group = symbols[0].group
     if any(s.group != group for s in symbols):
         raise GroupMismatchError("summands live on different groups")
-    weights = [1.0] * len(symbols) if weights is None else list(weights)
     finite = [s.max_band for s in symbols if s.max_band is not None]
     max_band = min(finite) if finite else None
 
     def on_rule(rule, xi):
-        return sum(w * s.evaluate_on_rule(rule, xi) for w, s in zip(weights, symbols))
+        return sum(s.evaluate_on_rule(rule, xi) for s in symbols)
 
     return MatrixSymbol(
         group,
         max(s.order for s in symbols),
         max(s.x_bandwidth for s in symbols),
-        {"kind": "sum", "terms": [s.describe for s in symbols],
-         "weights": [repr(w) for w in weights]},
+        {"kind": "sum", "terms": [s.describe for s in symbols]},
         on_rule, max_band=max_band,
         is_pointwise=all(s.is_pointwise for s in symbols))
 

@@ -170,7 +170,7 @@ def per_node_copy(rule):
 
 
 @pytest.mark.parametrize("group,band,level", [
-    (li.torus(1), 6, 13), (li.torus(2), 3, 7), (li.SU2, 5, 5)])
+    (li.torus(1), 6, 13), (li.torus(2), 3, 7), (li.SU2, 5, 5), (li.torus(3), 2, 5)])
 def test_factored_transforms_match_per_node_einsum(group, band, level):
     rng = np.random.default_rng(7)
     rule = li.haar_quadrature(group, level)
@@ -194,7 +194,8 @@ def test_factored_transforms_match_per_node_einsum(group, band, level):
 @pytest.mark.parametrize("group,band,level", [
     (li.SU2, 8, 4),          # n_s = 10: charges q and q -+ 10 of one label share a mode
     (li.torus(1), 6, 5),     # labels l and l -+ 5 share a mode
-    (li.torus(2), 3, 4)])    # labels (a, b) and (a, b -+ 4) share a mode
+    (li.torus(2), 3, 4),     # labels (a, b) and (a, b -+ 4) share a mode
+    (li.torus(3), 2, 3)])    # labels (a, b, c) and (a, b, c -+ 3) share a mode
 def test_inverse_sums_every_entry_of_an_aliased_mode(group, band, level):
     # dense reference: sum over labels of d Tr(xi(x) C) at every node
     rng = np.random.default_rng(11)

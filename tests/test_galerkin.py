@@ -164,7 +164,12 @@ def test_assemble_linearity(t1, rng):
     cod = li.basis_for_band(t1, 5)
     g1 = li.assemble(s1, basis, cod)
     g2 = li.assemble(s2, basis, cod)
-    gsum = li.assemble(li.symbol_sum([s1, s2], [2.0, -3.0]), basis, cod)
+    # 2 s1 - 3 s2 from scaled coefficients
+    c1, w1 = li.torus_function(t1, {(1,): 1.4, (-1,): 1.4})
+    c2, w2 = li.torus_function(t1, {(0,): -3.0, (1,): 0.6j})
+    gsum = li.assemble(li.symbol_sum([li.pointwise_symbol(t1, c1, w1, {"k": 3}),
+                                      li.pointwise_symbol(t1, c2, w2, {"k": 4})]),
+                       basis, cod)
     np.testing.assert_allclose(gsum.matrix, 2.0 * g1.matrix - 3.0 * g2.matrix,
                                atol=1e-10)
 

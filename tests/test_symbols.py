@@ -233,7 +233,7 @@ def test_is_pointwise_propagates_through_pointwise_trees(t1):
     c = li.pointwise_symbol(t1, coeff, w, {"k": "c"})
     c2 = li.pointwise_symbol(t1, coeff, w, {"k": "c2"})
     adj = li.conjugate_transpose_symbol(c)
-    pointwise = [c, adj, li.symbol_sum([c, adj], [1.0, 0.5j]),
+    pointwise = [c, adj, li.symbol_sum([c, adj]),
                  li.frozen_symbol_product(c, c2),
                  li.conjugate_transpose_symbol(li.frozen_symbol_product(adj, c))]
     assert all(s.is_pointwise for s in pointwise)
