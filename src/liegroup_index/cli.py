@@ -41,7 +41,7 @@ from .groups import (GroupSpec, haar_quadrature, haar_weights, min_level_for_ban
 from .index_engine import DEFAULT_REL_TOL, stabilization_sweep, trace_via_symbol
 from .operators import (BuiltinOperator, ConfigError, _finite_array, _is_int,
                         parse_operator)
-from .symbols import ellipticity_check
+from .symbols import ellipticity_check, lambda_multiplier
 
 SU3_LEVEL_CAP = 6  # level^8 weights: 13 MB at level 6, 46 MB at level 7
 
@@ -63,12 +63,7 @@ def _canonical(obj, out: list):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if math.isnan(x):
-            out.append('"nan"')
-        elif math.isinf(x):
-            out.append('"inf"' if x > 0 else '"-inf"')
-        else:
-            out.append(f"{x:.16e}")
+        out.append(f"{x:.16e}" if math.isfinite(x) else f'"{x}"')
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -305,7 +300,6 @@ def _check_rows_ellipticity(cfg: dict, group: GroupSpec, band: int, level) -> li
 
 
 def _check_rows_trace(cfg: dict, group: GroupSpec, band: int, level) -> list:
-    from .symbols import lambda_multiplier
     s = group.manifold_dim + 2
     sigma = lambda_multiplier(group, -float(s))
     labels = enumerate_dual(group, 10.0)

@@ -118,11 +118,7 @@ def su3_label(a: int, b: int) -> IrrepLabel:
 
 
 def trivial_label(group: GroupSpec) -> IrrepLabel:
-    if group.kind == "torus":
-        return IrrepLabel(group, (0,) * group.n)
-    if group.kind == "su2":
-        return IrrepLabel(group, (0,))
-    return IrrepLabel(group, (0, 0))
+    return IrrepLabel(group, (0,) * {"torus": group.n, "su2": 1, "su3": 2}[group.kind])
 
 
 def _sorted_labels(group: GroupSpec, points: np.ndarray, weight: np.ndarray) -> list:

@@ -61,7 +61,7 @@ class AliasingError(ValueError):
         self.required_band = required_band
 
 
-@dataclass(eq=False)
+@dataclass
 class PeterWeylBasis:
     """Ordered orthonormal family sqrt(d_xi) xi_ij for an explicit label set.
 
@@ -80,13 +80,6 @@ class PeterWeylBasis:
         self.band = max((xi.band for xi in labels), default=0)
         self.charges = np.concatenate([np.zeros(0, dtype=int)]
                                       + [axis_charges(xi).ravel() for xi in labels])
-
-    def __eq__(self, other):
-        return (isinstance(other, PeterWeylBasis)
-                and self.group == other.group and self.labels == other.labels)
-
-    def __hash__(self):
-        return hash((self.group, self.labels))
 
     def describe(self) -> dict:
         return {"group": {"kind": self.group.kind, "n": self.group.n},

@@ -4,9 +4,11 @@ The family is closed under finite sums and products and spans the three
 behaviours the index engine needs: invariant multipliers (zero index),
 pointwise multiplication by band-limited coefficients (variable
 coefficients), and the circle winding family (nonzero index).  Every
-builtin carries an analytic adjoint symbol; products use the
-frozen-argument rule on both sides, so (A E)^* maps to the frozen product
-of the factors' adjoint symbols in reverse order.
+builtin carries an analytic adjoint symbol: ``parse_operator`` gives every
+multiplier and pointwise node sigma^* in one place, winding carries its
+extracted adjoint, and products use the frozen-argument rule on both
+sides, so (A E)^* maps to the frozen product of the factors' adjoint
+symbols in reverse order.
 
 Operator trees are plain JSON, e.g.::
 
@@ -119,8 +121,10 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
     op = tree.get("op")
     _require(isinstance(op, str), path + ".op", "missing operator kind")
 
-    if op == "multiplier":
-        return _parse_multiplier(tree, group, path)
+    if op in ("multiplier", "pointwise"):
+        parse = _parse_multiplier if op == "multiplier" else _parse_pointwise
+        sym, desc = parse(tree, group, path)
+        return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
     if op == "winding":
         k = tree.get("k")
         _require(_is_int(k), path + ".k", "winding needs an integer k")
@@ -129,8 +133,6 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
         return BuiltinOperator(winding_symbol(group, k),
                                winding_adjoint_symbol(group, k),
                                {"op": "winding", "k": k})
-    if op == "pointwise":
-        return _parse_pointwise(tree, group, path)
     if op == "sum":
         terms = tree.get("terms")
         _require(isinstance(terms, list) and terms, path + ".terms",
@@ -158,7 +160,8 @@ def parse_operator(tree, group: GroupSpec, path: str = "operator") -> BuiltinOpe
     raise ConfigError(path + ".op", f"unknown operator kind {op!r}")
 
 
-def _parse_multiplier(tree, group, path) -> BuiltinOperator:
+def _parse_multiplier(tree, group, path) -> tuple:
+    """(symbol, describe) of a formula or table multiplier."""
     formula = tree.get("formula")
     table = tree.get("table")
     _require((formula is None) != (table is None), path,
@@ -168,17 +171,14 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
             _require(tree.get("s") is not None, path + ".s",
                      "weight_power needs a numeric exponent s")
             s = _finite_float(tree, "s", path)
-            sym = lambda_multiplier(group, s)
-            desc = {"op": "multiplier", "formula": "weight_power", "s": s}
-            return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
+            return (lambda_multiplier(group, s),
+                    {"op": "multiplier", "formula": "weight_power", "s": s})
         _require(formula in MULTIPLIER_FORMULAS, path + ".formula",
                  f"unknown multiplier formula {formula!r}; known: "
                  f"{sorted(MULTIPLIER_FORMULAS) + ['weight_power']}")
         fn, order = MULTIPLIER_FORMULAS[formula]
-        sym = multiplier_symbol(group, fn, order,
-                                {"op": "multiplier", "formula": formula})
-        return BuiltinOperator(sym, conjugate_transpose_symbol(sym),
-                               {"op": "multiplier", "formula": formula})
+        desc = {"op": "multiplier", "formula": formula}
+        return multiplier_symbol(group, fn, order, desc), desc
     _require(isinstance(table, list) and table, path + ".table",
              "table must be a nonempty list of {label, re, im} entries")
     entries = {}
@@ -195,13 +195,13 @@ def _parse_multiplier(tree, group, path) -> BuiltinOperator:
                  f"matrix must be {lab.dim}x{lab.dim}")
         entries[lab] = m
     order = _finite_float(tree, "order", path)
-    sym = table_symbol(group, entries, order)
-    desc = {"op": "multiplier", "table": sorted(str(l.label) for l in entries),
-            "order": order}
-    return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
+    return table_symbol(group, entries, order), {
+        "op": "multiplier", "table": sorted(str(l.label) for l in entries),
+        "order": order}
 
 
-def _parse_pointwise(tree, group, path) -> BuiltinOperator:
+def _parse_pointwise(tree, group, path) -> tuple:
+    """(symbol, describe) of multiplication by a band-limited coefficient."""
     if group.kind == "torus":
         coeffs = tree.get("coefficients")
         _require(isinstance(coeffs, list) and coeffs, path + ".coefficients",
@@ -244,6 +244,4 @@ def _parse_pointwise(tree, group, path) -> BuiltinOperator:
         desc = {"op": "pointwise",
                 "entries": sorted((n, i2, j2, c.real, c.imag)
                                   for n, i2, j2, c in terms)}
-    # the adjoint is multiplication by the complex conjugate
-    sym = pointwise_symbol(group, coeff, band, desc)
-    return BuiltinOperator(sym, conjugate_transpose_symbol(sym), desc)
+    return pointwise_symbol(group, coeff, band, desc), desc

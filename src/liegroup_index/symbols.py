@@ -20,8 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dual import (IrrepLabel, UnsupportedFeatureError, rep_matrices_on_rule,
-                   trivial_label)
+from .dual import (IrrepLabel, UnsupportedFeatureError, enumerate_dual,
+                   rep_matrices_on_rule, su2_label, trivial_label)
 from .fourier import FourierCoefficients
 from .groups import GroupMismatchError, GroupSpec, QuadratureRule
 
@@ -181,7 +181,6 @@ def su2_function(coeffs: Sequence[tuple]) -> tuple:
     coeffs is a sequence of (twice_spin, i, j, coef).  Returns the same
     pair as ``torus_function``.
     """
-    from .dual import su2_label
     terms = [(int(n), int(i), int(j), complex(c)) for n, i, j, c in coeffs]
     band = max((n for n, _, _, _ in terms), default=0)
 
@@ -244,26 +243,32 @@ def winding_adjoint_symbol(group: GroupSpec, k: int) -> MatrixSymbol:
                         on_rule)
 
 
+def _composite(parts: list, mismatch: str, on_rule, order: float,
+               x_bandwidth: int, describe: dict) -> MatrixSymbol:
+    """The symbol built from ``parts`` by ``on_rule``: on their one group
+    (else ``GroupMismatchError(mismatch)``), defined up to the smallest
+    finite ``max_band`` among them, and pointwise when every part is."""
+    group = parts[0].group
+    if any(s.group != group for s in parts):
+        raise GroupMismatchError(mismatch)
+    return MatrixSymbol(
+        group, order, x_bandwidth, describe, on_rule,
+        max_band=min((s.max_band for s in parts if s.max_band is not None),
+                     default=None),
+        is_pointwise=all(s.is_pointwise for s in parts))
+
+
 def symbol_sum(symbols: Sequence[MatrixSymbol]) -> MatrixSymbol:
     symbols = list(symbols)
     if not symbols:
         raise ValueError("empty sum")
-    group = symbols[0].group
-    if any(s.group != group for s in symbols):
-        raise GroupMismatchError("summands live on different groups")
-    finite = [s.max_band for s in symbols if s.max_band is not None]
-    max_band = min(finite) if finite else None
 
     def on_rule(rule, xi):
         return sum(s.evaluate_on_rule(rule, xi) for s in symbols)
 
-    return MatrixSymbol(
-        group,
-        max(s.order for s in symbols),
-        max(s.x_bandwidth for s in symbols),
-        {"kind": "sum", "terms": [s.describe for s in symbols]},
-        on_rule, max_band=max_band,
-        is_pointwise=all(s.is_pointwise for s in symbols))
+    return _composite(symbols, "summands live on different groups", on_rule,
+                      max(s.order for s in symbols), max(s.x_bandwidth for s in symbols),
+                      {"kind": "sum", "terms": [s.describe for s in symbols]})
 
 
 def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> MatrixSymbol:
@@ -273,22 +278,15 @@ def frozen_symbol_product(sigma_a: MatrixSymbol, sigma_b: MatrixSymbol) -> Matri
     genuine x-dependence it differs from the symbol of the composed
     operator (see the winding example in the tests).
     """
-    if sigma_a.group != sigma_b.group:
-        raise GroupMismatchError("factors live on different groups")
-    finite = [s.max_band for s in (sigma_a, sigma_b) if s.max_band is not None]
-    max_band = min(finite) if finite else None
 
     def on_rule(rule, xi):
         return np.einsum("kij,kjl->kil", sigma_a.evaluate_on_rule(rule, xi),
                          sigma_b.evaluate_on_rule(rule, xi))
 
-    return MatrixSymbol(
-        sigma_a.group,
-        sigma_a.order + sigma_b.order,
-        sigma_a.x_bandwidth + sigma_b.x_bandwidth,
-        {"kind": "product", "factors": [sigma_a.describe, sigma_b.describe]},
-        on_rule, max_band=max_band,
-        is_pointwise=sigma_a.is_pointwise and sigma_b.is_pointwise)
+    return _composite(
+        [sigma_a, sigma_b], "factors live on different groups", on_rule,
+        sigma_a.order + sigma_b.order, sigma_a.x_bandwidth + sigma_b.x_bandwidth,
+        {"kind": "product", "factors": [sigma_a.describe, sigma_b.describe]})
 
 
 def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
@@ -298,10 +296,8 @@ def conjugate_transpose_symbol(sigma: MatrixSymbol) -> MatrixSymbol:
     def on_rule(rule, xi):
         return sigma.evaluate_on_rule(rule, xi).conj().transpose(0, 2, 1)
 
-    return MatrixSymbol(sigma.group, sigma.order, sigma.x_bandwidth,
-                        {"kind": "conjugate_transpose", "of": sigma.describe},
-                        on_rule, max_band=sigma.max_band,
-                        is_pointwise=sigma.is_pointwise)
+    return _composite([sigma], "", on_rule, sigma.order, sigma.x_bandwidth,
+                      {"kind": "conjugate_transpose", "of": sigma.describe})
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,6 @@ def ellipticity_check(sigma: MatrixSymbol, m: float,
     labels = list(dual)
     n = len(labels)
     if sigma.max_band is None:
-        from .dual import enumerate_dual
         have = {xi.label for xi in labels}
         labels += [xi for xi in enumerate_dual(sigma.group,
                                                2.0 * max(xi.weight for xi in labels))

@@ -659,3 +659,56 @@ def test_check_schur_circle_band_128_exact_roots(tmp_path):
     rows = json.loads((tmp_path / "out" / "report.json").read_text())["rows"]
     assert rows[0]["name"] == "schur_band_128_level_257"
     assert rows[0]["error"] <= 1e-14
+
+
+def test_canonical_json_writes_every_non_finite_float_as_its_string():
+    values = [math.inf, -math.inf, math.nan, np.float64(-math.inf), np.float32(math.nan)]
+    assert canonical_json(values) == '["inf","-inf","nan","-inf","nan"]\n'
+
+
+# every multiplier and pointwise node takes sigma^* as its adjoint's symbol
+SIGMA_STAR_ADJOINTS = {
+    "identity": (li.torus(1), {"op": "multiplier", "formula": "identity"}),
+    "heat": (li.SU2, {"op": "multiplier", "formula": "heat"}),
+    "laplacian_plus_one": (li.torus(2), {"op": "multiplier",
+                                         "formula": "laplacian_plus_one"}),
+    "weight_power": (li.SU2, {"op": "multiplier", "formula": "weight_power",
+                              "s": -1.5}),
+    "table-T1": (li.torus(1), {"op": "multiplier", "order": 1.0, "table": [
+        {"label": [l], "re": 1.0 + l, "im": 0.5 * l - 0.25} for l in range(-2, 3)]}),
+    "pointwise-T2": (li.torus(2), {"op": "pointwise", "coefficients": [
+        {"freq": [0, 0], "re": 2.0}, {"freq": [1, -1], "re": 0.3, "im": 0.4}]}),
+    "pointwise-SU2": (li.SU2, {"op": "pointwise", "entries": [
+        {"twice_spin": 0, "re": 1.0},
+        {"twice_spin": 1, "i": 0, "j": 1, "re": 0.25, "im": -0.1}]}),
+}
+
+
+@pytest.mark.parametrize("group, tree", SIGMA_STAR_ADJOINTS.values(),
+                         ids=list(SIGMA_STAR_ADJOINTS))
+def test_multipliers_and_pointwise_nodes_take_sigma_star_as_adjoint(group, tree):
+    op = li.parse_operator(tree, group)
+    assert op.adjoint_symbol.describe == {"kind": "conjugate_transpose",
+                                          "of": op.symbol.describe}
+    rule = li.haar_quadrature(group, 4)
+    for xi in li.labels_for_band(group, 2):
+        sigma = op.symbol.evaluate_on_rule(rule, xi)
+        np.testing.assert_array_equal(op.adjoint_symbol.evaluate_on_rule(rule, xi),
+                                      sigma.conj().transpose(0, 2, 1))
+
+
+def test_winding_sums_and_products_keep_their_own_adjoints(t1):
+    winding = {"op": "winding", "k": 2}
+    c = {"op": "pointwise", "coefficients": [{"freq": [1], "re": 0.5, "im": 0.1}]}
+    identity = {"op": "multiplier", "formula": "identity"}
+    w_adj = {"kind": "winding_adjoint", "k": 2}
+    c_adj, i_adj = ({"kind": "conjugate_transpose",
+                     "of": li.parse_operator(t, t1).symbol.describe}
+                    for t in (c, identity))
+    assert li.parse_operator(winding, t1).adjoint_symbol.describe == w_adj
+    total = li.parse_operator({"op": "sum", "terms": [winding, c]}, t1)
+    assert total.adjoint_symbol.describe == {"kind": "sum", "terms": [w_adj, c_adj]}
+    # (W C I)^* takes the factors' adjoints in reverse order: (I^* C^*) W^*
+    prod = li.parse_operator({"op": "product", "factors": [winding, c, identity]}, t1)
+    assert prod.adjoint_symbol.describe == {"kind": "product", "factors": [
+        {"kind": "product", "factors": [i_adj, c_adj]}, w_adj]}

@@ -432,3 +432,10 @@ def test_flowed_and_point_rules_have_no_uniform_axis(rule_su2):
         assert rule.axis_length is None
         with pytest.raises(ValueError, match="uniform axis"):
             li.rep_factors(li.su2_label(1), rule)
+
+
+@pytest.mark.parametrize("group, label", [(li.torus(1), (0,)), (li.torus(3), (0, 0, 0)),
+                                          (li.SU2, (0,)), (li.SU3, (0, 0))])
+def test_trivial_label_is_the_zero_label_of_each_group(group, label):
+    xi = li.trivial_label(group)
+    assert (xi.group, xi.label, xi.dim) == (group, label, 1)

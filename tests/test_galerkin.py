@@ -712,3 +712,17 @@ def test_cache_key_covers_format(t1, monkeypatch):
     key, _ = li.galerkin.lookup_key(sigma.describe, dom, cod, 11)
     monkeypatch.setattr(li.galerkin, "CACHE_FORMAT", li.galerkin.CACHE_FORMAT - 1)
     assert li.galerkin.lookup_key(sigma.describe, dom, cod, 11)[0] != key
+
+
+def test_basis_equality_is_group_and_sorted_labels(t1):
+    for group, band in ((t1, 3), (li.torus(2), 2), (li.SU2, 3)):
+        ref = li.basis_for_band(group, band)
+        assert li.PeterWeylBasis(group, tuple(reversed(ref.labels))) == ref
+        assert li.PeterWeylBasis(group, list(ref.labels[::2] + ref.labels[1::2])) == ref
+        assert li.PeterWeylBasis(group, ref.labels[:-1]) != ref
+        assert li.PeterWeylBasis(group, ref.labels) != li.basis_for_band(group, band + 1)
+        for other in (ref.labels, list(ref.labels), ref.describe(), None, object()):
+            assert ref != other and other != ref
+    # only the group differs: the torus(1) labels in a basis that names torus(2)
+    ref = li.basis_for_band(t1, 3)
+    assert li.PeterWeylBasis(li.torus(2), ref.labels) != ref

@@ -357,3 +357,43 @@ def test_evaluate_on_rule_names_a_non_finite_symbol(sym, xi):
     message = f"symbol {sym.describe['kind']} overflows or is not finite at label {xi}"
     with pytest.raises(ValueError, match=re.escape(message)):
         sym.evaluate_on_rule(li.haar_quadrature(sym.group, 4), label)
+
+
+def test_composites_take_the_smallest_finite_band_and_the_common_pointwise_mark(t1):
+    table = li.table_symbol(t1, {lab: np.eye(1) for lab in li.labels_for_band(t1, 2)})
+    narrow = li.table_symbol(t1, {lab: np.eye(1) for lab in li.labels_for_band(t1, 1)})
+    formula = li.lambda_multiplier(t1, 1.0)
+    coeff, w = li.torus_function(t1, {(1,): 0.5})
+    c = li.pointwise_symbol(t1, coeff, w, {"k": "c"})
+    assert [s.max_band for s in (table, narrow, formula, c)] == [2, 1, None, None]
+    for pair, band in [((table, formula), 2), ((formula, table), 2), ((table, c), 2),
+                       ((table, narrow), 1), ((narrow, table), 1), ((formula, c), None),
+                       ((c, formula), None), ((c, c), None)]:
+        for composite in (li.symbol_sum(pair), li.frozen_symbol_product(*pair)):
+            assert composite.max_band == band
+            assert composite.is_pointwise == (pair == (c, c))
+    for part, band in [(table, 2), (formula, None), (c, None)]:
+        star = li.conjugate_transpose_symbol(part)
+        assert (star.max_band, star.is_pointwise) == (band, part is c)
+    assert li.symbol_sum([formula, table, c, narrow]).max_band == 1
+    # the composite's band is enforced at evaluation
+    with pytest.raises(li.BandHeadroomError):
+        li.symbol_sum([formula, table]).evaluate_on_rule(li.haar_quadrature(t1, 8),
+                                                         li.torus_label(t1, [3]))
+
+
+def test_composite_messages(t1):
+    with pytest.raises(ValueError, match="^empty sum$") as err:
+        li.symbol_sum([])
+    assert err.type is ValueError
+    t = li.lambda_multiplier(t1, 0.0)
+    for group in (li.SU2, li.torus(2)):
+        other = li.lambda_multiplier(group, 0.0)
+        for terms in ([t, other], [other, t], [t, t, other]):
+            with pytest.raises(li.GroupMismatchError,
+                               match="^summands live on different groups$"):
+                li.symbol_sum(terms)
+        for a, b in ((t, other), (other, t)):
+            with pytest.raises(li.GroupMismatchError,
+                               match="^factors live on different groups$"):
+                li.frozen_symbol_product(a, b)
