@@ -22,7 +22,9 @@ this makes the finite-rank index exactly -k at every cutoff.  A sweep
 assembles one operator, from band N + w to band N + 2w for its largest
 cutoff N and the symbol's x-bandwidth w (``sweep_operator``); the bases
 nest, so every cutoff's truncation is a row/column slice of it
-(``index_truncation``, which never assembles).  ``assembly_level`` alone
+(``index_truncation``, which never assembles).  Its hits and its leak check
+read per-label tables that reduce that matrix once per sweep
+(``GalerkinOperator.label_tables``).  ``assembly_level`` alone
 decides that a matrix is block diagonal and needs no quadrature rule: it
 returns None for a symbol of x-bandwidth 0 (``is_invariant``).
 """
@@ -36,6 +38,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -122,6 +125,18 @@ class GalerkinOperator:
     @property
     def shape(self):
         return self.matrix.shape
+
+    @cached_property
+    def label_tables(self) -> tuple:
+        """(peak, energy), reduced from one |matrix| on first use: the largest
+        |entry| of each (codomain label, domain label) block, and each
+        codomain label's energy sum |entry|^2 in each column.  The tables
+        are kept on this object, so its matrix must not change afterwards
+        (``sweep_operator``'s is read-only)."""
+        mag, rows = np.abs(self.matrix), list(self.codomain.offsets.values())
+        peak = np.maximum.reduceat(np.maximum.reduceat(mag, rows, axis=0),
+                                   list(self.domain.offsets.values()), axis=1)
+        return peak, np.add.reduceat(np.square(mag, out=mag), rows, axis=0)
 
 
 def assembly_level(sigma: MatrixSymbol, dom_band: int,
@@ -370,10 +385,13 @@ def sweep_operator(sigma: MatrixSymbol, band: int,
     Every cutoff up to ``band`` is a slice of it (``index_truncation``),
     since the bases nest; for w = 0 it is the square band-``band`` matrix.
     This is the only assembly of an index sweep, made through ``cache``.
+    Its matrix, fetched or assembled, is read-only (``label_tables``).
     """
     group, w = sigma.group, sigma.x_bandwidth
-    return assemble_cached(sigma, basis_for_band(group, band + w),
-                           basis_for_band(group, band + 2 * w), cache=cache)
+    g = assemble_cached(sigma, basis_for_band(group, band + w),
+                        basis_for_band(group, band + 2 * w), cache=cache)
+    g.matrix.flags.writeable = False
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +410,25 @@ def index_codomain_labels(sigma: MatrixSymbol, dom: PeterWeylBasis,
     operator of a sweep whose largest cutoff is at least dom.band
     (``sweep_operator``): its columns of band dom.band + w and its rows of
     band at most dom.band + 2w, the largest of which sets the scale of the
-    hit threshold ``HIT_ROW_TOL``.
+    hit threshold ``HIT_ROW_TOL``.  Both are read from the exact per-label
+    peaks that reduce ``wide`` once per sweep (``GalerkinOperator.label_tables``),
+    not from the wide matrix itself.
     """
     w = sigma.x_bandwidth
     if w == 0:
         return list(dom.labels)
-    band, cod_wide = dom.band, wide.codomain
-    cod_labels = [xi for xi in cod_wide.labels if xi.band <= band + 2 * w]
-    mag = np.abs(wide.matrix[cod_wide.positions(cod_labels)])
-    starts = np.cumsum([0] + [xi.dim ** 2 for xi in cod_labels[:-1]])
-    extended = wide.domain.positions(
-        [xi for xi in wide.domain.labels if xi.band <= band + w])
-    threshold = HIT_ROW_TOL * (float(mag[:, extended].max()) or 1.0)
+    band, keep, peak = dom.band, set(dom.labels), wide.label_tables[0]
+    in_band = np.array([xi.band <= band + 2 * w for xi in wide.codomain.labels])
+    extended = np.array([xi.band <= band + w for xi in wide.domain.labels])
+    threshold = HIT_ROW_TOL * (float(peak[np.ix_(in_band, extended)].max()) or 1.0)
 
-    def hit_labels(col_positions):
-        row_hit = mag[:, col_positions].max(axis=1) > threshold
-        return {xi for xi, h in zip(cod_labels, np.logical_or.reduceat(row_hit, starts))
-                if h}
+    def hit_labels(columns):
+        hit = in_band & (peak[:, columns].max(axis=1) > threshold)
+        return {xi for xi, h in zip(wide.codomain.labels, hit) if h}
 
-    hit = hit_labels(wide.domain.positions(dom.labels))
+    hit = hit_labels(np.array([xi in keep for xi in wide.domain.labels]))
     artifacts = hit_labels(extended) - hit
-    keep = (set(dom.labels) | hit) - artifacts
-    return sorted(keep, key=IrrepLabel.sort_key)
+    return sorted((keep | hit) - artifacts, key=IrrepLabel.sort_key)
 
 
 def index_truncation(sigma: MatrixSymbol, band: int,
@@ -425,8 +440,10 @@ def index_truncation(sigma: MatrixSymbol, band: int,
     columns of band ``band`` and the rows of its selected codomain.  Nothing
     is assembled.  The slice records the quadrature level that assembling
     it on its own would use (``assembly_level``).  Its codomain is checked
-    for aliasing against the energies of the wide matrix's columns, except
-    when that level is None: the matrix is then block diagonal.
+    for aliasing against the energies of the wide matrix's columns, read
+    per codomain label from the table that reduces ``wide`` once per sweep
+    (``GalerkinOperator.label_tables``), except when that level is None:
+    the matrix is then block diagonal.
     """
     group = sigma.group
     dom = basis_for_band(group, band)
@@ -435,8 +452,9 @@ def index_truncation(sigma: MatrixSymbol, band: int,
     cols = wide.domain.positions(dom.labels)
     level = assembly_level(sigma, dom.band, cod.band)
     if level is not None:
-        energy = np.abs(wide.matrix[:, cols]) ** 2
-        _check_leak(energy.sum(axis=0), energy[rows].sum(axis=0),
+        energy, keep = wide.label_tables[1][:, cols], set(cod.labels)
+        captured = np.array([xi in keep for xi in wide.codomain.labels])
+        _check_leak(energy.sum(axis=0), energy[captured].sum(axis=0),
                     band + sigma.x_bandwidth)
     return GalerkinOperator(dom, cod, wide.matrix[np.ix_(rows, cols)],
                             {"level": level})

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -429,6 +431,99 @@ def test_index_truncation_is_slice_of_fresh_assembly(make, band, sweep_band):
     assert np.abs(trunc.matrix - fresh.matrix).max() <= 1e-13
 
 
+def t1_c_times_weight_squared():
+    t1 = li.torus(1)
+    coeff, w = li.torus_function(t1, {(0,): 1.0, (1,): 0.25, (-1,): 0.25})
+    return li.frozen_symbol_product(li.pointwise_symbol(t1, coeff, w, {"kind": "c"}),
+                                    li.lambda_multiplier(t1, 2.0))
+
+
+@pytest.mark.parametrize("make, sweep_band", [
+    (lambda: li.winding_symbol(li.torus(1), 2), 10),
+    (lambda: li.winding_symbol(li.torus(1), -2), 10),
+    (lambda: li.winding_symbol(li.torus(1), -3), 9),
+    (t2_pointwise, 4), (su2_pointwise, 6), (t1_c_times_weight_squared, 8)],
+    ids=["winding2", "winding-2", "winding-3", "t2_pointwise", "su2_pointwise",
+         "t1_c_times_weight2"])
+def test_every_cutoff_of_one_sweep_operator_matches_the_reference(make, sweep_band):
+    # every cutoff of a sweep, in order, from one operator object: the label
+    # tables it keeps after the first cutoff must serve each later one, and
+    # order_reduce on the same object scales the same slice by <xi>^-m
+    sigma = make()
+    wide = li.sweep_operator(sigma, sweep_band)
+    for band in range(sweep_band + 1):
+        trunc = li.index_truncation(sigma, band, wide)
+        assert trunc.codomain.labels == loop_codomain_labels(sigma, band)
+        reduced = li.order_reduce(sigma, band, wide)
+        assert reduced.codomain.labels == trunc.codomain.labels
+        scale = np.repeat([xi.weight ** -sigma.order for xi in trunc.codomain.labels],
+                          trunc.codomain.sizes)
+        np.testing.assert_array_equal(reduced.matrix, scale[:, None] * trunc.matrix)
+
+
+def test_index_truncation_leak_check_reads_its_own_operator(t1):
+    # an entry planted in a row of band 10, outside every codomain of the
+    # cutoff-2 truncation, makes column 3 (the first of band 2) leak; the
+    # untouched operator's tables still give its own codomain afterwards
+    sigma = li.winding_symbol(t1, 1)
+    wide = li.sweep_operator(sigma, 8)
+    own = li.index_truncation(sigma, 2, wide).codomain.labels
+    row = next(wide.codomain.offsets[xi] for xi in wide.codomain.labels if xi.band == 10)
+    col = next(wide.domain.offsets[xi] for xi in wide.domain.labels if xi.band == 2)
+    matrix = wide.matrix.copy()
+    matrix[row, col] = 0.5
+    doctored = li.GalerkinOperator(wide.domain, wide.codomain, matrix, dict(wide.meta))
+    with pytest.raises(li.AliasingError, match="column 3 leaks") as err:
+        li.index_truncation(sigma, 2, doctored)
+    assert err.value.required_band == 3
+    assert li.index_truncation(sigma, 2, wide).codomain.labels == own
+    assert own == loop_codomain_labels(sigma, 2)
+
+
+def test_sweep_operator_matrix_is_read_only_cold_and_warm(t1, tmp_path):
+    # the operator keeps tables reduced from its matrix, which therefore
+    # must not change, whether assembled or fetched from the cache
+    cache = li.OperatorCache(str(tmp_path))
+    sym = li.winding_symbol(t1, 1)
+    cold = li.sweep_operator(sym, 4, cache=cache)
+    warm = li.sweep_operator(sym, 4, cache=cache)
+    assert "cached" not in cold.meta and warm.meta["cached"]
+    for g in (cold, warm):
+        assert not g.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            g.matrix[0, 0] = 1.0
+
+
+def test_label_tables_built_by_concurrent_cutoffs_agree():
+    # more threads than cores truncate one fresh operator at once, with a
+    # short switch interval: whichever thread builds the memoized tables,
+    # every cutoff matches its truncation on an operator of its own
+    sigma = su2_pointwise()
+    fresh = li.sweep_operator(sigma, 6)
+    bands = [2, 3, 4, 5, 6] * 2
+    expected = {b: li.index_truncation(sigma, b, li.sweep_operator(sigma, 6))
+                for b in set(bands)}
+    results = {}
+
+    def truncate(k, band):
+        results[k] = li.index_truncation(sigma, band, fresh)
+
+    threads = [threading.Thread(target=truncate, args=(k, b)) for k, b in enumerate(bands)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == len(bands)
+    for k, band in enumerate(bands):
+        assert results[k].codomain.labels == expected[band].codomain.labels
+        np.testing.assert_array_equal(results[k].matrix, expected[band].matrix)
+
+
 def test_assemble_aliasing_names_first_column_su2():
     # (t1[0,0] * t1[i,j]) has a trivial-label part only for (i, j) = (1, 1),
     # which sits at position 1 + 3 of the band-1 basis; the pointwise and
@@ -602,6 +697,20 @@ def test_cache_store_and_read_hold_one_payload(tmp_path):
     assert peak < 1.25 * matrix.nbytes
     np.testing.assert_array_equal(back, matrix)
     assert header["shape"] == [256, 512]
+
+
+def test_index_truncation_reduces_the_sweep_operator_once():
+    # the label tables are built at the first cutoff; a later cutoff on the
+    # same operator allocates little beyond the slice it returns, where one
+    # that re-read the wide matrix for its hits and leak check would take
+    # 0.39-0.94 of that matrix again
+    coeff, w = li.su2_function([(0, 0, 0, 2.0), (1, 0, 0, 0.3 + 0.1j)])
+    sigma = li.pointwise_symbol(li.SU2, coeff, w, {"k": "t1"})
+    wide = li.sweep_operator(sigma, 8)
+    li.index_truncation(sigma, 8, wide)
+    for band in (4, 6, 8):
+        trunc, peak = _traced_peak(li.index_truncation, sigma, band, wide)
+        assert peak - trunc.matrix.nbytes < 0.15 * wide.matrix.nbytes
 
 
 @pytest.mark.parametrize("view", [lambda m: m[::2, 1::3], lambda m: m.T],
